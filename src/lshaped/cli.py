@@ -150,6 +150,8 @@ def _report_json(report: SolveReport) -> dict:
                 "cuts_skipped": rec.cuts_skipped,
                 "feasibility_cuts": rec.feasibility_cuts,
                 "partition_used": [list(part) for part in rec.partition],
+                "master_pivots": rec.master_pivots,
+                "master_rows": rec.master_rows,
             }
             for rec in report.history
         ],

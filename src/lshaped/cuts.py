@@ -39,7 +39,7 @@ def _frozen(vec) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class OptimalityCut:
     grad: np.ndarray
     offset: float
@@ -55,7 +55,7 @@ class OptimalityCut:
         object.__setattr__(self, "members", members)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FeasibilityCut:
     """Theta-free row grad . x >= offset excluding first-stage points with
     infeasible recourse in the source scenario."""

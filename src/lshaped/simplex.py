@@ -9,10 +9,26 @@ basis; a positive phase-1 optimum yields an infeasibility certificate sigma
 sigma'A_j >= 0 for columns bounded only above, sigma'A_j = 0 for free
 columns, and sigma'b minus the finite-bound terms strictly positive.
 
+Warm start: given a basis (one structural column per row), the solve
+factorizes it directly, with no artificial columns.  Boxed nonbasic columns
+rest at the bound their reduced cost favours.  A primal-feasible basis goes
+straight to the primal iterations.  A dual-feasible one is first repaired
+by the dual simplex (Van Slyke & Wets 1969; Birge & Louveaux, ch. 5): the
+most violated basic variable leaves at its bound, and the dual ratio test
+picks the entering column so that every reduced cost keeps its sign.  That
+is the situation after cut rows are appended to an optimal basis with their
+surplus columns basic, and it usually takes far fewer pivots than a cold
+solve.  The primal iterations then confirm optimality from a fresh
+factorization.  A basis that is neither, is singular, or loses numerical
+footing falls back to the cold two-phase solve, as does a row whose
+violation no column can reduce: that proves infeasibility, and the cold
+solve returns the Farkas certificate.
+
 Pricing is Dantzig (largest reduced-cost violation); after 50 consecutive
 degenerate steps the solve switches to Bland's rule, which guarantees
-termination.  All choices are index-deterministic: identical input produces
-an identical pivot sequence and identical floating-point output.
+termination; the dual simplex switches to the dual form of the rule.  All
+choices are index-deterministic: identical input produces an identical
+pivot sequence and identical floating-point output.
 
 Dual sign convention: duals y are the equality-row multipliers with
 y = c_B' B^{-1}, so for a minimization subproblem whose nonbasic variables
@@ -36,6 +52,7 @@ _PHASE1_TOL = 1e-7
 _BLAND_TRIGGER = 50
 _REFACTOR_EVERY = 64
 _RATIO_TIE_TOL = 1e-12
+_DUAL_PIVOT_TOL = 1e-9
 
 
 class LpStatus(Enum):
@@ -55,6 +72,10 @@ class LpSolution:
     objective: float | None = None
     duals: np.ndarray | None = None
     farkas: np.ndarray | None = None
+    #: optimal basis, one column index per row (None when infeasible,
+    #: unbounded, or an artificial column stayed basic)
+    basis: np.ndarray | None = None
+    pivots: int = 0
 
 
 @dataclass
@@ -65,63 +86,112 @@ class KktReport:
 
 
 class _Simplex:
-    """Working state: extended columns (structurals then artificials)."""
+    """Working state of one solve: columns, bounds, basis and basis inverse."""
 
-    def __init__(self, lp: LinearProgram):
-        A = np.array(lp.A, dtype=float)
-        b = np.array(lp.b, dtype=float)
+    def __init__(self, A: np.ndarray, b: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                 basis: np.ndarray):
+        self.A = A
+        self.b = b
+        self.lb = lb
+        self.ub = ub
+        self.m = A.shape[0]
+        self.basis = basis
+        self.in_basis = np.zeros(A.shape[1], dtype=bool)
+        self.in_basis[basis] = True
+        self.finite_lb = np.isfinite(lb)
+        self.finite_ub = np.isfinite(ub)
+        # nonbasic resting spot: at finite ub when lb is infinite, else at lb
+        # (or at zero for doubly-infinite columns)
+        self.at_upper = ~self.finite_lb & self.finite_ub
+        self.at_upper[basis] = False
+        self.x: np.ndarray | None = None
+        self.Binv: np.ndarray | None = None
+        self.pivots = 0
+        self._since_refactor = 0
+
+    @classmethod
+    def artificial(cls, lp: LinearProgram) -> "_Simplex":
+        """Structurals at a finite bound (or zero); one signed artificial
+        column per row, all of them basic."""
+        A, b, lb, ub = lp.A, lp.b, lp.lb, lp.ub
         m, n = A.shape
-        self.m = m
-        self.n_struct = n
-        lb = np.array(lp.lb, dtype=float)
-        ub = np.array(lp.ub, dtype=float)
         start = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
         resid = b - A @ start if n else b.copy()
         sign = np.where(resid >= 0.0, 1.0, -1.0)
-        self.A = np.hstack([A, np.diag(sign)]) if m else A.copy()
-        self.b = b
-        self.lb = np.concatenate([lb, np.zeros(m)])
-        self.ub = np.concatenate([ub, np.full(m, np.inf)])
-        self.x = np.concatenate([start, np.abs(resid)])
-        self.basis = np.arange(n, n + m, dtype=int)
-        total = n + m
-        self.in_basis = np.zeros(total, dtype=bool)
-        self.in_basis[self.basis] = True
-        # nonbasic resting spot: at finite ub when lb is infinite, else at lb
-        # (or at zero for doubly-infinite columns)
-        self.at_upper = ~np.isfinite(self.lb) & np.isfinite(self.ub)
-        self.at_upper[self.basis] = False
-        self.Binv = np.diag(sign) if m else np.zeros((0, 0))
-        self._since_refactor = 0
+        state = cls(
+            np.hstack([A, np.diag(sign)]) if m else A.copy(),
+            b,
+            np.concatenate([lb, np.zeros(m)]),
+            np.concatenate([ub, np.full(m, np.inf)]),
+            np.arange(n, n + m, dtype=int),
+        )
+        state.x = np.concatenate([start, np.abs(resid)])
+        state.Binv = np.diag(sign) if m else np.zeros((0, 0))
+        return state
 
     def _nonbasic_values(self) -> np.ndarray:
-        vals = np.where(self.at_upper, self.ub, np.where(np.isfinite(self.lb), self.lb, 0.0))
+        vals = np.where(self.at_upper, self.ub, np.where(self.finite_lb, self.lb, 0.0))
         vals[self.in_basis] = 0.0
         return vals
 
-    def refresh(self) -> None:
-        """Refactorize and recompute basic values from scratch."""
-        if self.m == 0:
-            return
-        self.Binv = np.linalg.inv(self.A[:, self.basis])
+    def _set_basic_values(self) -> None:
         vals = self._nonbasic_values()
         rhs = self.b - self.A @ vals
-        x = vals
-        x[self.basis] = self.Binv @ rhs
-        self.x = x
+        vals[self.basis] = self.Binv @ rhs
+        self.x = vals
+
+    def refresh(self) -> None:
+        """Refactorize and recompute basic values from scratch."""
+        self.Binv = None  # free the old inverse before building the new one
+        self.Binv = np.linalg.inv(self.A[:, self.basis])
+        self._set_basic_values()
         self._since_refactor = 0
 
     def duals(self, c: np.ndarray) -> np.ndarray:
         return c[self.basis] @ self.Binv if self.m else np.zeros(0)
 
+    def reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        return c - self.duals(c) @ self.A if self.m else c.copy()
+
+    def _positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masks of the nonbasic columns at their lower bound, at their upper
+        bound, and free at zero."""
+        nonbasic = ~self.in_basis
+        at_lo = nonbasic & ~self.at_upper & self.finite_lb
+        at_up = nonbasic & self.at_upper
+        free = nonbasic & ~self.finite_lb & ~self.finite_ub
+        return at_lo, at_up, free
+
+    def improving(self, d: np.ndarray) -> np.ndarray:
+        """Nonbasic columns whose reduced cost d violates dual feasibility."""
+        at_lo, at_up, free = self._positions()
+        return (
+            (at_lo & (d < -OPTIMALITY_TOL))
+            | (at_up & (d > OPTIMALITY_TOL))
+            | (free & (np.abs(d) > OPTIMALITY_TOL))
+        )
+
     def _eta_update(self, w: np.ndarray, row: int, refactor_every: int) -> None:
         pivot = w[row]
         new_row = self.Binv[row] / pivot
-        self.Binv = self.Binv - np.outer(w, new_row)
+        self.Binv -= np.outer(w, new_row)
         self.Binv[row] = new_row
         self._since_refactor += 1
         if self._since_refactor >= refactor_every:
             self.refresh()
+
+    def _replace_basic(self, pos: int, j: int, leaving_at_upper: bool, w: np.ndarray,
+                       refactor_every: int) -> None:
+        """Column j enters at basis position pos; the leaving column rests at
+        the bound its value has reached."""
+        old = int(self.basis[pos])
+        self.x[old] = self.ub[old] if leaving_at_upper else self.lb[old]
+        self.in_basis[old] = False
+        self.at_upper[old] = leaving_at_upper
+        self.basis[pos] = j
+        self.in_basis[j] = True
+        self.at_upper[j] = False
+        self._eta_update(w, pos, refactor_every)
 
     def _basic_bound_violation(self) -> float:
         if self.m == 0:
@@ -140,21 +210,11 @@ class _Simplex:
         """
         bland = False
         degenerate_run = 0
-        pivots = 0
-        finite_lb = np.isfinite(self.lb)
-        finite_ub = np.isfinite(self.ub)
-        while pivots < cap:
-            y = self.duals(c)
-            d = c - y @ self.A if self.m else c.copy()
-            nonbasic = ~self.in_basis
-            at_lo = nonbasic & ~self.at_upper & finite_lb
-            at_up = nonbasic & self.at_upper
-            free = nonbasic & ~finite_lb & ~finite_ub
-            improving = (
-                (at_lo & (d < -OPTIMALITY_TOL))
-                | (at_up & (d > OPTIMALITY_TOL))
-                | (free & (np.abs(d) > OPTIMALITY_TOL))
-            )
+        stop = self.pivots + cap
+        finite_lb, finite_ub = self.finite_lb, self.finite_ub
+        while self.pivots < stop:
+            d = self.reduced_costs(c)
+            improving = self.improving(d)
             if not improving.any():
                 if self._since_refactor > 0:
                     self.refresh()
@@ -168,7 +228,7 @@ class _Simplex:
                 score = np.where(improving, np.abs(d), -1.0)
                 j = int(np.argmax(score))
             direction = 1.0
-            if (self.at_upper[j]) or (free[j] and d[j] > 0):
+            if self.at_upper[j] or (not finite_lb[j] and not finite_ub[j] and d[j] > 0):
                 direction = -1.0
 
             w = self.Binv @ self.A[:, j] if self.m else np.zeros(0)
@@ -207,22 +267,14 @@ class _Simplex:
                 step = float(room[leave_pos])
                 self.x[j] += direction * step
                 self.x[self.basis] -= direction * step * w
-                old = int(self.basis[leave_pos])
-                hit_upper = delta[leave_pos] > 0
-                self.x[old] = self.ub[old] if hit_upper else self.lb[old]
-                self.in_basis[old] = False
-                self.at_upper[old] = bool(hit_upper)
-                self.basis[leave_pos] = j
-                self.in_basis[j] = True
-                self.at_upper[j] = False
-                self._eta_update(w, leave_pos, refactor_every)
+                self._replace_basic(leave_pos, j, bool(delta[leave_pos] > 0), w, refactor_every)
             else:
                 step = float(t_own)
                 self.x[self.basis] -= direction * step * w
                 self.at_upper[j] = not self.at_upper[j]
                 self.x[j] = self.ub[j] if self.at_upper[j] else self.lb[j]
 
-            pivots += 1
+            self.pivots += 1
             if step <= ZERO_PIVOT_TOL:
                 degenerate_run += 1
                 if degenerate_run >= _BLAND_TRIGGER:
@@ -231,10 +283,95 @@ class _Simplex:
                 degenerate_run = 0
         raise SimplexError("simplex iteration limit exceeded")
 
+    def dual_run(self, c: np.ndarray, cap: int, refactor_every: int = _REFACTOR_EVERY) -> bool:
+        """Dual iterations from a dual-feasible basis until every basic value
+        is within its bounds; False when a violated row admits no entering
+        column, which proves the LP primal infeasible.
+
+        The leaving row is the largest bound violation and the entering
+        column wins the dual ratio test, ties to the largest pivot element.
+        After 50 consecutive degenerate steps both choices switch to the
+        lowest index (Bland's rule for the dual), which guarantees
+        termination.
+        """
+        bland = False
+        degenerate_run = 0
+        stop = self.pivots + cap
+        while True:
+            xb = self.x[self.basis]
+            below = self.lb[self.basis] - xb
+            above = xb - self.ub[self.basis]
+            violation = np.maximum(below, above)
+            violated = violation > FEASIBILITY_TOL
+            if not violated.any():
+                return True
+            if self.pivots >= stop:
+                raise SimplexError("simplex iteration limit exceeded")
+            if bland:
+                candidates = np.flatnonzero(violated)
+                r = int(candidates[np.argmin(self.basis[candidates])])
+            else:
+                r = int(np.argmax(violation))
+            to_upper = bool(above[r] > 0)
+            # moving nonbasic j by t changes basic r by -alpha_j t; r must
+            # fall when above its upper bound and rise when below its lower
+            sign = 1.0 if to_upper else -1.0
+            alpha = self.Binv[r] @ self.A
+            d = self.reduced_costs(c)
+            at_lo, at_up, free = self._positions()
+            eligible = (
+                (at_lo & (sign * alpha > _DUAL_PIVOT_TOL))
+                | (at_up & (sign * alpha < -_DUAL_PIVOT_TOL))
+                | (free & (np.abs(alpha) > _DUAL_PIVOT_TOL))
+            )
+            if not eligible.any():
+                return False
+            slack = np.where(free, np.abs(d), np.maximum(np.where(at_up, -d, d), 0.0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(eligible, slack / np.abs(alpha), np.inf)
+            best = ratio.min()
+            ties = np.flatnonzero(ratio <= best + _RATIO_TIE_TOL)
+            if bland:
+                j = int(ties[0])
+            else:
+                j = int(ties[np.argmax(np.abs(alpha[ties]))])
+
+            w = self.Binv @ self.A[:, j]
+            if abs(w[r]) < 1e-7 and self._since_refactor > 0:
+                self.refresh()  # suspicious pivot: retry from a clean inverse
+                continue
+            if abs(w[r]) <= ZERO_PIVOT_TOL:
+                raise SimplexError("pivot element below zero tolerance")
+            bound = self.ub[self.basis[r]] if to_upper else self.lb[self.basis[r]]
+            step = (xb[r] - bound) / w[r]
+            self.x[j] += step
+            self.x[self.basis] -= step * w
+            self._replace_basic(r, j, to_upper, w, refactor_every)
+
+            self.pivots += 1
+            if best <= ZERO_PIVOT_TOL:
+                degenerate_run += 1
+                if degenerate_run >= _BLAND_TRIGGER:
+                    bland = True
+            else:
+                degenerate_run = 0
+
+
+def _optimal(lp: LinearProgram, state: _Simplex, c: np.ndarray) -> LpSolution:
+    """Solution record of an optimal state whose objective, extended by any
+    artificial columns, is c."""
+    n = lp.A.shape[1]
+    x = state.x[:n].copy()
+    basis = state.basis if (state.basis < n).all() else None
+    return LpSolution(
+        status=LpStatus.OPTIMAL, x=x, objective=float(lp.c @ x), duals=state.duals(c).copy(),
+        basis=basis, pivots=state.pivots,
+    )
+
 
 def _solve_two_phase(lp: LinearProgram, cap: int, refactor_every: int) -> LpSolution:
     m, n = lp.A.shape
-    state = _Simplex(lp)
+    state = _Simplex.artificial(lp)
 
     phase1_c = np.concatenate([np.zeros(n), np.ones(m)])
     status = state.run(phase1_c, cap, refactor_every)
@@ -246,37 +383,86 @@ def _solve_two_phase(lp: LinearProgram, cap: int, refactor_every: int) -> LpSolu
         scale = np.max(np.abs(sigma))
         if scale > 0:
             sigma = sigma / scale
-        return LpSolution(status=LpStatus.INFEASIBLE, farkas=sigma)
+        return LpSolution(status=LpStatus.INFEASIBLE, farkas=sigma, pivots=state.pivots)
 
     # pin artificials at zero for phase 2
     state.ub[n:] = 0.0
+    state.finite_ub[n:] = True
     state.x[n:] = np.where(state.in_basis[n:], state.x[n:], 0.0)
     state.at_upper[n:] = False
     phase2_c = np.concatenate([lp.c, np.zeros(m)])
     status = state.run(phase2_c, cap, refactor_every)
     if status is LpStatus.UNBOUNDED:
-        return LpSolution(status=LpStatus.UNBOUNDED)
-    x = state.x[:n].copy()
-    duals = state.duals(phase2_c).copy()
-    return LpSolution(
-        status=LpStatus.OPTIMAL, x=x, objective=float(lp.c @ x), duals=duals, farkas=None
-    )
+        return LpSolution(status=LpStatus.UNBOUNDED, pivots=state.pivots)
+    return _optimal(lp, state, phase2_c)
 
 
-def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
+def _solve_warm(lp: LinearProgram, state: _Simplex, cap: int) -> LpSolution | None:
+    """Re-optimize from the caller's basis; None when the cold solve must
+    decide instead (neither primal nor dual feasible, or a row that proves
+    infeasibility, which the cold solve certifies with a Farkas ray)."""
+    state.refresh()
+    d = state.reduced_costs(lp.c)
+    # a boxed nonbasic column rests at the bound its reduced cost favours,
+    # so only one-sided and free columns can make the basis dual infeasible
+    boxed = ~state.in_basis & state.finite_lb & state.finite_ub
+    if boxed.any():
+        state.at_upper[boxed] = d[boxed] < 0.0
+        state._set_basic_values()
+    if state._basic_bound_violation() > FEASIBILITY_TOL:
+        if state.improving(d).any():
+            return None
+        if not state.dual_run(lp.c, cap):
+            return None
+    status = state.run(lp.c, cap)
+    if status is LpStatus.UNBOUNDED:
+        return LpSolution(status=LpStatus.UNBOUNDED, pivots=state.pivots)
+    return _optimal(lp, state, lp.c)
+
+
+def _start_basis(basis, m: int, n: int) -> np.ndarray:
+    basis = np.array(basis, dtype=int).reshape(-1)
+    if len(basis) != m:
+        raise ValueError(f"basis has {len(basis)} columns, the LP has {m} rows")
+    if len(basis) and (basis.min() < 0 or basis.max() >= n):
+        raise ValueError("basis refers to a column outside the LP")
+    if len(set(basis.tolist())) != m:
+        raise ValueError("basis repeats a column")
+    return basis
+
+
+def solve_lp(lp: LinearProgram, max_pivots: int | None = None,
+             basis: np.ndarray | None = None) -> LpSolution:
     """Solve an equality-form LP; status-complete and deterministic.
 
-    Optimal solutions carry equality-row duals; infeasible ones carry a
-    Farkas certificate normalized to unit max-norm.  A solve that loses
-    numerical footing is retried once with an aggressive refactorization
-    cadence before the error propagates.
+    Optimal solutions carry equality-row duals and, when no artificial
+    column is left in it, the optimal basis; infeasible ones carry a Farkas
+    certificate normalized to unit max-norm.  ``basis`` (one column index
+    per row) warm-starts the solve; a basis that is singular, neither
+    primal nor dual feasible, or loses numerical footing falls back to the
+    cold two-phase solve, as does a row that proves infeasibility.  A cold
+    solve that loses numerical footing is retried once with an aggressive
+    refactorization cadence before the error propagates.  ``pivots`` counts
+    every pivot and bound flip of the call, a failed warm start included.
     """
     m, n = lp.A.shape
     cap = max_pivots if max_pivots is not None else max(2000, 100 * (n + m))
+    spent = 0
+    if basis is not None:
+        state = _Simplex(lp.A, lp.b, lp.lb, lp.ub, _start_basis(basis, m, n))
+        try:
+            sol = _solve_warm(lp, state, cap)
+        except (SimplexError, np.linalg.LinAlgError):
+            sol = None
+        if sol is not None:
+            return sol
+        spent = state.pivots
     try:
-        return _solve_two_phase(lp, cap, _REFACTOR_EVERY)
+        sol = _solve_two_phase(lp, cap, _REFACTOR_EVERY)
     except SimplexError:
-        return _solve_two_phase(lp, cap, 4)
+        sol = _solve_two_phase(lp, cap, 4)
+    sol.pivots += spent
+    return sol
 
 
 def verify_kkt(lp: LinearProgram, sol: LpSolution) -> KktReport:

@@ -46,6 +46,8 @@ class TestSolve:
         assert doc["status"] == "converged"
         assert abs(doc["objective"] - P1_OPTIMUM) <= 1e-6
         assert doc["metrics"]["n_iterations"] >= 1
+        for rec in doc["iterations"]:
+            assert rec["master_pivots"] >= 0 and rec["master_rows"] == rec["k"] - 1
 
     def test_partial_scheme_reports_partition(self, capsys, p1_json):
         code, out, _ = run(capsys, "solve", "--input", p1_json,

@@ -13,11 +13,12 @@ from lshaped import (
     build_extensive_form,
     compute_relative_complexities,
     parse_scheme,
+    sample_instance,
     solve_lp,
     solve_lshaped,
     solve_subproblem,
 )
-from helpers import P1_OPTIMUM, build_p1, random_instance
+from helpers import P1_OPTIMUM, build_p1, random_instance, trend_template
 
 SCHEME_LABELS = (
     "multi", "single", "partial:T=2", "uniform:T=2",
@@ -257,3 +258,56 @@ class TestRelativeComplexities:
         bad = solve_lshaped(p1, EngineConfig(rel_tol=1e-9, max_iterations=1))
         with pytest.raises(ValueError, match="converge"):
             compute_relative_complexities(bad, good, good)
+
+
+class TestWarmMaster:
+    @staticmethod
+    def cold_master_pivots(prob, report):
+        """Pivots of a cold solve of each iteration's master, rebuilt from
+        the report's cuts; also checks the recorded master size and bound."""
+        from lshaped.engine import _Master
+
+        pivots = []
+        for rec in report.history:
+            master = _Master(prob, prob.n_scenarios)
+            for cut in report.cuts:
+                if cut.iteration < rec.index:
+                    master.add_optimality(cut, cut.members)
+            lp = master.build()
+            sol = solve_lp(lp)
+            assert rec.master_rows == lp.A.shape[0]
+            if master.all_covered:
+                assert sol.objective == pytest.approx(rec.lower, rel=1e-9, abs=1e-9)
+            pivots.append(sol.pivots)
+        return pivots
+
+    def test_multi_cut_warm_start_saves_pivots(self):
+        prob = sample_instance(trend_template(3), 60, 3)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
+        assert report.n_iterations >= 3  # at least one warm-started master
+        cold = self.cold_master_pivots(prob, report)
+        warm = [rec.master_pivots for rec in report.history]
+        assert sum(warm) < sum(cold)
+
+    def test_aggregated_master_stays_cold(self):
+        prob = sample_instance(trend_template(3), 60, 3)
+        report = solve_lshaped(
+            prob, EngineConfig(scheme=parse_scheme("partial:T=5"), rel_tol=1e-6)
+        )
+        cold = self.cold_master_pivots(prob, report)
+        assert [rec.master_pivots for rec in report.history] == cold
+
+    def test_multi_cut_bitwise_repeatable(self):
+        prob = sample_instance(trend_template(3), 60, 3)
+        config = EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6)
+        a, b = solve_lshaped(prob, config), solve_lshaped(prob, config)
+        assert a.objective == b.objective
+        assert np.array_equal(a.x, b.x)
+        assert len(a.history) == len(b.history)
+        for ra, rb in zip(a.history, b.history):
+            assert np.array_equal(ra.x, rb.x)
+            assert (ra.lower, ra.upper, ra.master_pivots, ra.master_rows) == (
+                rb.lower, rb.upper, rb.master_pivots, rb.master_rows
+            )
+        for ca, cb in zip(a.cuts, b.cuts):
+            assert np.array_equal(ca.grad, cb.grad) and ca.offset == cb.offset

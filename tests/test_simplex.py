@@ -184,3 +184,109 @@ class TestProperties:
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(0.0)
+
+
+def append_cut_rows(lp, x_cut, x_keep, rng, k):
+    """Append k rows a'x - s = beta, each with a fresh surplus column
+    s >= 0, that x_cut violates and the feasible point x_keep satisfies."""
+    m, n = lp.A.shape
+    rows, rhs = [], []
+    while len(rows) < k:
+        a = rng.uniform(-1.0, 1.0, n)
+        gap = float(a @ x_keep - a @ x_cut)
+        if abs(gap) < 1e-3:
+            continue
+        if gap < 0:
+            a, gap = -a, -gap
+        rows.append(a)
+        rhs.append(float(a @ x_cut) + 0.5 * gap)
+    A = np.zeros((m + k, n + k))
+    A[:m, :n] = lp.A
+    A[m:, :n] = rows
+    A[m:, n:] = -np.eye(k)
+    return LinearProgram(
+        c=np.r_[lp.c, np.zeros(k)], A=A, b=np.r_[lp.b, rhs],
+        lb=np.r_[lp.lb, np.zeros(k)], ub=np.r_[lp.ub, np.full(k, np.inf)],
+    )
+
+
+def warm_start_case(seed, infeasible=False):
+    """(LP with appended rows, optimal basis of the original extended by the
+    new surplus columns)."""
+    rng = np.random.default_rng(seed)
+    lp = random_box_lp(seed)
+    sol = solve_lp(lp)
+    m, n = lp.A.shape
+    if infeasible:
+        a = rng.uniform(-1.0, 1.0, n)
+        beta = float(np.sum(np.maximum(a, 0.0) * lp.ub)) + 1.0  # above a'x on the box
+        big = LinearProgram(
+            c=np.r_[lp.c, 0.0], A=np.block([[lp.A, np.zeros((m, 1))], [a, -1.0]]),
+            b=np.r_[lp.b, beta], lb=np.r_[lp.lb, 0.0], ub=np.r_[lp.ub, np.inf],
+        )
+        k = 1
+    else:
+        flipped = LinearProgram(c=-lp.c, A=lp.A, b=lp.b, lb=lp.lb, ub=lp.ub)
+        k = 1 + seed % 3
+        big = append_cut_rows(lp, sol.x, solve_lp(flipped).x, rng, k)
+    return big, np.r_[sol.basis, np.arange(n, n + k)]
+
+
+class TestWarmStart:
+    def test_appended_rows_match_cold_solve(self):
+        warm_pivots = cold_pivots = 0
+        for seed in range(40):
+            lp, basis = warm_start_case(seed)
+            warm = solve_lp(lp, basis=basis)
+            cold = solve_lp(lp)
+            assert warm.status is cold.status is LpStatus.OPTIMAL, seed
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12), seed
+            rep = verify_kkt(lp, warm)
+            assert max(rep.primal, rep.dual, rep.complementarity) <= 1e-8, seed
+            warm_pivots += warm.pivots
+            cold_pivots += cold.pivots
+        # a warm start that fell back to the cold solve would count both
+        assert warm_pivots < cold_pivots
+
+    def test_infeasible_row_returns_farkas_ray(self):
+        for seed in range(20):
+            lp, basis = warm_start_case(seed, infeasible=True)
+            sol = solve_lp(lp, basis=basis)
+            assert sol.status is LpStatus.INFEASIBLE, seed
+            assert verify_farkas(lp, sol.farkas), seed
+
+    def test_optimal_basis_takes_no_pivots(self):
+        for seed in range(10):
+            lp = random_box_lp(seed)
+            cold = solve_lp(lp)
+            warm = solve_lp(lp, basis=cold.basis)
+            assert warm.pivots == 0
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+            assert np.array_equal(warm.basis, cold.basis)
+
+    def test_singular_basis_falls_back_to_cold_solve(self):
+        lp = LinearProgram(
+            c=[1.0, 2.0, 0.0], A=[[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], b=[1.0, 1.0],
+            lb=np.zeros(3), ub=np.full(3, np.inf),
+        )
+        sol = solve_lp(lp, basis=[0, 1])
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(0.0)
+
+    def test_malformed_basis_rejected(self):
+        lp = LinearProgram(
+            c=[1.0, 1.0, 1.0], A=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], b=[1.0, 1.0],
+            lb=np.zeros(3), ub=np.full(3, np.inf),
+        )
+        for basis in ([0], [0, 1, 2], [1, 1], [0, 3], [-1, 0]):
+            with pytest.raises(ValueError, match="basis"):
+                solve_lp(lp, basis=basis)
+
+    def test_warm_start_determinism(self):
+        for seed in (2, 9):
+            lp, basis = warm_start_case(seed)
+            a = solve_lp(lp, basis=basis)
+            b = solve_lp(lp, basis=basis)
+            assert np.array_equal(a.x, b.x)
+            assert np.array_equal(a.duals, b.duals)
+            assert a.objective == b.objective and a.pivots == b.pivots
