@@ -190,25 +190,39 @@ def validate_scheme(scheme: AggregationScheme, n_scenarios: int) -> list[str]:
 
 
 class AggregateBuffer:
-    """Fixed number of slots collecting cuts; full slots flush eagerly."""
+    """Fixed number of slots collecting cuts; full slots flush eagerly.
+
+    Each slot's aggregate is computed at most once per slot content: it is
+    cached until the slot next changes.
+    """
 
     def __init__(self, n_slots: int):
         self.slots: list[list[OptimalityCut]] = [[] for _ in range(n_slots)]
+        self._aggregates: list[OptimalityCut | None] = [None] * n_slots
         self.flushed: list[OptimalityCut] = []
+
+    def aggregate(self, slot: int) -> OptimalityCut:
+        """``aggregate_cuts`` of a non-empty slot's members."""
+        if self._aggregates[slot] is None:
+            self._aggregates[slot] = aggregate_cuts(self.slots[slot])
+        return self._aggregates[slot]
 
     def place(self, slot: int, cut: OptimalityCut, full_at: int) -> None:
         self.slots[slot].append(cut)
+        self._aggregates[slot] = None
         if len(self.slots[slot]) >= full_at:
-            self.flushed.append(aggregate_cuts(self.slots[slot]))
+            self.flushed.append(self.aggregate(slot))
             self.slots[slot] = []
+            self._aggregates[slot] = None
 
     def flush_remaining(self) -> list[OptimalityCut]:
-        for slot in self.slots:
+        for i, slot in enumerate(self.slots):
             if slot:
-                self.flushed.append(aggregate_cuts(slot))
+                self.flushed.append(self.aggregate(i))
         out = self.flushed
         self.flushed = []
         self.slots = [[] for _ in self.slots]
+        self._aggregates = [None] * len(self.slots)
         return out
 
 
@@ -219,19 +233,17 @@ def _apply_select_uniform(rule: SelectUniform, cuts) -> list[OptimalityCut]:
     return buf.flush_remaining()
 
 
-def _slot_aggregate(slot: list[OptimalityCut]) -> OptimalityCut:
-    return slot[0] if len(slot) == 1 else aggregate_cuts(slot)
-
-
 def _apply_select_closest(rule: SelectClosest, cuts, n_atoms: int) -> list[OptimalityCut]:
     full_at = max(1, math.ceil(n_atoms / rule.slots))
     buf = AggregateBuffer(rule.slots)
     for cut in cuts:
-        nonempty = [i for i, slot in enumerate(buf.slots) if slot]
         best = -1
         best_dist = math.inf
-        for i in nonempty:
-            dist = aggregation_distance(cut, _slot_aggregate(buf.slots[i]), rule.measure)
+        for i, slot in enumerate(buf.slots):
+            if not slot:
+                continue
+            agg = slot[0] if len(slot) == 1 else buf.aggregate(i)
+            dist = aggregation_distance(cut, agg, rule.measure)
             if dist < best_dist:
                 best, best_dist = i, dist
         if best >= 0 and best_dist <= rule.tolerance:
@@ -247,12 +259,57 @@ def _apply_select_closest(rule: SelectClosest, cuts, n_atoms: int) -> list[Optim
 
 
 def _distance_matrix(points: Sequence[OptimalityCut], measure: DistanceMeasure) -> np.ndarray:
+    """All pairwise ``aggregation_distance`` values, up to rounding, as one
+    exactly symmetric array.
+
+    Sums over coordinates run one coordinate at a time into n x n
+    accumulators, which fixes their order and needs no n x n x d temporary.
+    Bitwise-equal gradients sit at angular distance exactly zero and
+    bitwise-equal stacked vectors at absolute distance exactly zero.
+    """
+    grads = np.array([p.grad for p in points], dtype=float)
+    counts = np.array([len(p.members) for p in points], dtype=float)
+    offsets = np.array([p.offset for p in points])
     n = len(points)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = aggregation_distance(points[i], points[j], measure)
-            dist[i, j] = dist[j, i] = d
+    buf = np.empty((n, n))
+    grad_norms = np.linalg.norm(grads, axis=1)
+    flat = grad_norms == 0.0
+    if measure is DistanceMeasure.ABSOLUTE or flat.any():
+        stacked = np.column_stack([grads, offsets]) / counts[:, None]
+        sqdiff = np.zeros((n, n))
+        for col in stacked.T:
+            np.subtract.outer(col, col, out=buf)
+            sqdiff += np.square(buf, out=buf)
+        norms = np.linalg.norm(stacked, axis=1)
+        denom = np.maximum.outer(norms, norms, out=buf)
+        # a zero denominator means two zero vectors, whose sqdiff is 0
+        absolute = np.sqrt(sqdiff, out=sqdiff)
+        np.divide(absolute, denom, out=absolute, where=denom != 0.0)
+        if measure is DistanceMeasure.ABSOLUTE:
+            return absolute
+
+    # angular: 1 - |cos| from the Gram matrix; equal gradients are exactly 0
+    gram = np.zeros((n, n))
+    same = np.ones((n, n), dtype=bool)
+    for col in grads.T:
+        gram += np.multiply.outer(col, col, out=buf)
+        same &= np.equal.outer(col, col)
+    dist = np.abs(gram, out=gram)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist /= np.multiply.outer(grad_norms, grad_norms, out=buf)
+    np.subtract(1.0, dist, out=dist)
+    np.maximum(dist, 0.0, out=dist)
+    dist[same] = 0.0
+
+    if measure is DistanceMeasure.SPATIOANGULAR:
+        q = offsets / counts
+        gap = np.abs(np.subtract.outer(q, q, out=buf), out=buf)
+        scale = np.maximum.outer(np.abs(q), np.abs(q))
+        dist += np.divide(gap, scale, out=gap, where=gap != 0.0)
+
+    if flat.any():
+        fallback = flat[:, None] | flat[None, :]
+        dist[fallback] = absolute[fallback]
     return dist
 
 
@@ -260,10 +317,6 @@ def _assign(dist: np.ndarray, medoids: list[int]) -> np.ndarray:
     # nearest medoid, ties to the lowest medoid index
     cols = dist[:, medoids]
     return np.argmin(cols, axis=1)
-
-
-def _total_cost(dist: np.ndarray, medoids: list[int], assignment: np.ndarray) -> float:
-    return float(sum(dist[i, medoids[assignment[i]]] for i in range(len(assignment))))
 
 
 def _tie_pick(candidates: np.ndarray, rng: XorShift64Star) -> int:
@@ -288,6 +341,14 @@ def kmedoids_cluster(
     applied and the sweeps resume.  Total cost never increases and the
     procedure stops at a swap-optimal configuration or after
     KMEDOIDS_MAX_SWEEPS rounds.
+
+    The distance matrix is built once, as array operations over the stacked
+    cuts, in O(n^2 d).  The swap polish follows FastPAM1 (Schubert &
+    Rousseeuw 2019): from each point's nearest and second-nearest medoid
+    distance, one k x n table holds the cost of every (medoid, candidate)
+    swap, in O(k n^2) per swap round.  The swap rule is unchanged: pairs are
+    scanned medoid by medoid, candidates in index order, and a swap is taken
+    only when it beats the best cost so far by more than 1e-12.
 
     Returns (assignment, medoids): cluster index per point and the k medoid
     point indices.
@@ -323,24 +384,53 @@ def kmedoids_cluster(
         if changed or not np.array_equal(new_assignment, assignment):
             assignment = new_assignment
             continue
-        # fixpoint: try every single-medoid swap for a strict improvement
-        cost = _total_cost(dist, medoids, assignment)
-        swap = None
-        for c in range(len(medoids)):
-            for cand in range(n):
-                if cand in medoids:
-                    continue
-                trial = list(medoids)
-                trial[c] = cand
-                trial_assign = _assign(dist, trial)
-                trial_cost = _total_cost(dist, trial, trial_assign)
-                if trial_cost < cost - 1e-12:
-                    cost, swap = trial_cost, (c, cand)
+        swap = _best_swap(dist, medoids, assignment)
         if swap is None:
             break
         medoids[swap[0]] = swap[1]
         assignment = _assign(dist, medoids)
     return [int(a) for a in assignment], [int(mi) for mi in medoids]
+
+
+def _best_swap(
+    dist: np.ndarray, medoids: list[int], assignment: np.ndarray
+) -> tuple[int, int] | None:
+    """The single-medoid swap the sequential scan accepts, or None.
+
+    Row c of the cost table is the total cost with medoid slot c replaced by
+    each candidate: a point keeps the nearer of the candidate and the best
+    remaining medoid, which is its second-nearest medoid when slot c is its
+    nearest and its nearest otherwise.  Sums run down the columns in point
+    order, so the current cost (slot 0 replaced by itself) and every trial
+    cost are summed exactly as a point-by-point loop would sum them.
+    """
+    n, k = len(dist), len(medoids)
+    cols = dist[:, medoids]
+    rows = np.arange(n)
+    first = cols[rows, assignment]
+    if k > 1:
+        cols[rows, assignment] = np.inf
+        second = cols.min(axis=1)
+    else:
+        second = np.full(n, np.inf)
+    table = np.empty((k, n))
+    buf = np.empty((n, n))
+    for c in range(k):
+        others = np.where(assignment == c, second, first)
+        table[c] = np.minimum(dist, others[:, None], out=buf).sum(axis=0)
+    cost = table[0, medoids[0]]
+    table[:, medoids] = np.inf
+
+    flat = table.ravel()
+    swap = None
+    pos = 0
+    while True:
+        hits = np.flatnonzero(flat[pos:] < cost - 1e-12)
+        if len(hits) == 0:
+            return swap
+        pos += int(hits[0])
+        cost = flat[pos]
+        swap = divmod(pos, n)
 
 
 # --- strategy application -----------------------------------------------------

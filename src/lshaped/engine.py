@@ -314,7 +314,10 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                         master_pivots=master_pivots, master_rows=master_rows,
                     )
                 )
-                logger.debug("iteration %d: %d feasibility cuts", k, len(infeasible))
+                logger.debug(
+                    "iteration %d: %d feasibility cuts master_pivots %d master_rows %d",
+                    k, len(infeasible), master_pivots, master_rows,
+                )
                 continue
 
             recourse = sum(
@@ -335,7 +338,10 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                     )
                 )
                 status = SolveStatus.CONVERGED
-                logger.debug("iteration %d: converged, gap %.3g", k, gap)
+                logger.debug(
+                    "iteration %d: converged, gap %.3g master_pivots %d master_rows %d",
+                    k, gap, master_pivots, master_rows,
+                )
                 break
 
             # every scenario participates in aggregation each iteration, so
@@ -379,8 +385,9 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                 )
             )
             logger.debug(
-                "iteration %d: lower %.6g upper %.6g added %d skipped %d",
-                k, lower, upper, added, skipped,
+                "iteration %d: lower %.6g upper %.6g added %d skipped %d "
+                "master_pivots %d master_rows %d",
+                k, lower, upper, added, skipped, master_pivots, master_rows,
             )
             if added == 0:
                 status = SolveStatus.CONVERGED

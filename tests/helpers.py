@@ -8,6 +8,8 @@ equally likely scenarios with recourse y - u = h_s - x, recourse costs
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from lshaped import (
@@ -16,6 +18,9 @@ from lshaped import (
     Scenario,
     StochasticTemplate,
     TwoStageProblem,
+    XorShift64Star,
+    aggregate_cuts,
+    aggregation_distance,
     sample_instance,
 )
 
@@ -99,6 +104,97 @@ def trend_template(seed: int) -> StochasticTemplate:
             )
         )
     return StochasticTemplate(FirstStage(c, A, b), W, q, T, h, tuple(entries))
+
+
+def reference_kmedoids(points, k, measure, seed=0):
+    """k-medoids as a plain loop: the distance matrix from pairwise
+    aggregation_distance calls, and a swap polish that re-assigns and
+    re-sums the full cost for every (medoid, candidate) pair.  Same seeding,
+    sweeps, tie rules and swap rule as lshaped.kmedoids_cluster."""
+    n = len(points)
+    rng = XorShift64Star(seed)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = aggregation_distance(points[i], points[j], measure)
+
+    def tie_pick(candidates):
+        if len(candidates) == 1:
+            return int(candidates[0])
+        return int(candidates[rng.next_uint64() % len(candidates)])
+
+    def assign(medoids):
+        return np.argmin(dist[:, medoids], axis=1)
+
+    def total_cost(medoids, assignment):
+        return float(sum(dist[i, medoids[assignment[i]]] for i in range(len(assignment))))
+
+    totals = dist.sum(axis=1)
+    medoids = [tie_pick(np.flatnonzero(totals == totals.min()))]
+    while len(medoids) < k:
+        nearest = dist[:, medoids].min(axis=1)
+        nearest[medoids] = -1.0
+        medoids.append(tie_pick(np.flatnonzero(nearest == nearest.max())))
+
+    assignment = assign(medoids)
+    for _ in range(100):
+        changed = False
+        for c in range(len(medoids)):
+            cluster = np.flatnonzero(assignment == c)
+            if len(cluster) == 0:
+                continue
+            inner = dist[np.ix_(cluster, cluster)].sum(axis=1)
+            best = cluster[np.flatnonzero(inner == inner.min())[0]]
+            if best != medoids[c]:
+                medoids[c] = int(best)
+                changed = True
+        new_assignment = assign(medoids)
+        if changed or not np.array_equal(new_assignment, assignment):
+            assignment = new_assignment
+            continue
+        cost = total_cost(medoids, assignment)
+        swap = None
+        for c in range(len(medoids)):
+            for cand in range(n):
+                if cand in medoids:
+                    continue
+                trial = list(medoids)
+                trial[c] = cand
+                trial_cost = total_cost(trial, assign(trial))
+                if trial_cost < cost - 1e-12:
+                    cost, swap = trial_cost, (c, cand)
+        if swap is None:
+            break
+        medoids[swap[0]] = swap[1]
+        assignment = assign(medoids)
+    return [int(a) for a in assignment], [int(m) for m in medoids]
+
+
+def reference_select_closest(rule, cuts, n_atoms):
+    """The closest selection rule as a plain loop that re-aggregates every
+    multi-member slot for every incoming cut."""
+    full_at = max(1, math.ceil(n_atoms / rule.slots))
+    slots = [[] for _ in range(rule.slots)]
+    out = []
+    for cut in cuts:
+        best, best_dist = -1, math.inf
+        for i, slot in enumerate(slots):
+            if slot:
+                agg = slot[0] if len(slot) == 1 else aggregate_cuts(slot)
+                dist = aggregation_distance(cut, agg, rule.measure)
+                if dist < best_dist:
+                    best, best_dist = i, dist
+        if best >= 0 and best_dist <= rule.tolerance:
+            target = best
+        else:
+            empty = next((i for i, slot in enumerate(slots) if not slot), None)
+            target = empty if empty is not None else best
+        slots[target].append(cut)
+        if len(slots[target]) >= full_at:
+            out.append(aggregate_cuts(slots[target]))
+            slots[target] = []
+    out.extend(aggregate_cuts(slot) for slot in slots if slot)
+    return out
 
 
 P1_CORE = """NAME          P1

@@ -16,6 +16,7 @@ from lshaped import (
     SelectClosest,
     SelectUniform,
     SingleCut,
+    aggregation_distance,
     apply_scheme,
     cut_distance,
     kmedoids_cluster,
@@ -26,6 +27,8 @@ from lshaped import (
     validate_partitioning,
     validate_scheme,
 )
+from lshaped import aggregation
+from helpers import reference_kmedoids, reference_select_closest
 
 
 def singleton(s, grad=None, offset=None):
@@ -39,6 +42,22 @@ def singleton(s, grad=None, offset=None):
 
 def singletons(n):
     return [singleton(s) for s in range(n)]
+
+
+def multi_member_cuts(seed, n, flat=0):
+    """Cuts over disjoint member sets of one to three scenarios; every
+    ``flat``-th cut (when nonzero) has a zero gradient."""
+    rng = np.random.default_rng(seed)
+    cuts, start = [], 0
+    for i in range(n):
+        size = int(rng.integers(1, 4))
+        grad = rng.uniform(-1, 1, 4) * size
+        if flat and i % flat == 0:
+            grad = np.zeros(4)
+        cuts.append(OptimalityCut(grad=grad, offset=rng.uniform(-2, 2),
+                                  members=tuple(range(start, start + size))))
+        start += size
+    return cuts
 
 
 class TestPartitioning:
@@ -202,6 +221,25 @@ class TestApplyScheme:
     def test_empty_input(self):
         assert apply_scheme(SingleCut(), [], 4) == []
 
+    @pytest.mark.parametrize("measure", list(DistanceMeasure))
+    def test_select_closest_aggregates_each_slot_content_once(self, measure, monkeypatch):
+        calls = []
+
+        def counting(cuts):
+            calls.append(len(cuts))
+            return aggregate(cuts)
+
+        aggregate = aggregation.aggregate_cuts
+        monkeypatch.setattr(aggregation, "aggregate_cuts", counting)
+        cuts = singletons(40)
+        rule = SelectClosest(slots=4, tolerance=0.6, measure=measure)
+        out = apply_scheme(Dynamic(rule), cuts, 40)
+        assert len(calls) <= len(cuts) + rule.slots
+        expected = reference_select_closest(rule, cuts, 40)
+        assert [c.members for c in out] == [c.members for c in expected]
+        for a, b in zip(out, expected):
+            assert np.array_equal(a.grad, b.grad) and a.offset == b.offset
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             apply_scheme(Partial(size=9), singletons(4), 4)
@@ -266,6 +304,42 @@ class TestKmedoids:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             kmedoids_cluster(singletons(3), 4, DistanceMeasure.ANGULAR)
+
+    @pytest.mark.parametrize("measure", list(DistanceMeasure))
+    def test_matches_reference_loop(self, measure):
+        for seed in range(4):
+            cuts = multi_member_cuts(seed, 12)
+            for k in (1, 2, 5, len(cuts)):
+                assert kmedoids_cluster(cuts, k, measure, seed=seed) == reference_kmedoids(
+                    cuts, k, measure, seed=seed
+                )
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("measure", list(DistanceMeasure))
+    def test_matches_pairwise_distance(self, measure):
+        for seed in range(5):
+            cuts = multi_member_cuts(seed, 15, flat=4)
+            dist = aggregation._distance_matrix(cuts, measure)
+            pairwise = np.array(
+                [[aggregation_distance(a, b, measure) for b in cuts] for a in cuts]
+            )
+            assert np.max(np.abs(dist - pairwise)) <= 1e-12
+            assert np.array_equal(dist, dist.T)
+            assert np.all(np.diag(dist) == 0.0)
+
+    @pytest.mark.parametrize("measure", list(DistanceMeasure))
+    def test_duplicates_at_exact_zero(self, measure):
+        # angular reads gradients only, so its twins also get another offset
+        shift = 1.0 if measure is DistanceMeasure.ANGULAR else 0.0
+        base = multi_member_cuts(7, 6)
+        twins = [
+            OptimalityCut(grad=c.grad, offset=c.offset + shift,
+                          members=tuple(m + 100 for m in c.members))
+            for c in base
+        ]
+        dist = aggregation._distance_matrix(base + twins, measure)
+        assert np.all(np.diag(dist, k=len(base)) == 0.0)
 
 
 class TestSchemeGrammar:

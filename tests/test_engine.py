@@ -113,6 +113,23 @@ class TestSolve:
         assert report.objective == pytest.approx(-2.0, abs=1e-6)
         assert report.x[0] == pytest.approx(2.0, abs=1e-6)
 
+    def test_debug_log_reports_master_size(self, caplog):
+        # the feasibility-cut problem logs a feasibility and a converged line
+        first = FirstStage(c=[-1.0, 0.0], A=[[1.0, 1.0]], b=[5.0])
+        prob = TwoStageProblem(
+            first=first, W=[[1.0]],
+            scenarios=(Scenario(1.0, [1.0], [[1.0, 0.0]], [2.0]),),
+        )
+        with caplog.at_level("DEBUG", logger="lshaped.engine"):
+            report = solve_lshaped(prob, EngineConfig(rel_tol=1e-6))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration")]
+        assert len(lines) == len(report.history) >= 3
+        for line, rec in zip(lines, report.history):
+            assert line.startswith(f"iteration {rec.index}:")
+            assert line.endswith(
+                f"master_pivots {rec.master_pivots} master_rows {rec.master_rows}"
+            )
+
     def test_feasibility_cuts_with_mixed_scenarios(self):
         # scenario 0 always feasible, scenario 1 needs x <= 2
         first = FirstStage(c=[-1.0, 0.0], A=[[1.0, 1.0]], b=[5.0])
