@@ -224,12 +224,12 @@ class TestApplyScheme:
     @pytest.mark.parametrize("measure", list(DistanceMeasure))
     def test_select_closest_aggregates_each_slot_content_once(self, measure, monkeypatch):
         calls = []
+        aggregate = aggregation.aggregate_cuts
 
         def counting(cuts):
             calls.append(len(cuts))
             return aggregate(cuts)
 
-        aggregate = aggregation.aggregate_cuts
         monkeypatch.setattr(aggregation, "aggregate_cuts", counting)
         cuts = singletons(40)
         rule = SelectClosest(slots=4, tolerance=0.6, measure=measure)
