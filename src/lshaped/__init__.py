@@ -44,6 +44,7 @@ from .cuts import (
     is_violated,
     make_feasibility_cut,
     make_optimality_cut,
+    make_optimality_cuts,
 )
 from .engine import (
     EngineConfig,
@@ -60,6 +61,7 @@ from .problem import (
     LinearProgram,
     RandomEntry,
     Scenario,
+    ScenarioArrays,
     StochasticTemplate,
     TwoStageProblem,
     build_extensive_form,

@@ -152,6 +152,7 @@ def _report_json(report: SolveReport) -> dict:
                 "partition_used": [list(part) for part in rec.partition],
                 "master_pivots": rec.master_pivots,
                 "master_rows": rec.master_rows,
+                "sub_solves": rec.sub_solves,
             }
             for rec in report.history
         ],
@@ -381,7 +382,9 @@ def _add_solve_args(parser: argparse.ArgumentParser) -> None:
                              "granulated:T0=5,inner=kmedoids:k=20")
     parser.add_argument("--tol", type=float, default=1e-2, help="relative gap tolerance")
     parser.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; has no effect (scenarios "
+                             "are evaluated as one batch)")
     parser.add_argument("--output", help="write the result to a file instead of stdout")
     parser.add_argument("--format", choices=["json", "csv"], default=None)
 

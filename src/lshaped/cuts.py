@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .problem import Scenario
+from .problem import Scenario, ScenarioArrays
 
 FARKAS_TOL = 1e-9
 
@@ -81,6 +81,32 @@ def make_optimality_cut(
     grad = scen.pi * (duals @ scen.T)
     offset = scen.pi * float(duals @ scen.h)
     return OptimalityCut(grad=grad, offset=offset, members=(scenario_index,), iteration=iteration)
+
+
+def make_optimality_cuts(
+    duals: np.ndarray, data: ScenarioArrays, iteration: int = 0
+) -> list[OptimalityCut]:
+    """``make_optimality_cut`` for every scenario at once, from the stacked
+    duals (one row per scenario).
+
+    Each row of the stacked products is the same vector-matrix product that
+    ``make_optimality_cut`` takes per scenario.  The cuts are built without
+    re-validation: their gradients are rows of one read-only array and
+    their members are the scenario indices of ``data``.
+    """
+    lam = np.asarray(duals, dtype=float)[:, None, :]
+    grads = data.pi[:, None] * np.matmul(lam, data.T)[:, 0, :]
+    grads.setflags(write=False)
+    offsets = (data.pi * np.matmul(lam, data.H[:, :, None])[:, 0, 0]).tolist()
+    cuts = []
+    for grad, offset, s in zip(grads, offsets, data.indices):
+        cut = object.__new__(OptimalityCut)
+        object.__setattr__(cut, "grad", grad)
+        object.__setattr__(cut, "offset", offset)
+        object.__setattr__(cut, "members", (s,))
+        object.__setattr__(cut, "iteration", iteration)
+        cuts.append(cut)
+    return cuts
 
 
 def make_feasibility_cut(

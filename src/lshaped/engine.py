@@ -1,15 +1,33 @@
 """The decomposition loop: master maintenance, subproblem solves, cuts.
 
-Each iteration solves the master for (x, theta) and solves every scenario
-subproblem at x, in scenario order (on a thread pool when
-``EngineConfig.workers`` > 1; results are reduced in scenario order either
-way).  If any subproblem is infeasible, the iteration
+Each iteration solves the master for (x, theta) and evaluates every
+scenario subproblem at x.  If any subproblem is infeasible, the iteration
 adds only feasibility cuts and repeats.  Otherwise the scenario cuts are
 partitioned by the configured strategy over the full scenario set, and each
 aggregate enters the master unless the current iterate already satisfies it.
 Filtering at the aggregate level keeps every new iteration's rows covering
 all theta columns, which is what rules out objective-neutral theta
 redistribution between scenarios.
+
+Scenario subproblems are evaluated by bunching (Wets 1988; Birge &
+Louveaux, section 5.4).  W is shared, so an optimal basis B of W for one
+scenario is optimal for every scenario s whose reduced costs
+q_s - q_s[B] B^-1 W are nonnegative and whose basic solution B^-1 (h_s - T_s x)
+is nonnegative.  ``ScenarioEvaluator`` keeps the optimal bases found so far,
+with their inverses, duals and dual-feasibility masks, and tests each one
+against all open scenarios in one array expression.  Only a scenario that
+no cached basis fits gets a cold ``solve_subproblem``; the basis it returns
+joins the cache and is tried on the rest at once.  The cache belongs to one
+``solve_lshaped`` call and starts empty, so a repeated solve repeats every
+bit.  There is no thread pool: the batched evaluation leaves little
+per-scenario work to share out, and ``EngineConfig.workers`` has no effect.
+
+A scenario whose basic solution has a zero component is degenerate: several
+bases fit it, with different optimal duals.  It takes the first cached
+basis that fits, which need not be the basis a cold solve would end in, so
+its cut can differ from the one a per-scenario solve gives.  Both cuts are
+valid and tight at x; the values are the same.  These scenarios are common,
+because the master's iterates sit at kinks of the recourse function.
 
 The master keeps one theta column per scenario, so aggregates over arbitrary
 scenario subsets stay valid as the partition changes across iterations; a
@@ -39,7 +57,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,14 +72,9 @@ from .aggregation import (
     scheme_label,
     validate_scheme,
 )
-from .cuts import (
-    FeasibilityCut,
-    OptimalityCut,
-    make_feasibility_cut,
-    make_optimality_cut,
-)
+from .cuts import FeasibilityCut, OptimalityCut, make_feasibility_cut, make_optimality_cuts
 from .problem import LinearProgram, TwoStageProblem, validate_problem
-from .simplex import LpSolution, LpStatus, solve_lp
+from .simplex import FEASIBILITY_TOL, OPTIMALITY_TOL, LpSolution, LpStatus, solve_lp
 
 logger = logging.getLogger(__name__)
 if not logger.hasHandlers():
@@ -75,6 +87,8 @@ class EngineConfig:
     rel_tol: float = 1e-2
     violation_tol: float = 1e-6
     max_iterations: int = 5000
+    #: accepted and validated for compatibility; has no effect, because
+    #: scenarios are evaluated as one batch (see the module docstring)
     workers: int = 1
     seed: int = 0
 
@@ -99,6 +113,8 @@ class IterationRecord:
     partition: tuple[tuple[int, ...], ...]
     master_pivots: int
     master_rows: int
+    #: cold subproblem solves, i.e. scenarios no cached basis fitted
+    sub_solves: int
 
 
 class SolveStatus:
@@ -107,18 +123,96 @@ class SolveStatus:
     MASTER_INFEASIBLE = "master_infeasible"
 
 
-@dataclass(eq=False)
+#: IterationRecord's count fields, the columns of SolveReport.iteration_counts
+_COUNT_FIELDS = (
+    "cuts_added", "cuts_skipped", "feasibility_cuts", "master_pivots", "master_rows",
+    "sub_solves",
+)
+
+
+@dataclass(eq=False, slots=True)
 class SolveReport:
+    """Result of one run.
+
+    The iteration history and the optimality cuts left in the master are
+    kept as arrays, so a report that callers retain stays small; ``history``
+    and ``cuts`` build them as objects on each read.  Row i of the
+    ``iteration_*`` arrays is iteration i + 1: its first-stage point,
+    (lower, upper), and the ``_COUNT_FIELDS`` counts.  Row k of the
+    ``cut_*`` arrays is the k-th cut added: gradient, offset, the iteration
+    that added it, and its member set as a bit row (``np.packbits`` of a
+    scenario mask).  An iteration's partition is the member sets of the
+    cuts it added.
+    """
+
     status: str
     x: np.ndarray | None
     objective: float | None
-    history: list[IterationRecord]
     n_iterations: int
     n_cuts: int
     wall_seconds: float
-    cuts: list[OptimalityCut]
     scheme: str
     rel_tol: float
+    iteration_x: np.ndarray
+    iteration_bounds: np.ndarray
+    iteration_counts: np.ndarray
+    cut_grads: np.ndarray
+    cut_offsets: np.ndarray
+    cut_iterations: np.ndarray
+    cut_members: np.ndarray
+
+    @classmethod
+    def pack(cls, history: list[IterationRecord], cuts: list[OptimalityCut], n: int,
+             n_scenarios: int, **fields) -> "SolveReport":
+        mask = np.zeros((len(cuts), n_scenarios), dtype=bool)
+        for row, cut in zip(mask, cuts):
+            row[list(cut.members)] = True
+        return cls(
+            n_iterations=len(history),
+            n_cuts=len(cuts),
+            iteration_x=np.array([rec.x for rec in history]).reshape(len(history), n),
+            iteration_bounds=np.array(
+                [(rec.lower, rec.upper) for rec in history]
+            ).reshape(len(history), 2),
+            iteration_counts=np.array(
+                [[getattr(rec, f) for f in _COUNT_FIELDS] for rec in history], dtype=np.int64
+            ).reshape(len(history), len(_COUNT_FIELDS)),
+            cut_grads=np.array([cut.grad for cut in cuts]).reshape(len(cuts), n),
+            cut_offsets=np.array([cut.offset for cut in cuts]),
+            cut_iterations=np.array([cut.iteration for cut in cuts], dtype=np.int64),
+            cut_members=np.packbits(mask, axis=1),
+            **fields,
+        )
+
+    def _member_sets(self) -> list[tuple[int, ...]]:
+        return [tuple(np.flatnonzero(np.unpackbits(row)).tolist()) for row in self.cut_members]
+
+    @property
+    def history(self) -> list[IterationRecord]:
+        members = self._member_sets()
+        records: list[IterationRecord] = []
+        start = 0
+        for i, ((lower, upper), counts) in enumerate(
+            zip(self.iteration_bounds.tolist(), self.iteration_counts.tolist())
+        ):
+            fields = dict(zip(_COUNT_FIELDS, counts))
+            stop = start + fields["cuts_added"]
+            records.append(IterationRecord(
+                index=i + 1, x=self.iteration_x[i].copy(), lower=lower, upper=upper,
+                partition=tuple(members[start:stop]), **fields,
+            ))
+            start = stop
+        return records
+
+    @property
+    def cuts(self) -> list[OptimalityCut]:
+        return [
+            OptimalityCut(grad=grad, offset=offset, members=members, iteration=k)
+            for grad, offset, members, k in zip(
+                self.cut_grads, self.cut_offsets.tolist(), self._member_sets(),
+                self.cut_iterations.tolist(),
+            )
+        ]
 
 
 @dataclass(eq=False)
@@ -127,6 +221,9 @@ class SubproblemResult:
     value: float | None = None
     duals: np.ndarray | None = None
     farkas: np.ndarray | None = None
+    #: optimal basis of W, one column per row, in ``solve_lp``'s order
+    #: (None when infeasible or an artificial column stayed basic)
+    basis: np.ndarray | None = None
 
 
 def solve_subproblem(problem: TwoStageProblem, s: int, x: np.ndarray) -> SubproblemResult:
@@ -148,13 +245,87 @@ def solve_subproblem(problem: TwoStageProblem, s: int, x: np.ndarray) -> Subprob
     )
     sol = solve_lp(lp)
     if sol.status is LpStatus.OPTIMAL:
-        return SubproblemResult(feasible=True, value=sol.objective, duals=sol.duals)
+        return SubproblemResult(
+            feasible=True, value=sol.objective, duals=sol.duals, basis=sol.basis
+        )
     if sol.status is LpStatus.INFEASIBLE:
         return SubproblemResult(feasible=False, farkas=sol.farkas)
     raise RuntimeError(
         f"scenario {s} has an unbounded recourse problem; the model violates "
         "standard complete-recourse assumptions"
     )
+
+
+@dataclass(eq=False)
+class ScenarioResults:
+    """Every scenario subproblem at one first-stage point."""
+
+    #: recourse values Q_s(x); NaN where the recourse is infeasible
+    values: np.ndarray
+    #: optimal equality duals, one row per scenario; zero where infeasible
+    duals: np.ndarray
+    #: Farkas certificate of each infeasible scenario, in scenario order
+    farkas: dict[int, np.ndarray]
+    #: scenarios solved cold by ``solve_subproblem``
+    sub_solves: int
+
+
+class ScenarioEvaluator:
+    """All scenario subproblems of one problem at a point, by bunching over
+    the optimal bases of W found so far (see the module docstring).
+
+    Each cached basis keeps its columns in ``solve_lp``'s order, the inverse
+    of W restricted to them, the duals q_s[B] B^-1 of every scenario, and
+    which scenarios those duals are feasible for.
+    """
+
+    def __init__(self, problem: TwoStageProblem):
+        self.problem = problem
+        self.bases: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def _add_basis(self, cols: np.ndarray) -> None:
+        W, Q = self.problem.W, self.problem.arrays.Q
+        Binv = np.linalg.inv(W[:, cols])
+        duals = Q[:, cols] @ Binv
+        dual_feasible = (Q - duals @ W >= -OPTIMALITY_TOL).all(axis=1)
+        self.bases.append((cols, Binv, duals, dual_feasible))
+
+    def evaluate(self, x: np.ndarray) -> ScenarioResults:
+        data = self.problem.arrays
+        N = len(data.pi)
+        resid = data.H - data.T @ x
+        values = np.full(N, np.nan)
+        duals = np.zeros_like(resid)
+        is_open = np.ones(N, dtype=bool)
+
+        def bunch(basis) -> None:
+            cols, Binv, basis_duals, dual_feasible = basis
+            cand = np.flatnonzero(is_open & dual_feasible)
+            y = resid[cand] @ Binv.T
+            fits = (y >= -FEASIBILITY_TOL).all(axis=1)
+            hit = cand[fits]
+            values[hit] = np.einsum("sk,sk->s", data.Q[hit][:, cols], y[fits])
+            duals[hit] = basis_duals[hit]
+            is_open[hit] = False
+
+        for basis in self.bases:
+            bunch(basis)
+        farkas: dict[int, np.ndarray] = {}
+        cold = 0
+        while is_open.any():
+            s = int(np.argmax(is_open))
+            is_open[s] = False
+            res = solve_subproblem(self.problem, s, x)
+            cold += 1
+            if not res.feasible:
+                farkas[s] = res.farkas
+                continue
+            values[s] = res.value
+            duals[s] = res.duals
+            if res.basis is not None:
+                self._add_basis(res.basis)
+                bunch(self.bases[-1])
+        return ScenarioResults(values=values, duals=duals, farkas=farkas, sub_solves=cold)
 
 
 class _Master:
@@ -261,6 +432,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
     start = time.perf_counter()
     n = problem.n
     N = problem.n_scenarios
+    data = problem.arrays
     granulated = isinstance(scheme, Granulated)
     if granulated:
         n_theta = math.ceil(N / scheme.block_size)
@@ -268,146 +440,134 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
         inner_scheme = scheme.inner
     else:
         n_theta = N
-        theta_col = list(range(N))
         inner_scheme = scheme
 
     master = _Master(problem, n_theta)
+    evaluator = ScenarioEvaluator(problem)
     history: list[IterationRecord] = []
     upper_best = math.inf
     x_star: np.ndarray | None = None
     status = SolveStatus.ITERATION_LIMIT
 
-    pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    try:
-        for k in range(1, config.max_iterations + 1):
-            sol = master.solve()
-            if sol.status is LpStatus.INFEASIBLE:
-                status = SolveStatus.MASTER_INFEASIBLE
-                break
-            if sol.status is LpStatus.UNBOUNDED:
-                raise RuntimeError(
-                    "master problem is unbounded; add first-stage constraints "
-                    "that bound the feasible region"
-                )
-            x = sol.x[:n]
-            theta = sol.x[n : n + n_theta]
-            lower = sol.objective if master.all_covered else -math.inf
-            master_pivots, master_rows = sol.pivots, master.solved_shape[0]
-
-            if pool is not None:
-                results = list(pool.map(lambda s: solve_subproblem(problem, s, x), range(N)))
-            else:
-                results = [solve_subproblem(problem, s, x) for s in range(N)]
-
-            infeasible = [s for s in range(N) if not results[s].feasible]
-            if infeasible:
-                for s in infeasible:
-                    cut = make_feasibility_cut(
-                        results[s].farkas, problem.scenarios[s], problem.W, s
-                    )
-                    master.add_feasibility(cut)
-                history.append(
-                    IterationRecord(
-                        index=k, x=x, lower=lower, upper=math.inf,
-                        cuts_added=0, cuts_skipped=0,
-                        feasibility_cuts=len(infeasible), partition=(),
-                        master_pivots=master_pivots, master_rows=master_rows,
-                    )
-                )
-                logger.debug(
-                    "iteration %d: %d feasibility cuts master_pivots %d master_rows %d",
-                    k, len(infeasible), master_pivots, master_rows,
-                )
-                continue
-
-            recourse = sum(
-                problem.scenarios[s].pi * results[s].value for s in range(N)
+    for k in range(1, config.max_iterations + 1):
+        sol = master.solve()
+        if sol.status is LpStatus.INFEASIBLE:
+            status = SolveStatus.MASTER_INFEASIBLE
+            break
+        if sol.status is LpStatus.UNBOUNDED:
+            raise RuntimeError(
+                "master problem is unbounded; add first-stage constraints "
+                "that bound the feasible region"
             )
-            upper = float(problem.first.c @ x + recourse)
-            if upper < upper_best:
-                upper_best = upper
-                x_star = x.copy()
+        x = sol.x[:n].copy()
+        theta = sol.x[n : n + n_theta]
+        lower = sol.objective if master.all_covered else -math.inf
+        master_pivots, master_rows = sol.pivots, master.solved_shape[0]
 
-            gap = (upper_best - lower) / max(1.0, abs(upper_best))
-            if math.isfinite(lower) and gap <= config.rel_tol:
-                history.append(
-                    IterationRecord(
-                        index=k, x=x, lower=lower, upper=upper,
-                        cuts_added=0, cuts_skipped=0, feasibility_cuts=0, partition=(),
-                        master_pivots=master_pivots, master_rows=master_rows,
-                    )
+        results = evaluator.evaluate(x)
+        sub_solves = results.sub_solves
+
+        if results.farkas:
+            for s, sigma in results.farkas.items():
+                master.add_feasibility(
+                    make_feasibility_cut(sigma, problem.scenarios[s], problem.W, s)
                 )
-                status = SolveStatus.CONVERGED
-                logger.debug(
-                    "iteration %d: converged, gap %.3g master_pivots %d master_rows %d",
-                    k, gap, master_pivots, master_rows,
-                )
-                break
-
-            # every scenario participates in aggregation each iteration, so
-            # the new aggregates cover all theta columns; filtering happens
-            # only at the aggregate level (a satisfied aggregate is skipped)
-            singletons = [
-                make_optimality_cut(s, results[s].duals, problem.scenarios[s], iteration=k)
-                for s in range(N)
-            ]
-            if granulated:
-                atoms, atom_ids = granulate(singletons, list(range(N)), scheme.block_size)
-                n_atoms = n_theta
-            else:
-                atoms, atom_ids = singletons, list(range(N))
-                n_atoms = N
-
-            skipped = 0
-            added = 0
-            partition: list[tuple[int, ...]] = []
-            aggregates = apply_scheme(inner_scheme, atoms, n_atoms, atom_ids=atom_ids)
-            for agg in aggregates:
-                if granulated:
-                    cols = tuple(sorted({theta_col[s] for s in agg.members}))
-                else:
-                    cols = agg.members
-                if set(cols) <= master.covered and _aggregate_violation(
-                    agg, x, theta, cols
-                ) <= config.violation_tol * (1.0 + abs(agg.offset)):
-                    skipped += 1
-                    continue
-                master.add_optimality(agg, cols)
-                partition.append(agg.members)
-                added += 1
-
             history.append(
                 IterationRecord(
-                    index=k, x=x, lower=lower, upper=upper,
-                    cuts_added=added, cuts_skipped=skipped,
-                    feasibility_cuts=0, partition=tuple(partition),
+                    index=k, x=x, lower=lower, upper=math.inf,
+                    cuts_added=0, cuts_skipped=0,
+                    feasibility_cuts=len(results.farkas), partition=(),
                     master_pivots=master_pivots, master_rows=master_rows,
+                    sub_solves=sub_solves,
                 )
             )
             logger.debug(
-                "iteration %d: lower %.6g upper %.6g added %d skipped %d "
+                "iteration %d: %d feasibility cuts sub_solves %d "
                 "master_pivots %d master_rows %d",
-                k, lower, upper, added, skipped, master_pivots, master_rows,
+                k, len(results.farkas), sub_solves, master_pivots, master_rows,
             )
-            if added == 0:
-                status = SolveStatus.CONVERGED
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+            continue
+
+        recourse = sum((data.pi * results.values).tolist())
+        upper = float(problem.first.c @ x + recourse)
+        if upper < upper_best:
+            upper_best = upper
+            x_star = x
+
+        gap = (upper_best - lower) / max(1.0, abs(upper_best))
+        if math.isfinite(lower) and gap <= config.rel_tol:
+            history.append(
+                IterationRecord(
+                    index=k, x=x, lower=lower, upper=upper,
+                    cuts_added=0, cuts_skipped=0, feasibility_cuts=0, partition=(),
+                    master_pivots=master_pivots, master_rows=master_rows,
+                    sub_solves=sub_solves,
+                )
+            )
+            status = SolveStatus.CONVERGED
+            logger.debug(
+                "iteration %d: converged, gap %.3g sub_solves %d "
+                "master_pivots %d master_rows %d",
+                k, gap, sub_solves, master_pivots, master_rows,
+            )
+            break
+
+        # every scenario participates in aggregation each iteration, so
+        # the new aggregates cover all theta columns; filtering happens
+        # only at the aggregate level (a satisfied aggregate is skipped)
+        singletons = make_optimality_cuts(results.duals, data, iteration=k)
+        if granulated:
+            atoms, atom_ids = granulate(singletons, data.indices, scheme.block_size)
+            n_atoms = n_theta
+        else:
+            atoms, atom_ids = singletons, data.indices
+            n_atoms = N
+
+        skipped = 0
+        added = 0
+        partition: list[tuple[int, ...]] = []
+        aggregates = apply_scheme(inner_scheme, atoms, n_atoms, atom_ids=atom_ids)
+        for agg in aggregates:
+            if granulated:
+                cols = tuple(sorted({theta_col[s] for s in agg.members}))
+            else:
+                cols = agg.members
+            if set(cols) <= master.covered and _aggregate_violation(
+                agg, x, theta, cols
+            ) <= config.violation_tol * (1.0 + abs(agg.offset)):
+                skipped += 1
+                continue
+            master.add_optimality(agg, cols)
+            partition.append(agg.members)
+            added += 1
+
+        history.append(
+            IterationRecord(
+                index=k, x=x, lower=lower, upper=upper,
+                cuts_added=added, cuts_skipped=skipped,
+                feasibility_cuts=0, partition=tuple(partition),
+                master_pivots=master_pivots, master_rows=master_rows,
+                sub_solves=sub_solves,
+            )
+        )
+        logger.debug(
+            "iteration %d: lower %.6g upper %.6g added %d skipped %d "
+            "sub_solves %d master_pivots %d master_rows %d",
+            k, lower, upper, added, skipped, sub_solves, master_pivots, master_rows,
+        )
+        if added == 0:
+            status = SolveStatus.CONVERGED
+            break
 
     wall = time.perf_counter() - start
     converged = status == SolveStatus.CONVERGED
     objective = upper_best if (converged or math.isfinite(upper_best)) else None
-    return SolveReport(
+    return SolveReport.pack(
+        history, master.optimality, n, N,
         status=status,
         x=x_star,
         objective=objective,
-        history=history,
-        n_iterations=len(history),
-        n_cuts=len(master.optimality),
         wall_seconds=wall,
-        cuts=list(master.optimality),
         scheme=scheme_label(config.scheme),
         rel_tol=config.rel_tol,
     )

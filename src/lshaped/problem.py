@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,18 @@ class Scenario:
 
 
 @dataclass(frozen=True, eq=False)
+class ScenarioArrays:
+    """All scenarios stacked, read-only: H (N x r), T (N x r x n), Q (N x m),
+    pi (N), and the scenario indices as one tuple of ints."""
+
+    H: np.ndarray
+    T: np.ndarray
+    Q: np.ndarray
+    pi: np.ndarray
+    indices: tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class TwoStageProblem:
     first: FirstStage
     W: np.ndarray
@@ -88,6 +101,30 @@ class TwoStageProblem:
     def __post_init__(self):
         object.__setattr__(self, "W", _frozen_matrix(self.W))
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
+
+    @cached_property
+    def arrays(self) -> ScenarioArrays:
+        """The scenario data as stacked arrays, built on first use and kept.
+
+        Scenario shapes must agree (``validate_problem``).  The index tuple
+        is created once, so every solve names scenarios with the same int
+        objects instead of allocating new ones.
+        """
+        scens = self.scenarios
+        N, r, n, m = len(scens), self.q_rows, self.n, self.m
+
+        def stack(values, shape) -> np.ndarray:
+            arr = np.array(values, dtype=float).reshape(shape)
+            arr.setflags(write=False)
+            return arr
+
+        return ScenarioArrays(
+            H=stack([s.h for s in scens], (N, r)),
+            T=stack([s.T for s in scens], (N, r, n)),
+            Q=stack([s.q for s in scens], (N, m)),
+            pi=stack([s.pi for s in scens], (N,)),
+            indices=tuple(range(N)),
+        )
 
     @property
     def n(self) -> int:

@@ -22,7 +22,9 @@ from lshaped import (
     aggregate_cuts,
     aggregation_distance,
     sample_instance,
+    solve_subproblem,
 )
+from lshaped.engine import ScenarioResults
 
 P1_OPTIMUM = 3.0
 
@@ -104,6 +106,29 @@ def trend_template(seed: int) -> StochasticTemplate:
             )
         )
     return StochasticTemplate(FirstStage(c, A, b), W, q, T, h, tuple(entries))
+
+
+class ReferenceEvaluator:
+    """Every scenario at x by its own cold ``solve_subproblem``, in scenario
+    order: the per-scenario path that ``lshaped.engine.ScenarioEvaluator``
+    replaces, with the same interface."""
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def evaluate(self, x) -> ScenarioResults:
+        N = self.problem.n_scenarios
+        values = np.full(N, np.nan)
+        duals = np.zeros((N, self.problem.q_rows))
+        farkas = {}
+        for s in range(N):
+            res = solve_subproblem(self.problem, s, x)
+            if res.feasible:
+                values[s] = res.value
+                duals[s] = res.duals
+            else:
+                farkas[s] = res.farkas
+        return ScenarioResults(values=values, duals=duals, farkas=farkas, sub_solves=N)
 
 
 def reference_kmedoids(points, k, measure, seed=0):

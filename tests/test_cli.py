@@ -49,6 +49,20 @@ class TestSolve:
         for rec in doc["iterations"]:
             assert rec["master_pivots"] >= 0 and rec["master_rows"] == rec["k"] - 1
 
+    def test_json_reports_sub_solves(self, capsys, template_json):
+        code, out, _ = run(capsys, "solve", "--input", template_json, "--samples", "40",
+                           "--seed", "3", "--scheme", "single", "--tol", "1e-6")
+        assert code == 0
+        doc = json.loads(out)
+        from lshaped import EngineConfig, parse_native, parse_scheme, sample_instance, solve_lshaped
+        with open(template_json) as fh:
+            problem = sample_instance(parse_native(fh.read()), 40, 3)
+        report = solve_lshaped(problem, EngineConfig(scheme=parse_scheme("single"), rel_tol=1e-6))
+        assert [rec["sub_solves"] for rec in doc["iterations"]] == [
+            rec.sub_solves for rec in report.history
+        ]
+        assert 0 < sum(rec["sub_solves"] for rec in doc["iterations"]) < 40 * len(report.history)
+
     def test_partial_scheme_reports_partition(self, capsys, p1_json):
         code, out, _ = run(capsys, "solve", "--input", p1_json,
                            "--scheme", "partial:T=2", "--tol", "1e-6")

@@ -14,9 +14,11 @@ from lshaped import (
     is_violated,
     make_feasibility_cut,
     make_optimality_cut,
+    make_optimality_cuts,
+    sample_instance,
     solve_subproblem,
 )
-from helpers import build_p1, random_instance
+from helpers import build_p1, random_instance, trend_template
 
 
 def cut(grad, offset, members):
@@ -50,6 +52,22 @@ class TestMakeOptimalityCut:
         scen = Scenario(0.5, [1.0, 0.0], [[1.0]], [2.0])
         with pytest.raises(ValueError):
             make_optimality_cut(0, [1.0, 2.0], scen)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_equals_per_scenario_bitwise(self, seed):
+        probs = [random_instance(seed, 25), sample_instance(trend_template(seed), 25, seed)]
+        rng = np.random.default_rng(seed)
+        for prob in probs:
+            duals = rng.uniform(-3.0, 3.0, (prob.n_scenarios, prob.q_rows))
+            batched = make_optimality_cuts(duals, prob.arrays, iteration=7)
+            assert len(batched) == prob.n_scenarios
+            for s, got in enumerate(batched):
+                want = make_optimality_cut(s, duals[s], prob.scenarios[s], iteration=7)
+                assert np.array_equal(got.grad, want.grad)
+                assert got.offset == want.offset
+                assert (got.members, got.iteration) == (want.members, want.iteration)
+                assert not got.grad.flags.writeable
 
 
 class TestMakeFeasibilityCut:

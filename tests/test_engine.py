@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from lshaped import (
     EngineConfig,
     FirstStage,
+    LinearProgram,
     Scenario,
     SingleCut,
     SolveStatus,
@@ -17,8 +20,9 @@ from lshaped import (
     solve_lp,
     solve_lshaped,
     solve_subproblem,
+    verify_farkas,
 )
-from helpers import P1_OPTIMUM, build_p1, random_instance, trend_template
+from helpers import P1_OPTIMUM, ReferenceEvaluator, build_p1, random_instance, trend_template
 
 SCHEME_LABELS = (
     "multi", "single", "partial:T=2", "uniform:T=2",
@@ -328,3 +332,240 @@ class TestWarmMaster:
             )
         for ca, cb in zip(a.cuts, b.cuts):
             assert np.array_equal(ca.grad, cb.grad) and ca.offset == cb.offset
+
+
+def with_recourse(problem, W, q_of):
+    """The problem with recourse matrix W and each scenario's costs q_of(q)."""
+    scenarios = tuple(
+        Scenario(scen.pi, q_of(scen.q), scen.T, scen.h) for scen in problem.scenarios
+    )
+    return TwoStageProblem(first=problem.first, W=W, scenarios=scenarios)
+
+
+def evaluator_instances():
+    """(name, problem) pairs: plain complete recourse, duplicate columns of
+    W, scenario-dependent dual feasibility, W scaled by 1e6 and 1e-6, and a
+    recourse that is infeasible for part of the first-stage region."""
+    out = [(f"random {seed}", random_instance(seed, 30)) for seed in range(4)]
+    base = random_instance(15, 30)  # mixed-sign residuals at most points
+    W = base.W
+    out.append((
+        "duplicate columns",
+        with_recourse(base, np.hstack([W, W[:, :1], W]), lambda q: np.concatenate([q, q[:1], q])),
+    ))
+    half = W.shape[1] // 2  # W = [I | -I]
+    rng = np.random.default_rng(0)
+    # a second, doubled copy of I whose costs vary by scenario, so a basis
+    # that is optimal for one scenario is dual infeasible for others
+    out.append((
+        "scenario-dependent dual feasibility",
+        with_recourse(base, np.hstack([W, 2.0 * W[:, :half]]),
+                      lambda q: np.concatenate([q, rng.uniform(0.4, 4.0, half)])),
+    ))
+    scale = np.where(np.arange(W.shape[1]) % 2 == 0, 1e6, 1e-6)
+    out.append(("scaled columns", with_recourse(base, W * scale, lambda q: q)))
+    out.append(("scaled rows", TwoStageProblem(
+        first=base.first, W=W * 1e6,
+        scenarios=tuple(
+            Scenario(s.pi, s.q, s.T * 1e6, s.h * 1e6) for s in base.scenarios
+        ),
+    )))
+    # keeping only I forces y = h - T x >= 0
+    out.append(("infeasible recourse", with_recourse(base, W[:, :half], lambda q: q[:half])))
+    return out
+
+
+def first_stage_points(problem, count, seed):
+    """Points of the first-stage simplex {x >= 0, sum x = b}: its vertices,
+    then random interior points."""
+    rng = np.random.default_rng(seed)
+    b = problem.first.b[0]
+    return [b * e for e in np.eye(problem.n)] + [
+        b * rng.dirichlet(np.ones(problem.n)) for _ in range(count)
+    ]
+
+
+class TestScenarioEvaluator:
+    """The bunching evaluator against per-scenario cold solves."""
+
+    @pytest.mark.parametrize(
+        "name, prob", [pytest.param(name, prob, id=name) for name, prob in evaluator_instances()]
+    )
+    def test_matches_per_scenario_solves(self, name, prob):
+        from lshaped.engine import ScenarioEvaluator
+
+        evaluator = ScenarioEvaluator(prob)  # one cache across the points, as in a solve
+        data = prob.arrays
+        compared = 0
+        for x in first_stage_points(prob, 6, seed=len(name)):
+            batch = evaluator.evaluate(x)
+            ref = ReferenceEvaluator(prob).evaluate(x)
+            assert sorted(batch.farkas) == sorted(ref.farkas), name
+            for s, sigma in batch.farkas.items():
+                scen = prob.scenarios[s]
+                lp = LinearProgram(
+                    c=scen.q, A=prob.W, b=scen.h - scen.T @ x,
+                    lb=np.zeros(prob.m), ub=np.full(prob.m, np.inf),
+                )
+                assert verify_farkas(lp, sigma)
+            for s in range(prob.n_scenarios):
+                if s in ref.farkas:
+                    assert np.isnan(batch.values[s])
+                    continue
+                value, lam = batch.values[s], batch.duals[s]
+                assert abs(value - ref.values[s]) <= 1e-12 * max(1.0, abs(ref.values[s]))
+                resid = data.H[s] - data.T[s] @ x
+                reduced = data.Q[s] - lam @ prob.W
+                assert reduced.min() >= -1e-9
+                assert lam @ resid == pytest.approx(value, rel=1e-9, abs=1e-9)
+                if np.abs(resid).min() > 1e-9:
+                    assert np.array_equal(lam, ref.duals[s]), (name, s)
+                    compared += 1
+        assert compared > 0
+        assert len(evaluator.bases) >= 1 or name == "infeasible recourse"
+
+    def test_cold_solves_are_the_unfitted_scenarios(self):
+        from lshaped.engine import ScenarioEvaluator
+
+        prob = sample_instance(trend_template(3), 200, 3)
+        evaluator = ScenarioEvaluator(prob)
+        x = first_stage_points(prob, 1, seed=0)[0]
+        first = evaluator.evaluate(x)
+        assert 1 <= first.sub_solves <= len(evaluator.bases) < prob.n_scenarios
+        again = evaluator.evaluate(x)  # every scenario now fits a cached basis
+        assert again.sub_solves == 0
+        assert np.array_equal(again.values, first.values)
+        assert np.array_equal(again.duals, first.duals)
+
+    @pytest.mark.parametrize(
+        "label", ["multi", "single", "partial:T=4", "closest:A=4,tau=0.3", "kmedoids:k=3",
+                  "granulated:T0=4,inner=kmedoids:k=3"],
+    )
+    def test_engine_matches_per_scenario_reference(self, label, monkeypatch):
+        import lshaped.engine
+
+        instances = [random_instance(seed, 24) for seed in range(6)] + [
+            sample_instance(trend_template(seed), 40, seed) for seed in (1, 2)
+        ]
+        config = EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6)
+        batched = [solve_lshaped(prob, config) for prob in instances]
+        monkeypatch.setattr(lshaped.engine, "ScenarioEvaluator", ReferenceEvaluator)
+        for prob, a in zip(instances, batched):
+            b = solve_lshaped(prob, config)
+            assert (a.status, a.n_iterations, a.n_cuts) == (b.status, b.n_iterations, b.n_cuts)
+            assert a.objective == pytest.approx(b.objective, rel=1e-9, abs=1e-9)
+            assert sum(r.sub_solves for r in a.history) <= sum(r.sub_solves for r in b.history)
+
+    @pytest.mark.parametrize("label", ["single", "granulated:T0=4,inner=kmedoids:k=3"])
+    def test_repeated_solve_is_bitwise_identical(self, label):
+        # each solve starts with an empty basis cache and finds the same bases
+        prob = sample_instance(trend_template(4), 120, 4)
+        config = EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6)
+        a, b = solve_lshaped(prob, config), solve_lshaped(prob, config)
+        assert a.objective == b.objective
+        for name in ("iteration_x", "iteration_bounds", "iteration_counts", "cut_grads",
+                     "cut_offsets", "cut_members"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_sub_solves_count_every_cold_solve(self, monkeypatch):
+        import lshaped.engine
+
+        calls = []
+        original = lshaped.engine.solve_subproblem
+
+        def counting(problem, s, x):
+            calls.append(s)
+            return original(problem, s, x)
+
+        monkeypatch.setattr(lshaped.engine, "solve_subproblem", counting)
+        prob = sample_instance(trend_template(3), 200, 3)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("single"), rel_tol=1e-6))
+        assert report.status == SolveStatus.CONVERGED
+        total = sum(rec.sub_solves for rec in report.history)
+        assert len(calls) == total
+        assert 0 < total < prob.n_scenarios
+
+    def test_debug_log_reports_sub_solves(self, caplog):
+        prob = sample_instance(trend_template(3), 60, 3)
+        with caplog.at_level("DEBUG", logger="lshaped.engine"):
+            report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("single"), rel_tol=1e-6))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration")]
+        assert len(lines) == len(report.history)
+        for line, rec in zip(lines, report.history):
+            assert f" sub_solves {rec.sub_solves} " in line
+
+
+class TestLeanReport:
+    def test_iteration_points_own_their_memory(self):
+        prob = sample_instance(trend_template(3), 60, 3)
+        for label in ("multi", "single", "granulated:T0=4,inner=kmedoids:k=3"):
+            report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+            assert all(rec.x.base is None for rec in report.history), label
+
+    @pytest.mark.parametrize("label, limit_kib", [
+        ("single", 8), ("multi", 60), ("partial:T=20", 12),
+        ("granulated:T0=2,inner=kmedoids:k=10", 12),
+    ])
+    def test_retained_report_is_small(self, label, limit_kib):
+        # about a quarter of what a report kept as objects retains
+        prob = sample_instance(trend_template(3), 200, 3)
+        config = EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6)
+        solve_lshaped(prob, config)  # lazy scenario arrays and library caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = solve_lshaped(prob, config)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.status == SolveStatus.CONVERGED
+        assert retained <= limit_kib * 1024
+
+    def test_history_reads_back_the_recorded_iterations(self, monkeypatch):
+        from lshaped.engine import SolveReport
+
+        recorded = []
+        pack = SolveReport.pack.__func__
+
+        def capturing(cls, history, *args, **kwargs):
+            recorded.extend(history)
+            return pack(cls, history, *args, **kwargs)
+
+        monkeypatch.setattr(SolveReport, "pack", classmethod(capturing))
+        prob = sample_instance(trend_template(3), 60, 3)
+        report = solve_lshaped(
+            prob, EngineConfig(scheme=parse_scheme("kmedoids:k=4"), rel_tol=1e-6)
+        )
+        history = report.history
+        assert len(history) == len(recorded) == report.n_iterations >= 3
+        for got, want in zip(history, recorded):
+            for name in got.__slots__:
+                if name == "x":
+                    assert np.array_equal(got.x, want.x)
+                else:
+                    assert getattr(got, name) == getattr(want, name), name
+
+    @pytest.mark.parametrize("label", ["multi", "single", "partial:T=5",
+                                       "granulated:T0=4,inner=kmedoids:k=3"])
+    def test_cuts_are_the_master_rows_added(self, label, monkeypatch):
+        from lshaped.engine import _Master
+
+        added = []
+        original = _Master.add_optimality
+
+        def recording(self, cut, theta_cols):
+            added.append(cut)
+            return original(self, cut, theta_cols)
+
+        monkeypatch.setattr(_Master, "add_optimality", recording)
+        prob = sample_instance(trend_template(3), 60, 3)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        cuts = report.cuts
+        assert len(cuts) == len(added) == report.n_cuts
+        for got, want in zip(cuts, added):
+            assert np.array_equal(got.grad, want.grad)
+            assert got.offset == want.offset
+            assert got.members == want.members
+            assert got.iteration == want.iteration

@@ -123,6 +123,28 @@ class TestEnumerate:
             assert abs(sum(s.pi for s in prob.scenarios) - 1.0) <= 1e-9
 
 
+class TestScenarioArrays:
+    def test_stacked_view_of_the_scenarios(self):
+        prob = sample_instance(random_template(3), 12, seed=5)
+        assert "arrays" not in vars(prob)  # built on first use, not by sampling
+        data = prob.arrays
+        assert prob.arrays is data
+        assert data.indices == tuple(range(12))
+        for s, scen in enumerate(prob.scenarios):
+            assert np.array_equal(data.H[s], scen.h)
+            assert np.array_equal(data.T[s], scen.T)
+            assert np.array_equal(data.Q[s], scen.q)
+            assert data.pi[s] == scen.pi
+        for arr in (data.H, data.T, data.Q, data.pi):
+            assert not arr.flags.writeable
+
+    def test_single_scenario_shapes(self):
+        data = build_p1().arrays
+        assert (data.H.shape, data.T.shape, data.Q.shape, data.pi.shape) == (
+            (2, 1), (2, 1, 1), (2, 2), (2,)
+        )
+
+
 class TestSample:
     def test_saa_weights(self):
         prob = sample_instance(simple_template(), 5, seed=9)
