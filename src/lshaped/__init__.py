@@ -52,6 +52,7 @@ from .engine import (
     SolveReport,
     SolveStatus,
     SubproblemResult,
+    Termination,
     compute_relative_complexities,
     solve_lshaped,
     solve_subproblem,

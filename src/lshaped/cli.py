@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import statistics
 import sys
@@ -131,6 +132,8 @@ def _materialize(model, args) -> TwoStageProblem:
 def _report_json(report: SolveReport) -> dict:
     return {
         "status": report.status,
+        "termination": report.termination,
+        "final_gap": report.final_gap if math.isfinite(report.final_gap) else None,
         "objective": report.objective,
         "x": None if report.x is None else [float(v) for v in report.x],
         "scheme": report.scheme,

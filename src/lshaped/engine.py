@@ -34,22 +34,37 @@ scenario subsets stay valid as the partition changes across iterations; a
 granulated strategy instead fixes one theta column per granule for the whole
 run and works with granule-level cuts throughout.
 
-The master LP is rebuilt every iteration but not re-solved from scratch
-when every optimality row covers one theta column, or every row covers all
-of them (multi-cut, single-cut, masters with only feasibility rows): the
-last optimal basis, extended by the surplus columns of the new rows, is
-dual feasible, and the dual simplex in ``solve_lp`` restores optimality in
-far fewer pivots than a cold solve.  The theta sum over each row's columns is then the largest of
-those rows at x, so every optimal vertex gives the aggregate filter the
-same violations.  Aggregated rows over other subsets (partial, k-medoids,
-most granulated runs) leave the split of theta between columns open, and a
+Masters whose optimality rows each cover one theta column (multi-cut, and
+granulated runs with the multi inner rule) are solved on a GUB basis
+(Dantzig & Van Slyke 1967; Birge & Louveaux, section 5.1).  The rows of one
+theta column form a generalized upper bound set; each covered theta column
+stays basic, keyed to one tight row of its set, and the working matrix is
+at most n x n (``simplex._GubSimplex``).  ``_Master`` keeps its rows as
+appended arrays and hands ``solve_lp`` a ``GubProgram`` in place of a dense
+LP.  Each solve starts from the last optimal basis with the surplus columns
+of the new rows basic, and the dual simplex restores optimality.  A theta
+column covered for the first time starts basic instead, in its new row that
+is largest at the last x (ties to the lowest row): that start is primal
+feasible, so the first fully covering master takes a pivot or two where it
+used to need a cold solve.  Any failure on the GUB path falls back to a
+dense cold solve of ``build()``.
+
+Every other master stays on the dense path.  Single-cut masters, whose rows
+cover all theta columns, and masters with only feasibility rows are
+warm-started from the last basis in the same way, except that a master whose
+objective just gained a theta column is solved cold.  In both families the
+theta sum over each row's columns is the largest of those rows at x, so
+every optimal vertex gives the aggregate filter the same violations.
+Aggregated rows over other subsets (partial, k-medoids, closest, most
+granulated runs) leave the split of theta between columns open, and a
 different optimal vertex would change which aggregates are added, so those
-masters are solved cold, as is any master whose objective gained a theta
-column since the last solve.
+masters are solved cold.
 
 The run terminates Converged when the relative gap
-(upper_best - lower) / max(1, |upper_best|) reaches the tolerance or when an
-iteration adds no cuts at all.
+(upper_best - lower) / max(1, |upper_best|) reaches the tolerance
+(termination ``gap``) or when an iteration adds no cuts at all
+(``no_violated_aggregate``); ``SolveReport.final_gap`` says how far apart
+the bounds were then.
 """
 
 from __future__ import annotations
@@ -74,7 +89,9 @@ from .aggregation import (
 )
 from .cuts import FeasibilityCut, OptimalityCut, make_feasibility_cut, make_optimality_cuts
 from .problem import LinearProgram, TwoStageProblem, validate_problem
-from .simplex import FEASIBILITY_TOL, OPTIMALITY_TOL, LpSolution, LpStatus, solve_lp
+from .simplex import (
+    FEASIBILITY_TOL, OPTIMALITY_TOL, GubMatrix, GubProgram, LpSolution, LpStatus, solve_lp,
+)
 
 logger = logging.getLogger(__name__)
 if not logger.hasHandlers():
@@ -123,6 +140,16 @@ class SolveStatus:
     MASTER_INFEASIBLE = "master_infeasible"
 
 
+class Termination:
+    """Why a run stopped; ``GAP`` and ``NO_VIOLATED_AGGREGATE`` are both
+    reported with status converged."""
+
+    GAP = "gap"
+    NO_VIOLATED_AGGREGATE = "no_violated_aggregate"
+    ITERATION_LIMIT = "iteration_limit"
+    MASTER_INFEASIBLE = "master_infeasible"
+
+
 #: IterationRecord's count fields, the columns of SolveReport.iteration_counts
 _COUNT_FIELDS = (
     "cuts_added", "cuts_skipped", "feasibility_cuts", "master_pivots", "master_rows",
@@ -138,14 +165,22 @@ class SolveReport:
     kept as arrays, so a report that callers retain stays small; ``history``
     and ``cuts`` build them as objects on each read.  Row i of the
     ``iteration_*`` arrays is iteration i + 1: its first-stage point,
-    (lower, upper), and the ``_COUNT_FIELDS`` counts.  Row k of the
-    ``cut_*`` arrays is the k-th cut added: gradient, offset, the iteration
-    that added it, and its member set as a bit row (``np.packbits`` of a
-    scenario mask).  An iteration's partition is the member sets of the
-    cuts it added.
+    (lower, upper), and the ``_COUNT_FIELDS`` counts.  Cuts are kept in the
+    order they were added, iteration by iteration: ``cut_rows`` holds each
+    distinct (gradient, offset) pair once, bit for bit, ``cut_row_of`` the
+    row of each cut, and ``cut_members`` each cut's member set as a bit row
+    (``np.packbits`` of a scenario mask).  Sampled instances repeat
+    scenarios, so their cuts repeat too: a multi-cut solve of one of the
+    benchmark's 200-scenario instances adds 409 cuts with 65 distinct rows.
+    An iteration's partition is the member sets of the cuts it added.
     """
 
     status: str
+    #: a ``Termination`` value
+    termination: str
+    #: relative gap (upper_best - lower) / max(1, |upper_best|) at the last
+    #: iteration that computed one; inf when none did
+    final_gap: float
     x: np.ndarray | None
     objective: float | None
     n_iterations: int
@@ -156,9 +191,8 @@ class SolveReport:
     iteration_x: np.ndarray
     iteration_bounds: np.ndarray
     iteration_counts: np.ndarray
-    cut_grads: np.ndarray
-    cut_offsets: np.ndarray
-    cut_iterations: np.ndarray
+    cut_rows: np.ndarray
+    cut_row_of: np.ndarray
     cut_members: np.ndarray
 
     @classmethod
@@ -167,6 +201,10 @@ class SolveReport:
         mask = np.zeros((len(cuts), n_scenarios), dtype=bool)
         for row, cut in zip(mask, cuts):
             row[list(cut.members)] = True
+        rows = np.array([(*cut.grad, cut.offset) for cut in cuts]).reshape(len(cuts), n + 1)
+        # compare rows as raw bytes, so that only bitwise-equal rows merge
+        keys = rows.view(np.dtype((np.void, rows.itemsize * (n + 1)))).ravel()
+        _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
         return cls(
             n_iterations=len(history),
             n_cuts=len(cuts),
@@ -177,12 +215,25 @@ class SolveReport:
             iteration_counts=np.array(
                 [[getattr(rec, f) for f in _COUNT_FIELDS] for rec in history], dtype=np.int64
             ).reshape(len(history), len(_COUNT_FIELDS)),
-            cut_grads=np.array([cut.grad for cut in cuts]).reshape(len(cuts), n),
-            cut_offsets=np.array([cut.offset for cut in cuts]),
-            cut_iterations=np.array([cut.iteration for cut in cuts], dtype=np.int64),
+            cut_rows=rows[first],
+            cut_row_of=row_of.reshape(-1).astype(np.int32),
             cut_members=np.packbits(mask, axis=1),
             **fields,
         )
+
+    @property
+    def cut_grads(self) -> np.ndarray:
+        return self.cut_rows[self.cut_row_of, :-1]
+
+    @property
+    def cut_offsets(self) -> np.ndarray:
+        return self.cut_rows[self.cut_row_of, -1]
+
+    @property
+    def cut_iterations(self) -> np.ndarray:
+        """The iteration that added each cut."""
+        added = self.iteration_counts[:, _COUNT_FIELDS.index("cuts_added")]
+        return np.repeat(np.arange(1, self.n_iterations + 1), added)
 
     def _member_sets(self) -> list[tuple[int, ...]]:
         return [tuple(np.flatnonzero(np.unpackbits(row)).tolist()) for row in self.cut_members]
@@ -332,74 +383,144 @@ class _Master:
     """Cut pool plus deterministic LP assembly and warm-started solves.
 
     Columns: x (n), theta (one per scenario, or per granule for granulated
-    runs), then one slack per cut row in insertion order.  Theta columns
-    enter the objective only once covered by at least one row.
+    runs), then one surplus per cut row in insertion order.  Theta columns
+    enter the objective only once covered by at least one row.  The rows
+    are kept as appended arrays: the first-stage rows, then every cut's
+    gradient and offset, and the theta column of each row that covers
+    exactly one (-1 for first-stage and feasibility rows, and for rows
+    over several columns, which only ``build()`` reads).
     """
 
     def __init__(self, problem: TwoStageProblem, n_theta: int):
+        first = problem.first
         self.problem = problem
         self.n_theta = n_theta
-        self.rows: list[tuple[np.ndarray, tuple[int, ...], float]] = []
+        self.p = first.p
+        self.n_rows = first.p
+        self._grads = np.array(first.A, dtype=float).reshape(first.p, first.n)
+        self._offsets = np.array(first.b, dtype=float)
+        self._theta = np.full(first.p, -1)
+        self.theta_cols: list[tuple[int, ...]] = []
         self.optimality: list[OptimalityCut] = []
         self.covered: set[int] = set()
         # theta-column counts of the optimality rows so far
         self.widths: set[int] = set()
+        # theta columns covered since the last solve
+        self.fresh: list[int] = []
         self.basis: np.ndarray | None = None
         self.solved_shape = (0, 0)
+        self.x: np.ndarray | None = None
+
+    def _append(self, grad: np.ndarray, offset: float, theta_cols: tuple[int, ...]) -> None:
+        if self.n_rows == len(self._offsets):
+            size = max(16, 2 * self.n_rows)
+            for name in ("_grads", "_offsets", "_theta"):
+                old = getattr(self, name)
+                grown = np.empty((size,) + old.shape[1:], dtype=old.dtype)
+                grown[: self.n_rows] = old[: self.n_rows]
+                setattr(self, name, grown)
+        i = self.n_rows
+        self._grads[i] = grad
+        self._offsets[i] = offset
+        self._theta[i] = theta_cols[0] if len(theta_cols) == 1 else -1
+        self.theta_cols.append(theta_cols)
+        self.n_rows += 1
+
+    @property
+    def grads(self) -> np.ndarray:
+        return self._grads[: self.n_rows]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._offsets[: self.n_rows]
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._theta[: self.n_rows]
 
     def add_optimality(self, cut: OptimalityCut, theta_cols: tuple[int, ...]) -> None:
-        if not self.covered.issuperset(theta_cols):
-            self.basis = None  # the objective gains a theta column
-        self.rows.append((cut.grad, theta_cols, cut.offset))
+        self.fresh.extend(t for t in theta_cols if t not in self.covered)
+        self._append(cut.grad, cut.offset, theta_cols)
         self.optimality.append(cut)
         self.covered.update(theta_cols)
         self.widths.add(len(theta_cols))
 
     def add_feasibility(self, cut: FeasibilityCut) -> None:
-        self.rows.append((cut.grad, (), cut.offset))
+        self._append(cut.grad, cut.offset, ())
 
     @property
     def all_covered(self) -> bool:
         return len(self.covered) == self.n_theta
 
-    def build(self) -> LinearProgram:
-        first = self.problem.first
-        n, p = first.n, first.p
-        n_rows = p + len(self.rows)
-        n_cols = n + self.n_theta + len(self.rows)
-        A = np.zeros((n_rows, n_cols))
-        b = np.zeros(n_rows)
-        if p:
-            A[:p, :n] = first.A
-            b[:p] = first.b
-        for i, (grad, theta_cols, offset) in enumerate(self.rows):
-            r = p + i
-            A[r, :n] = grad
-            for t in theta_cols:
-                A[r, n + t] = 1.0
-            A[r, n + self.n_theta + i] = -1.0  # surplus: row is >= offset
-            b[r] = offset
+    def _objective(self, n_cols: int) -> np.ndarray:
+        n = self.problem.first.n
         c = np.zeros(n_cols)
-        c[:n] = first.c
-        for t in self.covered:
-            c[n + t] = 1.0
+        c[:n] = self.problem.first.c
+        c[[n + t for t in self.covered]] = 1.0
+        return c
+
+    def _bounds(self, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+        n = self.problem.first.n
         lb = np.zeros(n_cols)
         lb[n : n + self.n_theta] = -np.inf
-        ub = np.full(n_cols, np.inf)
-        return LinearProgram(c=c, A=A, b=b, lb=lb, ub=ub, n_structural=n + self.n_theta)
+        return lb, np.full(n_cols, np.inf)
+
+    def build(self) -> LinearProgram:
+        n, p, m = self.problem.first.n, self.p, self.n_rows
+        n_cols = n + self.n_theta + m - p
+        A = np.zeros((m, n_cols))
+        A[:, :n] = self.grads
+        for i, theta_cols in enumerate(self.theta_cols):
+            A[p + i, [n + t for t in theta_cols]] = 1.0
+        cut_rows = np.arange(m - p)
+        A[p + cut_rows, n + self.n_theta + cut_rows] = -1.0  # surplus: row is >= offset
+        lb, ub = self._bounds(n_cols)
+        return LinearProgram(c=self._objective(n_cols), A=A, b=self.offsets, lb=lb, ub=ub,
+                             n_structural=n + self.n_theta)
+
+    def program(self) -> GubProgram:
+        """The master with its constraint matrix in GUB form, for masters
+        whose optimality rows each cover one theta column."""
+        n = self.problem.first.n
+        A = GubMatrix(self.grads, self.theta, self.n_theta, self.p)
+        n_cols = A.shape[1]
+        lb, ub = self._bounds(n_cols)
+        return GubProgram(c=self._objective(n_cols), A=A, b=self.offsets, lb=lb, ub=ub,
+                          n_structural=n + self.n_theta)
+
+    def _crash(self, start: np.ndarray) -> None:
+        """Make each fresh theta column basic in place of the surplus of its
+        row that is largest at the last x, ties to the lowest row."""
+        n = self.problem.first.n
+        rows = np.arange(self.solved_shape[0], self.n_rows)
+        theta = self.theta[rows]
+        fresh = np.zeros(self.n_theta + 1, dtype=bool)
+        fresh[self.fresh] = True
+        rows, theta = rows[fresh[theta]], theta[fresh[theta]]
+        value = self.offsets[rows] - self.grads[rows] @ self.x
+        order = np.lexsort((rows, -value, theta))
+        cols, first = np.unique(theta[order], return_index=True)
+        start[rows[order[first]]] = n + cols
 
     def solve(self) -> LpSolution:
-        """Build and solve the master, warm-started from the last optimal
-        basis plus the surplus columns of the rows added since, when the
-        module docstring's condition on theta columns allows it."""
-        lp = self.build()
+        """Build and solve the master, in GUB form when every optimality row
+        covers one theta column, warm-started from the last optimal basis
+        plus the surplus columns of the rows added since (fresh theta
+        columns crashed in) when the module docstring's conditions allow."""
+        gub = self.widths == {1}
+        lp = self.program() if gub else self.build()
         start = None
-        warm = len(self.widths) <= 1 and self.widths <= {1, self.n_theta}
+        warm = gub or (not self.fresh and self.widths <= {self.n_theta})
         if warm and self.basis is not None:
             start = np.concatenate([self.basis, np.arange(self.solved_shape[1], lp.A.shape[1])])
+            if self.fresh:
+                self._crash(start)
         sol = solve_lp(lp, basis=start)
         self.basis = sol.basis
         self.solved_shape = lp.A.shape
+        self.fresh = []
+        if sol.x is not None:
+            self.x = sol.x[: self.problem.first.n]
         return sol
 
 
@@ -448,11 +569,14 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
     upper_best = math.inf
     x_star: np.ndarray | None = None
     status = SolveStatus.ITERATION_LIMIT
+    termination = Termination.ITERATION_LIMIT
+    final_gap = math.inf
 
     for k in range(1, config.max_iterations + 1):
         sol = master.solve()
         if sol.status is LpStatus.INFEASIBLE:
             status = SolveStatus.MASTER_INFEASIBLE
+            termination = Termination.MASTER_INFEASIBLE
             break
         if sol.status is LpStatus.UNBOUNDED:
             raise RuntimeError(
@@ -495,6 +619,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
             x_star = x
 
         gap = (upper_best - lower) / max(1.0, abs(upper_best))
+        final_gap = gap
         if math.isfinite(lower) and gap <= config.rel_tol:
             history.append(
                 IterationRecord(
@@ -505,6 +630,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                 )
             )
             status = SolveStatus.CONVERGED
+            termination = Termination.GAP
             logger.debug(
                 "iteration %d: converged, gap %.3g sub_solves %d "
                 "master_pivots %d master_rows %d",
@@ -557,14 +683,21 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
         )
         if added == 0:
             status = SolveStatus.CONVERGED
+            termination = Termination.NO_VIOLATED_AGGREGATE
             break
 
     wall = time.perf_counter() - start
+    logger.debug(
+        "finished: termination %s final_gap %.3g iterations %d cuts %d",
+        termination, final_gap, len(history), len(master.optimality),
+    )
     converged = status == SolveStatus.CONVERGED
     objective = upper_best if (converged or math.isfinite(upper_best)) else None
     return SolveReport.pack(
         history, master.optimality, n, N,
         status=status,
+        termination=termination,
+        final_gap=final_gap,
         x=x_star,
         objective=objective,
         wall_seconds=wall,

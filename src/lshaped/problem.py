@@ -272,6 +272,17 @@ def validate_problem(problem: TwoStageProblem) -> list[str]:
     if problem.n_scenarios < 1:
         out.append("problem has no scenarios")
         return out
+    shape = ((m,), (q_rows, n), (q_rows,))
+    if all((s.q.shape, s.T.shape, s.h.shape) == shape for s in problem.scenarios):
+        data = problem.arrays
+        if (data.pi > 0.0).all() and all(
+            np.isfinite(arr).all() for arr in (data.Q, data.T, data.H)
+        ):
+            total = sum(data.pi.tolist())
+            if abs(total - 1.0) > PROBABILITY_TOL:
+                out.append(f"probabilities sum to {total:g}")
+            return out
+    # ragged shapes or a failed array check: word the messages per scenario
     total = 0.0
     for i, scen in enumerate(problem.scenarios):
         if scen.pi <= 0.0:

@@ -24,6 +24,16 @@ footing falls back to the cold two-phase solve, as does a row whose
 violation no column can reduce: that proves infeasibility, and the cold
 solve returns the Farkas certificate.
 
+GUB masters: a ``GubProgram`` is an LP whose rows each hold at most one
+free unit column, the epigraph column of an L-shaped master with one theta
+per row (Dantzig & Van Slyke 1967).  Its warm solves run the same
+``_Simplex`` iterations on a key-row basis (``_GubSimplex``): each basic
+theta column is keyed to one tight row of its set, and the rows left after
+substituting it out form a working matrix over the basic x columns only,
+refactorised at every pivot.  A pivot then costs O(rows * n) and no
+rows x rows inverse is held.  Its cold solve, and every fallback, runs the
+dense two-phase method on ``GubProgram.dense()``.
+
 Pricing is Dantzig (largest reduced-cost violation); after 50 consecutive
 degenerate steps the solve switches to Bland's rule, which guarantees
 termination; the dual simplex switches to the dual form of the rule.  All
@@ -85,6 +95,84 @@ class KktReport:
     complementarity: float
 
 
+class GubMatrix:
+    """Constraint matrix [X | Theta | -S] of a master whose rows each hold at
+    most one free unit column (Dantzig & Van Slyke 1967).
+
+    X is dense, rows x n.  Row i has a 1 in column n + theta[i] when
+    theta[i] >= 0, so the rows of one theta column form its generalized
+    upper bound set.  Every row from p on has its own surplus column, -1,
+    in row order after the theta columns.  Products with vectors cost
+    O(rows * n); ``ndarray @ GubMatrix`` works as well as ``GubMatrix @ v``.
+    """
+
+    __array_ufunc__ = None  # make ndarray @ GubMatrix call __rmatmul__
+
+    def __init__(self, X: np.ndarray, theta: np.ndarray, n_theta: int, p: int):
+        self.X = X
+        self.theta = theta
+        self.n_theta = n_theta
+        self.p = p
+        m, n = X.shape
+        self.shape = (m, n + n_theta + m - p)
+        #: the rows that hold a theta column, and that column
+        self.theta_rows = np.flatnonzero(theta >= 0)
+        self.theta_of_rows = theta[self.theta_rows]
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        n = self.X.shape[1]
+        out = self.X @ v[:n]
+        out[self.theta_rows] += v[n + self.theta_of_rows]
+        out[self.p:] -= v[n + self.n_theta:]
+        return out
+
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
+        per_theta = np.bincount(
+            self.theta_of_rows, weights=y[self.theta_rows], minlength=self.n_theta
+        )
+        return np.concatenate([y @ self.X, per_theta, -y[self.p:]])
+
+    def column(self, j: int) -> np.ndarray:
+        n = self.X.shape[1]
+        if j < n:
+            return self.X[:, j]
+        col = np.zeros(self.shape[0])
+        if j < n + self.n_theta:
+            col[self.theta == j - n] = 1.0
+        else:
+            col[self.p + j - n - self.n_theta] = -1.0
+        return col
+
+    def toarray(self) -> np.ndarray:
+        m, n = self.X.shape
+        A = np.zeros(self.shape)
+        A[:, :n] = self.X
+        A[self.theta_rows, n + self.theta_of_rows] = 1.0
+        surplus = np.arange(m - self.p)
+        A[self.p + surplus, n + self.n_theta + surplus] = -1.0
+        return A
+
+
+@dataclass(frozen=True, eq=False)
+class GubProgram:
+    """An equality-form LP, as ``LinearProgram``, whose A is a ``GubMatrix``.
+
+    ``solve_lp`` solves it on a key-row basis of at most n columns (see
+    ``_GubSimplex``) and ``dense()`` gives the same LP with A as an array.
+    """
+
+    c: np.ndarray
+    A: GubMatrix
+    b: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    n_structural: int
+
+    def dense(self) -> LinearProgram:
+        return LinearProgram(c=self.c, A=self.A.toarray(), b=self.b, lb=self.lb, ub=self.ub,
+                             n_structural=self.n_structural)
+
+
 class _Simplex:
     """Working state of one solve: columns, bounds, basis and basis inverse."""
 
@@ -137,8 +225,24 @@ class _Simplex:
     def _set_basic_values(self) -> None:
         vals = self._nonbasic_values()
         rhs = self.b - self.A @ vals
-        vals[self.basis] = self.Binv @ rhs
+        vals[self.basis] = self._ftran(rhs)
         self.x = vals
+
+    # linear algebra on the basis; ``_GubSimplex`` replaces these five
+    def _ftran(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v, by basis position."""
+        return self.Binv @ v
+
+    def _btran(self, cb: np.ndarray) -> np.ndarray:
+        """cb' B^-1 for costs cb given by basis position."""
+        return cb @ self.Binv
+
+    def _entering_column(self, j: int) -> np.ndarray:
+        return self.Binv @ self.A[:, j]
+
+    def _tableau_row(self, r: int) -> np.ndarray:
+        """Row r of B^-1 A."""
+        return self.Binv[r] @ self.A
 
     def refresh(self) -> None:
         """Refactorize and recompute basic values from scratch."""
@@ -148,7 +252,7 @@ class _Simplex:
         self._since_refactor = 0
 
     def duals(self, c: np.ndarray) -> np.ndarray:
-        return c[self.basis] @ self.Binv if self.m else np.zeros(0)
+        return self._btran(c[self.basis]) if self.m else np.zeros(0)
 
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
         return c - self.duals(c) @ self.A if self.m else c.copy()
@@ -231,7 +335,7 @@ class _Simplex:
             if self.at_upper[j] or (not finite_lb[j] and not finite_ub[j] and d[j] > 0):
                 direction = -1.0
 
-            w = self.Binv @ self.A[:, j] if self.m else np.zeros(0)
+            w = self._entering_column(j) if self.m else np.zeros(0)
             delta = -direction * w  # basic-value rate of change per unit step
 
             # own-bound flip distance
@@ -316,7 +420,7 @@ class _Simplex:
             # moving nonbasic j by t changes basic r by -alpha_j t; r must
             # fall when above its upper bound and rise when below its lower
             sign = 1.0 if to_upper else -1.0
-            alpha = self.Binv[r] @ self.A
+            alpha = self._tableau_row(r)
             d = self.reduced_costs(c)
             at_lo, at_up, free = self._positions()
             eligible = (
@@ -336,7 +440,7 @@ class _Simplex:
             else:
                 j = int(ties[np.argmax(np.abs(alpha[ties]))])
 
-            w = self.Binv @ self.A[:, j]
+            w = self._entering_column(j)
             if abs(w[r]) < 1e-7 and self._since_refactor > 0:
                 self.refresh()  # suspicious pivot: retry from a clean inverse
                 continue
@@ -355,6 +459,123 @@ class _Simplex:
                     bland = True
             else:
                 degenerate_run = 0
+
+
+class _GubSimplex(_Simplex):
+    """``_Simplex`` over a ``GubProgram``, with the basis in key-row form.
+
+    Each basic theta column is keyed to one tight row of its set, a row
+    whose surplus is nonbasic (rows before p have no surplus and are always
+    tight).  A row whose surplus is basic drops out of the system; its
+    surplus follows from the other basic values.  Subtracting each key row
+    from the other tight rows of its set leaves a working matrix M over the
+    basic x columns only, one row per non-key tight row.  M is square, at
+    most n x n, and is refactorised at every pivot, so no eta file and no
+    rows x rows inverse exist.  FTRAN, BTRAN, pricing and the dual row each
+    cost O(rows * n).
+
+    A key changes only when its row's surplus enters the basis; a basic
+    theta column without a tight key takes the lowest tight row of its set.
+    The substitution is a determinant-preserving row operation, so any
+    tight row of the set gives a nonsingular M when the basis is
+    nonsingular.  Basis positions, and with them every pivot rule and tie
+    rule of ``_Simplex``, are unchanged.
+    """
+
+    def __init__(self, A: GubMatrix, b: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                 basis: np.ndarray):
+        super().__init__(A, b, lb, ub, basis)
+        self.key = np.full(A.n_theta, -1)
+
+    def _factor(self) -> None:
+        A = self.A
+        m, n = A.X.shape
+        N, p = A.n_theta, A.p
+        tight = np.ones(m, dtype=bool)
+        tight[p:] = ~self.in_basis[n + N:]
+        theta_basic = self.in_basis[n : n + N]
+        key = self.key
+        keep = theta_basic & (key >= 0)
+        keep[keep] = tight[key[keep]]
+        key[~keep] = -1
+        need = theta_basic & ~keep
+        if need.any():
+            rows = A.theta_rows[tight[A.theta_rows] & need[A.theta_of_rows]]
+            cols, first = np.unique(A.theta[rows], return_index=True)
+            key[cols] = rows[first]
+            if (key[need] < 0).any():
+                raise np.linalg.LinAlgError("a basic theta column has no tight row")
+        # each row's key row; m stands for none and indexes a zero row
+        key_row = np.full(m, m)
+        keys_of_rows = key[A.theta_of_rows]
+        key_row[A.theta_rows] = np.where(keys_of_rows >= 0, keys_of_rows, m)
+        self._W = np.flatnonzero(tight & (key_row != np.arange(m)))
+
+        basis = self.basis
+        is_x, is_s = basis < n, basis >= n + N
+        self._pos_x = np.flatnonzero(is_x)
+        self._pos_t = np.flatnonzero(~is_x & ~is_s)
+        self._pos_s = np.flatnonzero(is_s)
+        xb = basis[self._pos_x]
+        if len(xb) != len(self._W):
+            raise np.linalg.LinAlgError("singular basis")
+        self._tb = basis[self._pos_t] - n
+        self._keys = key[self._tb]
+        self._rs = basis[self._pos_s] - (n + N) + p
+        # theta column of the working and surplus-basic rows; N stands for none
+        self._tw = np.where(A.theta[self._W] >= 0, A.theta[self._W], N)
+        self._ts = np.where(A.theta[self._rs] >= 0, A.theta[self._rs], N)
+        XB = np.zeros((m + 1, len(xb)))
+        XB[:m] = A.X[:, xb]
+        self._kW = key_row[self._W]
+        self._Minv = np.linalg.inv(XB[self._W] - XB[self._kW])
+        self._XK = XB[self._keys]
+        self._XS = XB[self._rs]
+
+    def _ftran(self, v: np.ndarray) -> np.ndarray:
+        v0 = np.append(v, 0.0)
+        zx = self._Minv @ (v[self._W] - v0[self._kW])
+        zt = v[self._keys] - self._XK @ zx
+        theta_z = np.zeros(self.A.n_theta + 1)
+        theta_z[self._tb] = zt
+        w = np.empty(self.m)
+        w[self._pos_x] = zx
+        w[self._pos_t] = zt
+        w[self._pos_s] = self._XS @ zx + theta_z[self._ts] - v[self._rs]
+        return w
+
+    def _btran(self, cb: np.ndarray) -> np.ndarray:
+        size = self.A.n_theta + 1
+        ys = -cb[self._pos_s]
+        u = np.zeros(size)
+        u[self._tb] = cb[self._pos_t]
+        u -= np.bincount(self._ts, weights=ys, minlength=size)
+        ut = u[self._tb]
+        yw = (cb[self._pos_x] - ut @ self._XK - ys @ self._XS) @ self._Minv
+        y = np.empty(self.m)
+        y[self._rs] = ys
+        y[self._W] = yw
+        y[self._keys] = ut - np.bincount(self._tw, weights=yw, minlength=size)[self._tb]
+        return y
+
+    def _entering_column(self, j: int) -> np.ndarray:
+        return self._ftran(self.A.column(j))
+
+    def _tableau_row(self, r: int) -> np.ndarray:
+        unit = np.zeros(self.m)
+        unit[r] = 1.0
+        return self._btran(unit) @ self.A
+
+    def refresh(self) -> None:
+        self._factor()
+        self._set_basic_values()
+        self._since_refactor = 0
+
+    def _eta_update(self, w: np.ndarray, row: int, refactor_every: int) -> None:
+        self._factor()
+        self._since_refactor += 1
+        if self._since_refactor >= refactor_every:
+            self.refresh()
 
 
 def _optimal(lp: LinearProgram, state: _Simplex, c: np.ndarray) -> LpSolution:
@@ -431,7 +652,7 @@ def _start_basis(basis, m: int, n: int) -> np.ndarray:
     return basis
 
 
-def solve_lp(lp: LinearProgram, max_pivots: int | None = None,
+def solve_lp(lp: LinearProgram | GubProgram, max_pivots: int | None = None,
              basis: np.ndarray | None = None) -> LpSolution:
     """Solve an equality-form LP; status-complete and deterministic.
 
@@ -444,12 +665,16 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None,
     solve that loses numerical footing is retried once with an aggressive
     refactorization cadence before the error propagates.  ``pivots`` counts
     every pivot and bound flip of the call, a failed warm start included.
+    A ``GubProgram`` is warm-solved on its key-row basis; its cold solve,
+    and every fallback, runs on ``lp.dense()``.
     """
     m, n = lp.A.shape
     cap = max_pivots if max_pivots is not None else max(2000, 100 * (n + m))
     spent = 0
+    gub = isinstance(lp, GubProgram)
     if basis is not None:
-        state = _Simplex(lp.A, lp.b, lp.lb, lp.ub, _start_basis(basis, m, n))
+        simplex = _GubSimplex if gub else _Simplex
+        state = simplex(lp.A, lp.b, lp.lb, lp.ub, _start_basis(basis, m, n))
         try:
             sol = _solve_warm(lp, state, cap)
         except (SimplexError, np.linalg.LinAlgError):
@@ -457,6 +682,8 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None,
         if sol is not None:
             return sol
         spent = state.pivots
+    if gub:
+        lp = lp.dense()
     try:
         sol = _solve_two_phase(lp, cap, _REFACTOR_EVERY)
     except SimplexError:

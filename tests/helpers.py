@@ -108,6 +108,21 @@ def trend_template(seed: int) -> StochasticTemplate:
     return StochasticTemplate(FirstStage(c, A, b), W, q, T, h, tuple(entries))
 
 
+def record_calls(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that appends (args, kwargs,
+    result) of every call to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 class ReferenceEvaluator:
     """Every scenario at x by its own cold ``solve_subproblem``, in scenario
     order: the per-scenario path that ``lshaped.engine.ScenarioEvaluator``

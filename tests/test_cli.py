@@ -63,6 +63,19 @@ class TestSolve:
         ]
         assert 0 < sum(rec["sub_solves"] for rec in doc["iterations"]) < 40 * len(report.history)
 
+    def test_json_reports_termination_and_final_gap(self, capsys, p1_json):
+        code, out, _ = run(capsys, "solve", "--input", p1_json, "--scheme", "multi",
+                           "--tol", "1e-6")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["termination"] == "gap"
+        assert 0.0 <= doc["final_gap"] <= 1e-6
+        code, out, _ = run(capsys, "solve", "--input", p1_json, "--max-iters", "1")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == doc["termination"] == "iteration_limit"
+        assert doc["final_gap"] is None  # no iteration had a finite lower bound
+
     def test_partial_scheme_reports_partition(self, capsys, p1_json):
         code, out, _ = run(capsys, "solve", "--input", p1_json,
                            "--scheme", "partial:T=2", "--tol", "1e-6")

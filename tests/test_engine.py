@@ -9,9 +9,11 @@ from lshaped import (
     EngineConfig,
     FirstStage,
     LinearProgram,
+    LpStatus,
     Scenario,
     SingleCut,
     SolveStatus,
+    Termination,
     TwoStageProblem,
     build_extensive_form,
     compute_relative_complexities,
@@ -21,8 +23,11 @@ from lshaped import (
     solve_lshaped,
     solve_subproblem,
     verify_farkas,
+    verify_kkt,
 )
-from helpers import P1_OPTIMUM, ReferenceEvaluator, build_p1, random_instance, trend_template
+from helpers import (
+    P1_OPTIMUM, ReferenceEvaluator, build_p1, random_instance, record_calls, trend_template,
+)
 
 SCHEME_LABELS = (
     "multi", "single", "partial:T=2", "uniform:T=2",
@@ -332,6 +337,216 @@ class TestWarmMaster:
             )
         for ca, cb in zip(a.cuts, b.cuts):
             assert np.array_equal(ca.grad, cb.grad) and ca.offset == cb.offset
+
+
+def mixed_feasibility_problem():
+    # scenario 0 always feasible, scenario 1 needs x <= 2; the first master
+    # picks x = 5, so multi-cut masters after it carry a feasibility row
+    first = FirstStage(c=[-1.0, 0.0], A=[[1.0, 1.0]], b=[5.0])
+    return TwoStageProblem(
+        first=first, W=[[1.0]],
+        scenarios=(
+            Scenario(0.5, [1.0], [[-1.0, 0.0]], [0.5]),
+            Scenario(0.5, [1.0], [[1.0, 0.0]], [2.0]),
+        ),
+    )
+
+
+class TestGubMaster:
+    """Masters whose optimality rows each cover one theta column are solved
+    on the key-row (GUB) basis; every one of them must agree with a dense
+    cold solve of ``_Master.build()``."""
+
+    @staticmethod
+    def install_check(monkeypatch):
+        """Wrap ``_Master.solve`` so that every GUB master is re-solved cold
+        and densely; returns the per-master records."""
+        import lshaped.simplex as simplex_mod
+        from lshaped.engine import _Master
+
+        records = []
+        cold_solves = record_calls(monkeypatch, simplex_mod, "_solve_two_phase")
+        original = _Master.solve
+
+        def solve(self):
+            gub = self.widths == {1}
+            cold_solves.clear()
+            sol = original(self)
+            if gub:
+                records.append(dict(
+                    fallbacks=len(cold_solves),
+                    feasibility_rows=int((self.theta[self.p:] < 0).sum()),
+                ))
+                lp = self.build()
+                dense_gub = self.program().dense()
+                assert np.array_equal(dense_gub.A, lp.A)
+                assert np.array_equal(dense_gub.b, lp.b) and np.array_equal(dense_gub.c, lp.c)
+                dense = solve_lp(lp)
+                assert sol.status is dense.status
+                if sol.status is LpStatus.OPTIMAL:
+                    assert sol.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-12)
+                    # the GUB program has the dense column layout, so its
+                    # (x, duals) map onto build() one to one
+                    assert sol.x.shape == (lp.A.shape[1],) and sol.duals.shape == lp.b.shape
+                    rep = verify_kkt(lp, sol)
+                    assert max(rep.primal, rep.dual, rep.complementarity) <= 1e-8
+            return sol
+
+        monkeypatch.setattr(_Master, "solve", solve)
+        return records
+
+    @pytest.mark.parametrize("kind, seed", [("trend", s) for s in range(3, 7)]
+                             + [("random", s) for s in range(4)])
+    def test_masters_match_dense_cold_solve(self, kind, seed, monkeypatch):
+        if kind == "trend":
+            prob = sample_instance(trend_template(seed), 60, seed)
+        else:
+            prob = random_instance(seed, 40)
+        records = self.install_check(monkeypatch)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
+        assert report.status == SolveStatus.CONVERGED
+        assert len(records) == report.n_iterations - 1  # all but the first master
+        assert sum(r["fallbacks"] for r in records) == 0
+
+    def test_master_with_feasibility_rows(self, monkeypatch):
+        records = self.install_check(monkeypatch)
+        report = solve_lshaped(
+            mixed_feasibility_problem(),
+            EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6),
+        )
+        assert report.status == SolveStatus.CONVERGED
+        assert records and all(r["feasibility_rows"] == 1 for r in records)
+        assert sum(r["fallbacks"] for r in records) == 0
+
+    def test_fresh_theta_starts_in_its_largest_row(self, monkeypatch):
+        import lshaped.engine as engine_mod
+        from lshaped import OptimalityCut
+        from lshaped.engine import _Master
+
+        calls = record_calls(monkeypatch, engine_mod, "solve_lp")
+        master = _Master(mixed_feasibility_problem(), 2)
+        master.solve()  # first-stage row only: x = (5, 0)
+        # offset - grad . x per row: theta 0 gets -4 and 3, theta 1 a tie
+        # at 1 (rows 3 and 4) and -5
+        for grad, offset, t in (([1.0, 0.0], 1.0, 0), ([0.0, 1.0], 3.0, 0),
+                                ([0.2, 0.0], 2.0, 1), ([0.0, 0.0], 1.0, 1),
+                                ([1.0, 0.0], 0.0, 1)):
+            master.add_optimality(OptimalityCut(grad, offset, (t,)), (t,))
+        sol = master.solve()
+        n, surplus = 2, 2 + 2
+        # rows 1..5 hold cuts 0..4; cut i's surplus is column surplus + i
+        start = calls[-1][1]["basis"]
+        assert start.tolist() == [0, surplus + 0, n + 0, n + 1, surplus + 3, surplus + 4]
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.pivots == 0  # the crashed start is already optimal here
+
+    def test_multi_cut_infeasible_master_has_farkas_ray(self, monkeypatch):
+        import lshaped.engine as engine_mod
+
+        calls = record_calls(monkeypatch, engine_mod, "solve_lp")
+        report = solve_lshaped(
+            infeasible_recourse_problem(),
+            EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6),
+        )
+        assert report.status == SolveStatus.MASTER_INFEASIBLE
+        (lp,), _, sol = calls[-1]
+        assert sol.status is LpStatus.INFEASIBLE
+        assert verify_farkas(lp, sol.farkas)
+
+    def test_infeasible_gub_master_falls_back_to_farkas_ray(self, monkeypatch):
+        import lshaped.engine as engine_mod
+        from lshaped import FeasibilityCut, OptimalityCut
+        from lshaped.engine import _Master
+        from lshaped.simplex import GubProgram
+
+        calls = record_calls(monkeypatch, engine_mod, "solve_lp")
+        master = _Master(mixed_feasibility_problem(), 2)
+        for t in (0, 1):
+            master.add_optimality(OptimalityCut([0.5, -0.25], 1.0 + t, (t,)), (t,))
+        assert master.solve().status is LpStatus.OPTIMAL
+        # x1 >= 4 and x1 <= 1 together exclude every first-stage point
+        master.add_feasibility(FeasibilityCut([1.0, 0.0], 4.0, 0))
+        master.add_feasibility(FeasibilityCut([-1.0, 0.0], -1.0, 1))
+        sol = master.solve()
+        assert isinstance(calls[-1][0][0], GubProgram)
+        assert sol.status is LpStatus.INFEASIBLE
+        assert verify_farkas(master.build(), sol.farkas)
+        assert verify_farkas(master.program(), sol.farkas)
+
+
+#: trend_template(3), N=60, seed 3, rel_tol=1e-6: iterations, cuts, and per
+#: iteration master_pivots, master_rows and sub_solves
+PINNED_COUNTS = {
+    "multi": (4, 135, [2, 1, 28, 20], [1, 61, 116, 136], [2, 2, 0, 0]),
+    "single": (6, 5, [2, 4, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6], [2, 2, 0, 0, 0, 0]),
+    "partial:T=5": (5, 37, [2, 26, 46, 62, 64], [1, 13, 25, 37, 38], [2, 2, 0, 0, 0]),
+    "granulated:T0=4,inner=kmedoids:k=3": (
+        9, 14, [2, 8, 14, 18, 17, 19, 20, 21, 23], [1, 4, 7, 9, 10, 12, 13, 14, 15],
+        [2, 2, 0, 0, 0, 0, 0, 0, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(PINNED_COUNTS))
+def test_pinned_counts(label):
+    """Deterministic counts; a change to pivoting on the GUB or the dense
+    master, to bunching or to aggregation shows up here first."""
+    prob = sample_instance(trend_template(3), 60, 3)
+    report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+    history = report.history
+    assert (
+        report.n_iterations, report.n_cuts,
+        [rec.master_pivots for rec in history],
+        [rec.master_rows for rec in history],
+        [rec.sub_solves for rec in history],
+    ) == PINNED_COUNTS[label]
+
+
+class TestTermination:
+    def test_gap(self):
+        prob = sample_instance(trend_template(3), 60, 3)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
+        assert report.status == SolveStatus.CONVERGED
+        assert report.termination == Termination.GAP
+        assert 0.0 <= report.final_gap <= 1e-6
+
+    def test_no_violated_aggregate(self):
+        # a loose violation tolerance skips every aggregate before the gap closes
+        prob = sample_instance(trend_template(3), 20, 3)
+        report = solve_lshaped(prob, EngineConfig(
+            scheme=parse_scheme("multi"), rel_tol=1e-9, violation_tol=0.1,
+        ))
+        assert report.status == SolveStatus.CONVERGED
+        assert report.termination == Termination.NO_VIOLATED_AGGREGATE
+        history = report.history
+        assert history[-1].cuts_added == 0
+        upper_best = min(rec.upper for rec in history)
+        gap = (upper_best - history[-1].lower) / max(1.0, abs(upper_best))
+        assert report.final_gap == gap > 1e-9
+
+    def test_iteration_limit(self, p1):
+        report = solve_lshaped(p1, EngineConfig(rel_tol=1e-9, max_iterations=1))
+        assert report.status == SolveStatus.ITERATION_LIMIT
+        assert report.termination == Termination.ITERATION_LIMIT
+        assert report.final_gap == math.inf  # the first master bounds nothing
+
+    def test_master_infeasible(self):
+        report = solve_lshaped(infeasible_recourse_problem(), EngineConfig(rel_tol=1e-6))
+        assert report.status == SolveStatus.MASTER_INFEASIBLE
+        assert report.termination == Termination.MASTER_INFEASIBLE
+        assert report.final_gap == math.inf
+
+    def test_final_debug_line(self, caplog):
+        prob = sample_instance(trend_template(3), 20, 3)
+        with caplog.at_level("DEBUG", logger="lshaped.engine"):
+            report = solve_lshaped(prob, EngineConfig(
+                scheme=parse_scheme("multi"), rel_tol=1e-9, violation_tol=0.1,
+            ))
+        last = caplog.records[-1].getMessage()
+        assert last == (
+            f"finished: termination no_violated_aggregate final_gap {report.final_gap:.3g} "
+            f"iterations {report.n_iterations} cuts {report.n_cuts}"
+        )
 
 
 def with_recourse(problem, W, q_of):

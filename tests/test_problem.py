@@ -45,6 +45,25 @@ class TestValidateProblem:
         issues = validate_problem(TwoStageProblem(first, [[1.0]], scen))
         assert any("T[0] has 2 columns, expected 1" in msg for msg in issues)
 
+    def test_one_non_finite_entry_among_many_scenarios(self):
+        # the array check finds it; the per-scenario pass words the message
+        first = FirstStage(c=[1.0, 1.0], A=np.zeros((0, 2)), b=[])
+        scen = [
+            Scenario(1.0 / 50, [1.0, 0.5], [[1.0, -1.0]], [float(s)]) for s in range(50)
+        ]
+        scen[17] = Scenario(1.0 / 50, [1.0, 0.5], [[1.0, np.inf]], [17.0])
+        prob = TwoStageProblem(first, [[1.0, -1.0]], tuple(scen))
+        assert validate_problem(prob) == ["T[17] contains non-finite entries"]
+
+    def test_non_positive_probability_among_many_scenarios(self):
+        first = FirstStage(c=[1.0], A=np.zeros((0, 1)), b=[])
+        scen = [Scenario(1.0 / 50, [1.0, 0.5], [[1.0]], [float(s)]) for s in range(50)]
+        scen[3] = Scenario(0.0, [1.0, 0.5], [[1.0]], [3.0])
+        prob = TwoStageProblem(first, [[1.0, -1.0]], tuple(scen))
+        assert validate_problem(prob) == [
+            "scenario 3 has non-positive probability 0", "probabilities sum to 0.98",
+        ]
+
 
 class TestExtensiveForm:
     def test_p1_shape_and_optimum(self):

@@ -11,6 +11,8 @@ from lshaped import (
     verify_farkas,
     verify_kkt,
 )
+from lshaped.simplex import GubMatrix, GubProgram, _GubSimplex, _Simplex
+from helpers import record_calls
 
 
 def brute_force_optimum(lp):
@@ -290,3 +292,111 @@ class TestWarmStart:
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.duals, b.duals)
             assert a.objective == b.objective and a.pivots == b.pivots
+
+
+def random_gub_program(seed):
+    """A master-shaped GubProgram: x on a simplex (one first-stage row),
+    then cut rows over one of N theta columns, or over none, each with a
+    surplus column; covered theta columns cost 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    N = int(rng.integers(1, 5))
+    R = int(rng.integers(N, 3 * N + 4))
+    X = np.vstack([np.ones(n), rng.uniform(-1.0, 1.0, (R, n))])
+    theta = np.r_[-1, rng.integers(-1, N, R)]
+    x0 = np.full(n, 2.0 / n)
+    # feasibility rows (theta -1) hold at x0, so the LP is feasible
+    b = np.r_[2.0, np.where(theta[1:] < 0, X[1:] @ x0 - 0.5, rng.uniform(-2.0, 2.0, R))]
+    A = GubMatrix(X, theta, N, 1)
+    m, cols = A.shape
+    c = np.zeros(cols)
+    c[:n] = rng.uniform(0.5, 2.0, n)
+    c[n + np.unique(theta[theta >= 0])] = 1.0
+    lb = np.zeros(cols)
+    lb[n : n + N] = -np.inf
+    return GubProgram(c=c, A=A, b=b, lb=lb, ub=np.full(cols, np.inf), n_structural=n + N)
+
+
+class TestGubProgram:
+    def test_matrix_products_match_dense(self):
+        rng = np.random.default_rng(0)
+        for seed in range(20):
+            lp = random_gub_program(seed)
+            dense = lp.A.toarray()
+            m, cols = dense.shape
+            v, y = rng.normal(size=cols), rng.normal(size=m)
+            np.testing.assert_allclose(lp.A @ v, dense @ v, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(y @ lp.A, y @ dense, rtol=1e-12, atol=1e-12)
+            for j in range(cols):
+                assert np.array_equal(lp.A.column(j), dense[:, j]), (seed, j)
+
+    def test_key_row_basis_matches_dense_inverse(self):
+        rng = np.random.default_rng(1)
+        checked = 0
+        for seed in range(30):
+            lp = random_gub_program(seed)
+            dense = lp.dense()
+            sol = solve_lp(dense)
+            if sol.basis is None:
+                continue
+            gub = _GubSimplex(lp.A, lp.b, lp.lb, lp.ub, sol.basis.copy())
+            ref = _Simplex(dense.A, dense.b, dense.lb, dense.ub, sol.basis.copy())
+            gub.refresh()
+            ref.refresh()
+            m, cols = dense.A.shape
+            v = rng.normal(size=m)
+            tol = dict(rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(gub._ftran(v), ref._ftran(v), **tol)
+            np.testing.assert_allclose(gub._btran(v), ref._btran(v), **tol)
+            np.testing.assert_allclose(gub.x, ref.x, **tol)
+            for r in range(m):
+                np.testing.assert_allclose(gub._tableau_row(r), ref._tableau_row(r), **tol)
+            for j in range(cols):
+                np.testing.assert_allclose(
+                    gub._entering_column(j), ref._entering_column(j), **tol
+                )
+            checked += 1
+        assert checked >= 20
+
+    def test_warm_solve_matches_dense_solve(self, monkeypatch):
+        # appended violated rows: the key-row dual simplex reaches the dense
+        # cold optimum without falling back, and its duals pass the dense
+        # KKT check
+        import lshaped.simplex as simplex_mod
+
+        cold_solves = record_calls(monkeypatch, simplex_mod, "_solve_two_phase")
+        checked = 0
+        for seed in range(30):
+            lp = random_gub_program(seed)
+            sol = solve_lp(lp.dense())
+            X, theta, N = lp.A.X, lp.A.theta, lp.A.n_theta
+            covered = np.unique(theta[theta >= 0])
+            if sol.basis is None or not len(covered):
+                continue
+            rng = np.random.default_rng(seed)
+            k = 3
+            new_X = rng.uniform(-1.0, 1.0, (k, X.shape[1]))
+            new_theta = rng.choice(covered, k)  # no theta column is fresh
+            n = X.shape[1]
+            # each new row is violated by the old optimum by 0.5
+            lhs = new_X @ sol.x[:n] + sol.x[n + new_theta]
+            A = GubMatrix(np.vstack([X, new_X]), np.r_[theta, new_theta], N, 1)
+            cols = A.shape[1]
+            c = np.zeros(cols)
+            c[: len(lp.c)] = lp.c
+            c[n + new_theta] = 1.0
+            lb = np.zeros(cols)
+            lb[n : n + N] = -np.inf
+            big = GubProgram(c=c, A=A, b=np.r_[lp.b, lhs + 0.5], lb=lb,
+                             ub=np.full(cols, np.inf), n_structural=n + N)
+            start = np.r_[sol.basis, np.arange(len(lp.c), cols)]
+            cold_solves.clear()
+            warm = solve_lp(big, basis=start)
+            assert not cold_solves, seed
+            cold = solve_lp(big.dense())
+            assert warm.status is cold.status is LpStatus.OPTIMAL, seed
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12), seed
+            rep = verify_kkt(big.dense(), warm)
+            assert max(rep.primal, rep.dual, rep.complementarity) <= 1e-8, seed
+            checked += 1
+        assert checked >= 20
