@@ -11,7 +11,6 @@ from .aggregation import (
     Partial,
     PartitioningScheme,
     SelectClosest,
-    SelectUniform,
     SingleCut,
     apply_scheme,
     kmedoids_cluster,

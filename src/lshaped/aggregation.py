@@ -2,15 +2,21 @@
 
 A partitioning scheme splits the scenario indices 0..N-1 into disjoint
 covering parts; applying an aggregation strategy to one iteration's cuts
-produces one aggregated cut per part actually populated.  Strategies:
+produces one aggregated cut per part actually populated.
 
-    MultiCut      every cut kept as is
-    SingleCut     everything summed into one aggregate
-    Partial(T)    fixed index blocks of size T
-    Dynamic(rule) streaming placement into a bounded buffer of slots
-    Cluster(rule) buffer everything, then cluster (k-medoids)
-    Granulated    fixed uniform pre-aggregation, then an inner strategy
-                  over the granule-level cuts
+Every strategy is a static block size T0 plus an optional inner rule: the
+cuts are summed over contiguous index blocks of T0 (``granulate``), then the
+rule, if any, places the granule cuts.
+
+    multi                          T0 = 1
+    partial:T  (alias uniform:T)   T0 = T
+    single                         T0 = N
+    closest                        T0 = 1, streaming placement into a
+                                   bounded buffer of slots (SelectClosest)
+    kmedoids                       T0 = 1, cluster the buffered cuts
+                                   (Kmedoids)
+    granulated:T0,inner=...        T0 times the inner strategy's block,
+                                   capped at N, then the inner rule
 """
 
 from __future__ import annotations
@@ -82,14 +88,6 @@ def uniform_partition(n_scenarios: int, size: int) -> PartitioningScheme:
 
 
 @dataclass(frozen=True)
-class SelectUniform:
-    """Fill slots to a fixed size in arrival order; replicates Partial on
-    full first-iteration input."""
-
-    size: int
-
-
-@dataclass(frozen=True)
 class SelectClosest:
     """Place each cut into the nearest slot within tolerance, else into the
     next empty slot, else into the nearest slot outright.  A slot is full at
@@ -106,7 +104,8 @@ class Kmedoids:
 
     clusters: int
     measure: DistanceMeasure = DistanceMeasure.ANGULAR
-    seed: int = 0
+    #: breaks exact ties; None takes the engine's seed (0 outside the engine)
+    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ class Partial:
 
 @dataclass(frozen=True)
 class Dynamic:
-    rule: Union[SelectUniform, SelectClosest]
+    rule: SelectClosest
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,6 @@ class Granulated:
 
 
 AggregationScheme = Union[MultiCut, SingleCut, Partial, Dynamic, Cluster, Granulated]
-SelectionRule = Union[SelectUniform, SelectClosest]
 
 
 def validate_scheme(scheme: AggregationScheme, n_scenarios: int) -> list[str]:
@@ -154,10 +152,7 @@ def validate_scheme(scheme: AggregationScheme, n_scenarios: int) -> list[str]:
                 out.append(f"partial block size {s.size} not in 1..{n_atoms}")
         elif isinstance(s, Dynamic):
             rule = s.rule
-            if isinstance(rule, SelectUniform):
-                if not 1 <= rule.size <= n_atoms:
-                    out.append(f"uniform slot size {rule.size} not in 1..{n_atoms}")
-            elif isinstance(rule, SelectClosest):
+            if isinstance(rule, SelectClosest):
                 if rule.slots < 1:
                     out.append("closest rule needs at least one slot")
                 if rule.measure is DistanceMeasure.ANGULAR and not 0 <= rule.tolerance <= 1:
@@ -224,13 +219,6 @@ class AggregateBuffer:
         self.slots = [[] for _ in self.slots]
         self._aggregates = [None] * len(self.slots)
         return out
-
-
-def _apply_select_uniform(rule: SelectUniform, cuts) -> list[OptimalityCut]:
-    buf = AggregateBuffer(1)
-    for cut in cuts:
-        buf.place(0, cut, full_at=rule.size)
-    return buf.flush_remaining()
 
 
 def _apply_select_closest(rule: SelectClosest, cuts, n_atoms: int) -> list[OptimalityCut]:
@@ -436,8 +424,21 @@ def _best_swap(
 # --- strategy application -----------------------------------------------------
 
 
-def _order_by_members(cuts: list[OptimalityCut]) -> list[OptimalityCut]:
-    return sorted(cuts, key=lambda c: c.members)
+def granulation(
+    scheme: AggregationScheme, n_scenarios: int
+) -> tuple[int, AggregationScheme]:
+    """The static block size T0 of a strategy and its inner rule over the
+    granule cuts: ``MultiCut()`` for none, else a ``Dynamic`` or ``Cluster``."""
+    if isinstance(scheme, Granulated):
+        block, inner = granulation(scheme.inner, math.ceil(n_scenarios / scheme.block_size))
+        return min(scheme.block_size * block, n_scenarios), inner
+    if isinstance(scheme, SingleCut):
+        return n_scenarios, MultiCut()
+    if isinstance(scheme, Partial):
+        return scheme.size, MultiCut()
+    if isinstance(scheme, (MultiCut, Dynamic, Cluster)):
+        return 1, scheme
+    raise ValueError(f"unknown aggregation strategy {scheme!r}")
 
 
 def apply_scheme(
@@ -446,7 +447,8 @@ def apply_scheme(
     n_scenarios: int,
     atom_ids: Sequence[int] | None = None,
 ) -> list[OptimalityCut]:
-    """Aggregate one iteration's cuts according to a strategy.
+    """Aggregate one iteration's cuts according to a strategy: ``granulate``
+    by its block size, then apply its inner rule (see ``granulation``).
 
     ``cuts`` must have pairwise disjoint member sets (singletons in the
     common case).  ``atom_ids`` gives each cut's position in the atom
@@ -466,33 +468,20 @@ def apply_scheme(
     if len(atom_ids) != len(cuts):
         raise ValueError("atom_ids must align with cuts")
 
-    if isinstance(scheme, MultiCut):
-        return cuts
-    if isinstance(scheme, SingleCut):
-        return [aggregate_cuts(cuts)]
-    if isinstance(scheme, Partial):
-        blocks: dict[int, list[OptimalityCut]] = {}
-        for cut, atom in zip(cuts, atom_ids):
-            blocks.setdefault(atom // scheme.size, []).append(cut)
-        return [aggregate_cuts(blocks[i]) for i in sorted(blocks)]
-    if isinstance(scheme, Dynamic):
-        if isinstance(scheme.rule, SelectUniform):
-            return _apply_select_uniform(scheme.rule, cuts)
-        return _apply_select_closest(scheme.rule, cuts, n_scenarios)
-    if isinstance(scheme, Cluster):
-        rule = scheme.rule
-        k = min(rule.clusters, len(cuts))
-        assignment, _ = kmedoids_cluster(cuts, k, rule.measure, rule.seed)
+    block, inner = granulation(scheme, n_scenarios)
+    granules, _ = granulate(cuts, atom_ids, block)
+    if isinstance(inner, Dynamic):
+        return _apply_select_closest(inner.rule, granules, math.ceil(n_scenarios / block))
+    if isinstance(inner, Cluster):
+        rule = inner.rule
+        k = min(rule.clusters, len(granules))
+        assignment, _ = kmedoids_cluster(granules, k, rule.measure, rule.seed or 0)
         clusters: dict[int, list[OptimalityCut]] = {}
-        for cut, c in zip(cuts, assignment):
+        for cut, c in zip(granules, assignment):
             clusters.setdefault(c, []).append(cut)
         aggregated = [aggregate_cuts(group) for group in clusters.values()]
-        return _order_by_members(aggregated)
-    if isinstance(scheme, Granulated):
-        granule_cuts, granule_ids = granulate(cuts, atom_ids, scheme.block_size)
-        n_granules = math.ceil(n_scenarios / scheme.block_size)
-        return apply_scheme(scheme.inner, granule_cuts, n_granules, atom_ids=granule_ids)
-    raise ValueError(f"unknown aggregation strategy {scheme!r}")
+        return sorted(aggregated, key=lambda c: c.members)
+    return granules
 
 
 def granulate(
@@ -501,8 +490,11 @@ def granulate(
     """Pre-aggregate cuts into uniform granules of atom indices.
 
     Returns the granule-level cuts and their granule indices, both ordered
-    by granule index.
+    by granule index.  A block size of 1 returns the input as it is, with
+    no aggregation.
     """
+    if block_size == 1:
+        return list(cuts), list(atom_ids)
     blocks: dict[int, list[OptimalityCut]] = {}
     for cut, atom in zip(cuts, atom_ids):
         blocks.setdefault(atom // block_size, []).append(cut)
@@ -553,10 +545,10 @@ def parse_scheme(text: str) -> AggregationScheme:
             return done(MultiCut())
         if name == "single":
             return done(SingleCut())
-        if name == "partial":
+        if name in ("partial", "uniform"):
+            # uniform slots fill in arrival order, and the engine passes
+            # complete cuts in index order, so they are partial blocks here
             return done(Partial(size=int(params.pop("T", 1))))
-        if name == "uniform":
-            return done(Dynamic(SelectUniform(size=int(params.pop("T", 1)))))
         if name == "closest":
             measure = _measure_param(params)
             return done(
@@ -575,7 +567,7 @@ def parse_scheme(text: str) -> AggregationScheme:
                     Kmedoids(
                         clusters=int(params.pop("k", 20)),
                         measure=measure,
-                        seed=int(params.pop("seed", 0)),
+                        seed=int(params.pop("seed")) if "seed" in params else None,
                     )
                 )
             )
@@ -601,12 +593,11 @@ def scheme_label(scheme: AggregationScheme) -> str:
         return f"partial:T={scheme.size}"
     if isinstance(scheme, Dynamic):
         rule = scheme.rule
-        if isinstance(rule, SelectUniform):
-            return f"uniform:T={rule.size}"
         return f"closest:A={rule.slots},tau={rule.tolerance:g},measure={rule.measure.value}"
     if isinstance(scheme, Cluster):
         rule = scheme.rule
-        return f"kmedoids:k={rule.clusters},measure={rule.measure.value},seed={rule.seed}"
+        seed = "" if rule.seed is None else f",seed={rule.seed}"
+        return f"kmedoids:k={rule.clusters},measure={rule.measure.value}{seed}"
     if isinstance(scheme, Granulated):
         return f"granulated:T0={scheme.block_size},inner={scheme_label(scheme.inner)}"
     raise ValueError(f"unknown aggregation strategy {scheme!r}")
@@ -622,13 +613,10 @@ def with_parameter(scheme: AggregationScheme, name: str, value: float) -> Aggreg
         return Partial(size=int(value))
     if isinstance(scheme, Dynamic):
         rule = scheme.rule
-        if isinstance(rule, SelectUniform) and name == "T":
-            return Dynamic(SelectUniform(size=int(value)))
-        if isinstance(rule, SelectClosest):
-            if name == "tau":
-                return Dynamic(replace(rule, tolerance=float(value)))
-            if name == "A":
-                return Dynamic(replace(rule, slots=int(value)))
+        if name == "tau":
+            return Dynamic(replace(rule, tolerance=float(value)))
+        if name == "A":
+            return Dynamic(replace(rule, slots=int(value)))
     if isinstance(scheme, Cluster):
         if name == "k":
             return Cluster(replace(scheme.rule, clusters=int(value)))

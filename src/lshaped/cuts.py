@@ -149,23 +149,32 @@ def aggregate_cuts(cuts: Sequence[OptimalityCut]) -> OptimalityCut:
     return OptimalityCut(grad=grad, offset=offset, members=union, iteration=ordered[0].iteration)
 
 
-def cut_violation(cut: OptimalityCut, x: np.ndarray, theta: Mapping[int, float]) -> float:
-    """offset - grad.x - sum of theta over the cut's members.
+Theta = Mapping[int, float] | np.ndarray
 
-    Positive means the master iterate fails to support the cut.
+
+def cut_violation(
+    cut: OptimalityCut, x: np.ndarray, theta: Theta, columns: Sequence[int] | None = None
+) -> float:
+    """offset - grad.x - the sum of theta over the cut's theta columns.
+
+    ``theta`` is indexed by column; the columns default to the cut's
+    members, one theta per scenario.  Positive means the master iterate
+    fails to support the cut.
     """
     total = 0.0
-    for s in cut.members:
-        if s not in theta:
-            raise ValueError(f"theta value missing for scenario {s}")
-        total += theta[s]
+    for t in cut.members if columns is None else columns:
+        try:
+            total += theta[t]
+        except (KeyError, IndexError):
+            raise ValueError(f"theta value missing for column {t}") from None
     return float(cut.offset - cut.grad @ np.asarray(x, dtype=float) - total)
 
 
 def is_violated(
-    cut: OptimalityCut, x: np.ndarray, theta: Mapping[int, float], scale: float = VIOLATION_SCALE
+    cut: OptimalityCut, x: np.ndarray, theta: Theta, scale: float = VIOLATION_SCALE,
+    columns: Sequence[int] | None = None,
 ) -> bool:
-    return cut_violation(cut, x, theta) > scale * (1.0 + abs(cut.offset))
+    return cut_violation(cut, x, theta, columns) > scale * (1.0 + abs(cut.offset))
 
 
 def _stacked(cut: OptimalityCut) -> np.ndarray:

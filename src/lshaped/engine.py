@@ -29,13 +29,18 @@ its cut can differ from the one a per-scenario solve gives.  Both cuts are
 valid and tight at x; the values are the same.  These scenarios are common,
 because the master's iterates sit at kinks of the recourse function.
 
-The master keeps one theta column per scenario, so aggregates over arbitrary
-scenario subsets stay valid as the partition changes across iterations; a
-granulated strategy instead fixes one theta column per granule for the whole
-run and works with granule-level cuts throughout.
+Every strategy is a static block size T0 plus an optional inner rule
+(``aggregation.granulation``).  Each iteration sums the scenario cuts over
+contiguous blocks of T0 scenarios (``granulate``), and the inner rule places
+the granule cuts (``apply_scheme``).  The master keeps one theta column per
+granule for the whole run; an aggregate's row covers the columns of its
+granules, and its member set stays in scenario terms.  A k-medoids rule with
+no seed of its own takes ``EngineConfig.seed``.  An aggregate is skipped
+unless ``cuts.is_violated`` over its theta columns, at
+``EngineConfig.violation_tol``.
 
-Masters whose optimality rows each cover one theta column (multi-cut, and
-granulated runs with the multi inner rule) are solved on a GUB basis
+Without an inner rule every optimality row covers one theta column, and the
+master is solved on a GUB basis
 (Dantzig & Van Slyke 1967; Birge & Louveaux, section 5.1).  The rows of one
 theta column form a generalized upper bound set; each covered theta column
 stays basic, keyed to one tight row of its set, and the working matrix is
@@ -49,16 +54,15 @@ feasible, so the first fully covering master takes a pivot or two where it
 used to need a cold solve.  Any failure on the GUB path falls back to a
 dense cold solve of ``build()``.
 
-Every other master stays on the dense path.  Single-cut masters, whose rows
-cover all theta columns, and masters with only feasibility rows are
-warm-started from the last basis in the same way, except that a master whose
-objective just gained a theta column is solved cold.  In both families the
-theta sum over each row's columns is the largest of those rows at x, so
-every optimal vertex gives the aggregate filter the same violations.
-Aggregated rows over other subsets (partial, k-medoids, closest, most
-granulated runs) leave the split of theta between columns open, and a
-different optimal vertex would change which aggregates are added, so those
-masters are solved cold.
+Every other master stays on the dense path.  Masters with only feasibility
+rows, and masters whose optimality rows each cover every theta column, are
+warm-started from the last basis in the same way, except that a master
+whose objective just gained a theta column is solved cold.  There the theta
+sum over each row's columns is the largest of those rows at x, so every
+optimal vertex gives the aggregate filter the same violations.  Rows over
+other sets of granules (closest, k-medoids) leave the split of theta
+between columns open, and a different optimal vertex would change which
+aggregates are added, so those masters are solved cold.
 
 The run terminates Converged when the relative gap
 (upper_best - lower) / max(1, |upper_best|) reaches the tolerance
@@ -72,22 +76,24 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .aggregation import (
     AggregationScheme,
     Cluster,
-    Granulated,
-    Kmedoids,
     SingleCut,
     apply_scheme,
     granulate,
+    granulation,
     scheme_label,
     validate_scheme,
 )
-from .cuts import FeasibilityCut, OptimalityCut, make_feasibility_cut, make_optimality_cuts
+from .cuts import (
+    VIOLATION_SCALE, FeasibilityCut, OptimalityCut, is_violated, make_feasibility_cut,
+    make_optimality_cuts,
+)
 from .problem import LinearProgram, TwoStageProblem, validate_problem
 from .simplex import (
     FEASIBILITY_TOL, OPTIMALITY_TOL, GubMatrix, GubProgram, LpSolution, LpStatus, solve_lp,
@@ -102,7 +108,7 @@ if not logger.hasHandlers():
 class EngineConfig:
     scheme: AggregationScheme = field(default_factory=SingleCut)
     rel_tol: float = 1e-2
-    violation_tol: float = 1e-6
+    violation_tol: float = VIOLATION_SCALE
     max_iterations: int = 5000
     #: accepted and validated for compatibility; has no effect, because
     #: scenarios are evaluated as one batch (see the module docstring)
@@ -382,8 +388,9 @@ class ScenarioEvaluator:
 class _Master:
     """Cut pool plus deterministic LP assembly and warm-started solves.
 
-    Columns: x (n), theta (one per scenario, or per granule for granulated
-    runs), then one surplus per cut row in insertion order.  Theta columns
+    Columns: x (n), theta (one per granule of the strategy's static block,
+    so one per scenario for T0 = 1), then one surplus per cut row in
+    insertion order.  Theta columns
     enter the objective only once covered by at least one row.  The rows
     are kept as appended arrays: the first-stage rows, then every cut's
     gradient and offset, and the theta column of each row that covers
@@ -524,29 +531,13 @@ class _Master:
         return sol
 
 
-def _effective_scheme(scheme: AggregationScheme, seed: int) -> AggregationScheme:
-    # a clustering rule without an explicit seed inherits the engine seed
-    if isinstance(scheme, Cluster) and scheme.rule.seed == 0 and seed != 0:
-        return Cluster(Kmedoids(scheme.rule.clusters, scheme.rule.measure, seed))
-    if isinstance(scheme, Granulated):
-        inner = _effective_scheme(scheme.inner, seed)
-        if inner is not scheme.inner:
-            return Granulated(scheme.block_size, inner)
-    return scheme
-
-
-def _aggregate_violation(cut, x, theta, theta_cols) -> float:
-    return float(cut.offset - cut.grad @ x - sum(theta[t] for t in theta_cols))
-
-
 def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport:
     """Run the decomposition until convergence, iteration cap, or an
     infeasible master."""
     issues = validate_problem(problem)
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
-    scheme = _effective_scheme(config.scheme, config.seed)
-    scheme_issues = validate_scheme(scheme, problem.n_scenarios)
+    scheme_issues = validate_scheme(config.scheme, problem.n_scenarios)
     if scheme_issues:
         raise ValueError("invalid aggregation strategy: " + "; ".join(scheme_issues))
 
@@ -554,14 +545,10 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
     n = problem.n
     N = problem.n_scenarios
     data = problem.arrays
-    granulated = isinstance(scheme, Granulated)
-    if granulated:
-        n_theta = math.ceil(N / scheme.block_size)
-        theta_col = [s // scheme.block_size for s in range(N)]
-        inner_scheme = scheme.inner
-    else:
-        n_theta = N
-        inner_scheme = scheme
+    block, inner = granulation(config.scheme, N)
+    if isinstance(inner, Cluster) and inner.rule.seed is None:
+        inner = Cluster(replace(inner.rule, seed=config.seed))
+    n_theta = math.ceil(N / block)
 
     master = _Master(problem, n_theta)
     evaluator = ScenarioEvaluator(problem)
@@ -642,25 +629,17 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
         # the new aggregates cover all theta columns; filtering happens
         # only at the aggregate level (a satisfied aggregate is skipped)
         singletons = make_optimality_cuts(results.duals, data, iteration=k)
-        if granulated:
-            atoms, atom_ids = granulate(singletons, data.indices, scheme.block_size)
-            n_atoms = n_theta
-        else:
-            atoms, atom_ids = singletons, data.indices
-            n_atoms = N
+        granules, granule_ids = granulate(singletons, data.indices, block)
 
         skipped = 0
         added = 0
         partition: list[tuple[int, ...]] = []
-        aggregates = apply_scheme(inner_scheme, atoms, n_atoms, atom_ids=atom_ids)
+        aggregates = apply_scheme(inner, granules, n_theta, atom_ids=granule_ids)
         for agg in aggregates:
-            if granulated:
-                cols = tuple(sorted({theta_col[s] for s in agg.members}))
-            else:
-                cols = agg.members
-            if set(cols) <= master.covered and _aggregate_violation(
-                agg, x, theta, cols
-            ) <= config.violation_tol * (1.0 + abs(agg.offset)):
+            cols = tuple(sorted({s // block for s in agg.members}))
+            if set(cols) <= master.covered and not is_violated(
+                agg, x, theta, config.violation_tol, columns=cols
+            ):
                 skipped += 1
                 continue
             master.add_optimality(agg, cols)

@@ -13,12 +13,9 @@ import numpy as np
 import pytest
 
 from lshaped import (
-    Dynamic,
     EngineConfig,
     Partial,
-    SelectUniform,
     SolveStatus,
-    apply_scheme,
     bell,
     bound_aggregated,
     bound_aggregated_upper,
@@ -28,7 +25,6 @@ from lshaped import (
     build_extensive_form,
     cut_distance,
     DistanceMeasure,
-    make_optimality_cut,
     OptimalityCut,
     parse_scheme,
     sample_instance,
@@ -211,28 +207,6 @@ def test_lower_bound_monotonicity(oracle_suite):
                 if b < a - 1e-8:
                     ok = False
     report("lower-bound-monotonicity", ok)
-
-
-def test_select_uniform_replicates_partial_on_first_iteration():
-    prob = random_instance(3, 20)
-    x0 = np.zeros(prob.n)
-    cuts = [
-        make_optimality_cut(s, solve_subproblem(prob, s, x0).duals, prob.scenarios[s])
-        for s in range(prob.n_scenarios)
-    ]
-    ok = True
-    for block in (1, 3, 7, 20):
-        via_partial = apply_scheme(Partial(block), cuts, prob.n_scenarios)
-        via_rule = apply_scheme(Dynamic(SelectUniform(block)), cuts, prob.n_scenarios)
-        if len(via_partial) != len(via_rule):
-            ok = False
-            continue
-        for a, b in zip(via_partial, via_rule):
-            if a.members != b.members:
-                ok = False
-            if np.max(np.abs(a.grad - b.grad)) > 1e-12 or abs(a.offset - b.offset) > 1e-12:
-                ok = False
-    report("uniform-replicates-partial", ok, "(first-iteration cuts, T in {1,3,7,20})")
 
 
 def test_tradeoff_trend():

@@ -14,7 +14,6 @@ from lshaped import (
     Partial,
     PartitioningScheme,
     SelectClosest,
-    SelectUniform,
     SingleCut,
     aggregation_distance,
     apply_scheme,
@@ -28,7 +27,7 @@ from lshaped import (
     validate_scheme,
 )
 from lshaped import aggregation
-from helpers import reference_kmedoids, reference_select_closest
+from helpers import record_calls, reference_kmedoids, reference_select_closest
 
 
 def singleton(s, grad=None, offset=None):
@@ -132,16 +131,6 @@ class TestApplyScheme:
         assert len(out) == 1
         assert out[0].members == (0, 1, 2, 3)
 
-    def test_uniform_rule_replicates_partial(self):
-        cuts = singletons(7)
-        via_partial = apply_scheme(Partial(size=2), cuts, 7)
-        via_rule = apply_scheme(Dynamic(SelectUniform(size=2)), cuts, 7)
-        assert len(via_partial) == len(via_rule) == 4
-        for a, b in zip(via_partial, via_rule):
-            assert a.members == b.members
-            assert np.max(np.abs(a.grad - b.grad)) <= 1e-12
-            assert abs(a.offset - b.offset) <= 1e-12
-
     def test_partial_blocks_follow_scenario_indices(self):
         # missing scenarios keep their block identity
         cuts = [singleton(s) for s in (0, 3, 4, 6)]
@@ -186,14 +175,39 @@ class TestApplyScheme:
     def test_granulated_inner_blocks_use_granule_ids(self):
         cuts = singletons(6)
         out = apply_scheme(
-            Granulated(block_size=2, inner=Dynamic(SelectUniform(size=1))), cuts, 6
+            Granulated(block_size=2, inner=Partial(size=1)), cuts, 6
         )
         assert [c.members for c in out] == [(0, 1), (2, 3), (4, 5)]
+
+    @pytest.mark.parametrize("text, block, inner", [
+        ("multi", 1, MultiCut()),
+        ("partial:T=3", 3, MultiCut()),
+        ("uniform:T=3", 3, MultiCut()),
+        ("single", 10, MultiCut()),
+        ("granulated:T0=2,inner=multi", 2, MultiCut()),
+        ("granulated:T0=2,inner=partial:T=2", 4, MultiCut()),
+        ("granulated:T0=4,inner=partial:T=3", 10, MultiCut()),
+        ("granulated:T0=3,inner=single", 10, MultiCut()),
+        ("closest:A=2", 1, parse_scheme("closest:A=2")),
+        ("kmedoids:k=2", 1, parse_scheme("kmedoids:k=2")),
+        ("granulated:T0=3,inner=kmedoids:k=2", 3, parse_scheme("kmedoids:k=2")),
+    ])
+    def test_granulation(self, text, block, inner):
+        # N = 10: a static block size, capped at N, plus the inner rule
+        assert aggregation.granulation(parse_scheme(text), 10) == (block, inner)
+
+    def test_unit_granules_are_the_input(self, monkeypatch):
+        calls = record_calls(monkeypatch, aggregation, "aggregate_cuts")
+        cuts = singletons(5)
+        granules, ids = aggregation.granulate(cuts, [4, 3, 2, 1, 0], 1)
+        assert granules == cuts and ids == [4, 3, 2, 1, 0]
+        assert apply_scheme(MultiCut(), cuts, 5) == cuts
+        assert calls == []
 
     def test_outputs_partition_input_for_every_strategy(self):
         schemes = [
             MultiCut(), SingleCut(), Partial(size=3),
-            Dynamic(SelectUniform(size=3)),
+            Granulated(block_size=2, inner=Partial(size=2)),
             Dynamic(SelectClosest(slots=3, tolerance=0.4)),
             Cluster(Kmedoids(clusters=3)),
             Granulated(block_size=2, inner=Dynamic(SelectClosest(slots=2, tolerance=0.3))),
@@ -359,11 +373,18 @@ class TestSchemeGrammar:
 
     def test_parse_examples(self):
         assert parse_scheme("partial:T=16") == Partial(size=16)
-        assert parse_scheme("uniform:T=4") == Dynamic(SelectUniform(size=4))
+        # uniform slots fill in arrival order; complete cuts in index order
+        # make them partial blocks, so the solve is the partial one
+        assert parse_scheme("uniform:T=4") == Partial(4)
         closest = parse_scheme("closest:A=8,tau=0.3,measure=angular")
         assert closest == Dynamic(SelectClosest(slots=8, tolerance=0.3, measure=DistanceMeasure.ANGULAR))
         km = parse_scheme("kmedoids:k=20,measure=absolute")
-        assert km == Cluster(Kmedoids(clusters=20, measure=DistanceMeasure.ABSOLUTE, seed=0))
+        assert km == Cluster(Kmedoids(clusters=20, measure=DistanceMeasure.ABSOLUTE, seed=None))
+        assert parse_scheme("kmedoids:k=2,seed=0").rule.seed == 0
+
+    def test_unset_seed_is_left_out_of_the_label(self):
+        assert scheme_label(parse_scheme("kmedoids:k=2")) == "kmedoids:k=2,measure=angular"
+        assert scheme_label(parse_scheme("kmedoids:k=2,seed=0")).endswith(",seed=0")
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
@@ -377,8 +398,8 @@ class TestSchemeGrammar:
         assert validate_scheme(Dynamic(SelectClosest(slots=2, tolerance=1.5)), 10)
         # ceil(10/3) = 4 granules: inner size 4 fits, size 5 does not
         assert validate_scheme(
-            Granulated(block_size=3, inner=Dynamic(SelectUniform(size=4))), 10
+            Granulated(block_size=3, inner=Partial(size=4)), 10
         ) == []
         assert validate_scheme(
-            Granulated(block_size=3, inner=Dynamic(SelectUniform(size=5))), 10
+            Granulated(block_size=3, inner=Partial(size=5)), 10
         ) != []

@@ -173,6 +173,18 @@ class TestSolve:
             touched = [b for b in blocks if b & members]
             assert members == set().union(*touched)
 
+    @pytest.mark.parametrize("label, used", [
+        ("kmedoids:k=3", 7), ("kmedoids:k=3,seed=0", 0), ("kmedoids:k=3,seed=5", 5),
+        ("granulated:T0=2,inner=kmedoids:k=3", 7),
+    ])
+    def test_kmedoids_seed_defaults_to_the_engine_seed(self, label, used, monkeypatch):
+        import lshaped.aggregation as aggregation_mod
+
+        calls = record_calls(monkeypatch, aggregation_mod, "kmedoids_cluster")
+        solve_lshaped(random_instance(9, 30),
+                      EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6, seed=7))
+        assert calls and {args[3] for args, _, _ in calls} == {used}
+
     def test_unbounded_master_is_reported(self):
         # a cheap first stage with a steep recourse slope leaves the early
         # master unbounded in x; the engine surfaces that instead of looping
@@ -318,10 +330,24 @@ class TestWarmMaster:
     def test_aggregated_master_stays_cold(self):
         prob = sample_instance(trend_template(3), 60, 3)
         report = solve_lshaped(
-            prob, EngineConfig(scheme=parse_scheme("partial:T=5"), rel_tol=1e-6)
+            prob, EngineConfig(scheme=parse_scheme("kmedoids:k=5"), rel_tol=1e-6)
         )
         cold = self.cold_master_pivots(prob, report)
         assert [rec.master_pivots for rec in report.history] == cold
+
+    @pytest.mark.parametrize("label", ["single", "partial:T=5"])
+    @pytest.mark.parametrize("kind", ["trend", "random"])
+    def test_granule_master_matches_scenario_master(self, label, kind):
+        # one theta column per granule: each lower bound is the optimum of
+        # the master over one theta column per scenario with the same rows
+        if kind == "trend":
+            prob = sample_instance(trend_template(3), 60, 3)
+        else:
+            prob = random_instance(0, 40)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        assert report.status == SolveStatus.CONVERGED
+        assert all(math.isfinite(rec.lower) for rec in report.history[1:])
+        self.cold_master_pivots(prob, report)
 
     def test_multi_cut_bitwise_repeatable(self):
         prob = sample_instance(trend_template(3), 60, 3)
@@ -395,15 +421,20 @@ class TestGubMaster:
         monkeypatch.setattr(_Master, "solve", solve)
         return records
 
-    @pytest.mark.parametrize("kind, seed", [("trend", s) for s in range(3, 7)]
-                             + [("random", s) for s in range(4)])
-    def test_masters_match_dense_cold_solve(self, kind, seed, monkeypatch):
+    @pytest.mark.parametrize("label, kind, seed", [
+        # every static strategy has one theta column per granule
+        pytest.param(label, kind, seed,
+                     id=f"{kind}-{seed}" if label == "multi" else f"{label}-{kind}-{seed}")
+        for label in ("multi", "single", "partial:T=5", "granulated:T0=3,inner=multi")
+        for kind, seed in [("trend", s) for s in range(3, 7)] + [("random", s) for s in range(4)]
+    ])
+    def test_masters_match_dense_cold_solve(self, label, kind, seed, monkeypatch):
         if kind == "trend":
             prob = sample_instance(trend_template(seed), 60, seed)
         else:
             prob = random_instance(seed, 40)
         records = self.install_check(monkeypatch)
-        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
         assert report.status == SolveStatus.CONVERGED
         assert len(records) == report.n_iterations - 1  # all but the first master
         assert sum(r["fallbacks"] for r in records) == 0
@@ -478,11 +509,15 @@ class TestGubMaster:
 #: iteration master_pivots, master_rows and sub_solves
 PINNED_COUNTS = {
     "multi": (4, 135, [2, 1, 28, 20], [1, 61, 116, 136], [2, 2, 0, 0]),
-    "single": (6, 5, [2, 4, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6], [2, 2, 0, 0, 0, 0]),
-    "partial:T=5": (5, 37, [2, 26, 46, 62, 64], [1, 13, 25, 37, 38], [2, 2, 0, 0, 0]),
+    "single": (6, 5, [2, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6], [2, 2, 0, 0, 0, 0]),
+    "partial:T=5": (5, 37, [2, 1, 6, 17, 1], [1, 13, 25, 37, 38], [2, 2, 0, 0, 0]),
     "granulated:T0=4,inner=kmedoids:k=3": (
         9, 14, [2, 8, 14, 18, 17, 19, 20, 21, 23], [1, 4, 7, 9, 10, 12, 13, 14, 15],
         [2, 2, 0, 0, 0, 0, 0, 0, 0],
+    ),
+    "closest:A=4": (
+        10, 27, [2, 14, 24, 28, 27, 32, 37, 39, 39, 44], [1, 7, 13, 16, 18, 21, 23, 25, 26, 28],
+        [2, 2, 0, 0, 0, 0, 0, 0, 0, 0],
     ),
 }
 
