@@ -6,7 +6,13 @@ produces one aggregated cut per part actually populated.
 
 Every strategy is a static block size T0 plus an optional inner rule: the
 cuts are summed over contiguous index blocks of T0 (``granulate``), then the
-rule, if any, places the granule cuts.
+rule, if any, places the granule cuts (``aggregate_granules``).  Both work on
+stacked (grad, offset) rows: block and cluster sums are row-ordered
+reductions, equal bit for bit to ``cuts.aggregate_cuts`` of the same cuts,
+and k-medoids builds its distance matrix from the rows.  The closest rule
+places cut objects built from the rows, one at a time.  ``apply_scheme``,
+``aggregate_cuts`` and ``kmedoids_cluster`` take ``OptimalityCut`` objects
+for callers that hold them.
 
     multi                          T0 = 1
     partial:T  (alias uniform:T)   T0 = T
@@ -27,7 +33,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .cuts import DistanceMeasure, OptimalityCut, aggregate_cuts, aggregation_distance
+from .cuts import (
+    DistanceMeasure, OptimalityCut, aggregate_cuts, aggregation_distance, cut_rows, cuts_from_rows,
+)
 from .rng import XorShift64Star
 
 KMEDOIDS_MAX_SWEEPS = 100
@@ -246,24 +254,26 @@ def _apply_select_closest(rule: SelectClosest, cuts, n_atoms: int) -> list[Optim
 # --- k-medoids ----------------------------------------------------------------
 
 
-def _distance_matrix(points: Sequence[OptimalityCut], measure: DistanceMeasure) -> np.ndarray:
+def _distance_matrix(
+    rows: np.ndarray, counts: np.ndarray, measure: DistanceMeasure
+) -> np.ndarray:
     """All pairwise ``aggregation_distance`` values, up to rounding, as one
-    exactly symmetric array.
+    exactly symmetric array, over stacked (grad, offset) rows whose cuts
+    cover ``counts`` scenarios each.
 
     Sums over coordinates run one coordinate at a time into n x n
     accumulators, which fixes their order and needs no n x n x d temporary.
     Bitwise-equal gradients sit at angular distance exactly zero and
     bitwise-equal stacked vectors at absolute distance exactly zero.
     """
-    grads = np.array([p.grad for p in points], dtype=float)
-    counts = np.array([len(p.members) for p in points], dtype=float)
-    offsets = np.array([p.offset for p in points])
-    n = len(points)
+    grads, offsets = rows[:, :-1], rows[:, -1]
+    counts = np.asarray(counts, dtype=float)
+    n = len(rows)
     buf = np.empty((n, n))
     grad_norms = np.linalg.norm(grads, axis=1)
     flat = grad_norms == 0.0
     if measure is DistanceMeasure.ABSOLUTE or flat.any():
-        stacked = np.column_stack([grads, offsets]) / counts[:, None]
+        stacked = rows / counts[:, None]
         sqdiff = np.zeros((n, n))
         for col in stacked.T:
             np.subtract.outer(col, col, out=buf)
@@ -314,10 +324,11 @@ def _tie_pick(candidates: np.ndarray, rng: XorShift64Star) -> int:
 
 
 def kmedoids_cluster(
-    points: Sequence[OptimalityCut],
+    points: Sequence[OptimalityCut] | np.ndarray,
     k: int,
     measure: DistanceMeasure,
     seed: int = 0,
+    counts: Sequence[int] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Alternating (Voronoi) k-medoids with a single-swap polish.
 
@@ -338,14 +349,22 @@ def kmedoids_cluster(
     scanned medoid by medoid, candidates in index order, and a swap is taken
     only when it beats the best cost so far by more than 1e-12.
 
+    ``points`` are cuts, or their stacked (grad, offset) rows with
+    ``counts`` the number of scenarios each row covers.
+
     Returns (assignment, medoids): cluster index per point and the k medoid
     point indices.
     """
     n = len(points)
     if not 1 <= k <= n:
         raise ValueError(f"cluster count {k} not in 1..{n}")
+    if not isinstance(points, np.ndarray):
+        counts = [len(p.members) for p in points]
+        points = cut_rows(points)
+    elif counts is None:
+        raise ValueError("stacked rows need the member count of each row")
     rng = XorShift64Star(seed)
-    dist = _distance_matrix(points, measure)
+    dist = _distance_matrix(points, counts, measure)
 
     totals = dist.sum(axis=1)
     first = _tie_pick(np.flatnonzero(totals == totals.min()), rng)
@@ -447,15 +466,17 @@ def apply_scheme(
     n_scenarios: int,
     atom_ids: Sequence[int] | None = None,
 ) -> list[OptimalityCut]:
-    """Aggregate one iteration's cuts according to a strategy: ``granulate``
-    by its block size, then apply its inner rule (see ``granulation``).
+    """Aggregate one iteration's cuts according to a strategy: sum them over
+    blocks of the strategy's block size, then apply its inner rule (see
+    ``granulation`` and ``aggregate_granules``).
 
     ``cuts`` must have pairwise disjoint member sets (singletons in the
     common case).  ``atom_ids`` gives each cut's position in the atom
     universe of size ``n_scenarios``; it defaults to the smallest member
     index, which is correct for singleton input.  Output member sets
     partition the input member union, and summed coefficients are conserved
-    exactly.
+    exactly.  The solver takes the same sums on stacked rows; this is their
+    form over ``OptimalityCut`` objects.
     """
     issues = validate_scheme(scheme, n_scenarios)
     if issues:
@@ -469,37 +490,86 @@ def apply_scheme(
         raise ValueError("atom_ids must align with cuts")
 
     block, inner = granulation(scheme, n_scenarios)
-    granules, _ = granulate(cuts, atom_ids, block)
-    if isinstance(inner, Dynamic):
-        return _apply_select_closest(inner.rule, granules, math.ceil(n_scenarios / block))
-    if isinstance(inner, Cluster):
-        rule = inner.rule
-        k = min(rule.clusters, len(granules))
-        assignment, _ = kmedoids_cluster(granules, k, rule.measure, rule.seed or 0)
-        clusters: dict[int, list[OptimalityCut]] = {}
-        for cut, c in zip(granules, assignment):
-            clusters.setdefault(c, []).append(cut)
-        aggregated = [aggregate_cuts(group) for group in clusters.values()]
-        return sorted(aggregated, key=lambda c: c.members)
-    return granules
+    granules = cuts
+    if block > 1:
+        blocks: dict[int, list[OptimalityCut]] = {}
+        for cut, atom in zip(cuts, atom_ids):
+            blocks.setdefault(atom // block, []).append(cut)
+        granules = [aggregate_cuts(blocks[g]) for g in sorted(blocks)]
+    if isinstance(inner, MultiCut):
+        return granules
+    members = [c.members for c in granules]
+    rows, groups = aggregate_granules(
+        inner, cut_rows(granules), members, math.ceil(n_scenarios / block)
+    )
+    return [
+        OptimalityCut(grad=row[:-1], offset=row[-1], iteration=granules[group[0]].iteration,
+                      members=[s for g in group for s in members[g]])
+        for row, group in zip(rows, groups)
+    ]
 
 
-def granulate(
-    cuts: Sequence[OptimalityCut], atom_ids: Sequence[int], block_size: int
-) -> tuple[list[OptimalityCut], list[int]]:
-    """Pre-aggregate cuts into uniform granules of atom indices.
+def granulate(rows: np.ndarray, block_size: int) -> np.ndarray:
+    """Sum stacked cut rows, row i for atom i, over contiguous blocks of
+    ``block_size`` atoms; the last block may be shorter.
 
-    Returns the granule-level cuts and their granule indices, both ordered
-    by granule index.  A block size of 1 returns the input as it is, with
-    no aggregation.
+    Row g of the result is granule g.  Full blocks are summed in one
+    reduction over the middle axis of a reshape and the ragged last block
+    on its own, both row by row, so each granule row equals
+    ``aggregate_cuts`` of its block bit for bit.  A block size of 1 returns
+    the input itself.
     """
     if block_size == 1:
-        return list(cuts), list(atom_ids)
-    blocks: dict[int, list[OptimalityCut]] = {}
-    for cut, atom in zip(cuts, atom_ids):
-        blocks.setdefault(atom // block_size, []).append(cut)
-    granule_ids = sorted(blocks)
-    return [aggregate_cuts(blocks[g]) for g in granule_ids], granule_ids
+        return rows
+    width = rows.shape[1]
+    full = len(rows) // block_size * block_size
+    sums = rows[:full].reshape(-1, block_size, width).sum(axis=1)
+    if full < len(rows):
+        sums = np.vstack([sums, rows[full:].sum(axis=0)])
+    return sums
+
+
+def aggregate_granules(
+    inner: AggregationScheme,
+    rows: np.ndarray,
+    members: Sequence[Sequence[int]],
+    n_atoms: int,
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Apply an inner rule (``MultiCut``, ``Dynamic`` or ``Cluster``, see
+    ``granulation``) to one iteration's granule cuts: stacked (grad, offset)
+    rows with their disjoint member sets, in arrival order, out of
+    ``n_atoms`` granules in all.
+
+    Returns the aggregate rows and, for each, the positions of the granules
+    it sums in ascending member order.  A k-medoids cluster is summed as
+    ``rows[idx].sum(axis=0)`` over those positions, equal to
+    ``aggregate_cuts`` of its granules bit for bit; the clusters come in
+    ascending member order.  The closest rule places granule cuts built
+    from the rows one at a time (``AggregateBuffer``) and returns its
+    aggregates in the order their slots flushed.
+    """
+    if isinstance(inner, MultiCut):
+        return rows, [[g] for g in range(len(rows))]
+    if isinstance(inner, Dynamic):
+        placed = _apply_select_closest(inner.rule, cuts_from_rows(rows, members), n_atoms)
+        position = {m[0]: g for g, m in enumerate(members)}
+        groups = [[position[s] for s in cut.members if s in position] for cut in placed]
+        return cut_rows(placed), groups
+    if isinstance(inner, Cluster):
+        rule = inner.rule
+        k = min(rule.clusters, len(rows))
+        assignment, _ = kmedoids_cluster(
+            rows, k, rule.measure, rule.seed or 0, [len(m) for m in members]
+        )
+        clusters: dict[int, list[int]] = {}
+        for g, c in enumerate(assignment):
+            clusters.setdefault(c, []).append(g)
+        groups = sorted(
+            (sorted(idx, key=members.__getitem__) for idx in clusters.values()),
+            key=lambda idx: members[idx[0]],
+        )
+        return np.array([rows[idx].sum(axis=0) for idx in groups]), groups
+    raise ValueError(f"unknown inner rule {inner!r}")
 
 
 # --- textual strategy grammar (shared by the CLI) ------------------------------

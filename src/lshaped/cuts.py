@@ -8,6 +8,15 @@ where grad and offset are probability-weighted dual combinations of the
 covered scenarios' data.  Cuts over disjoint scenario sets can be summed
 coefficient-wise into an aggregate covering the union; that sum is the whole
 aggregation algebra.
+
+On the solver's path one iteration's cuts are one stacked array of
+(grad, offset) rows, one row per scenario in scenario order
+(``make_optimality_cuts``), and every aggregate is a row-ordered
+``sum(axis=0)`` over such rows.  numpy reduces a non-last axis one row at
+a time from +0.0, so that sum is the ascending sequential sum of
+``aggregate_cuts`` bit for bit.  ``OptimalityCut`` objects are the public
+form of a cut, built from rows where a caller asks for them
+(``cuts_from_rows``, ``cut_rows``).
 """
 
 from __future__ import annotations
@@ -83,28 +92,45 @@ def make_optimality_cut(
     return OptimalityCut(grad=grad, offset=offset, members=(scenario_index,), iteration=iteration)
 
 
-def make_optimality_cuts(
-    duals: np.ndarray, data: ScenarioArrays, iteration: int = 0
-) -> list[OptimalityCut]:
+def make_optimality_cuts(duals: np.ndarray, data: ScenarioArrays) -> np.ndarray:
     """``make_optimality_cut`` for every scenario at once, from the stacked
-    duals (one row per scenario).
+    duals (one row per scenario), as one N x (n+1) array of (grad, offset)
+    rows in the scenario order of ``data``.
 
-    Each row of the stacked products is the same vector-matrix product that
-    ``make_optimality_cut`` takes per scenario.  The cuts are built without
-    re-validation: their gradients are rows of one read-only array and
-    their members are the scenario indices of ``data``.
+    Each row is the same vector-matrix product that ``make_optimality_cut``
+    takes per scenario, bit for bit.
     """
     lam = np.asarray(duals, dtype=float)[:, None, :]
-    grads = data.pi[:, None] * np.matmul(lam, data.T)[:, 0, :]
-    grads.setflags(write=False)
-    offsets = (data.pi * np.matmul(lam, data.H[:, :, None])[:, 0, 0]).tolist()
+    rows = np.empty((len(data.pi), data.T.shape[2] + 1))
+    np.multiply(data.pi[:, None], np.matmul(lam, data.T)[:, 0, :], out=rows[:, :-1])
+    np.multiply(data.pi, np.matmul(lam, data.H[:, :, None])[:, 0, 0], out=rows[:, -1])
+    return rows
+
+
+def cut_rows(cuts: Sequence[OptimalityCut]) -> np.ndarray:
+    """The stacked (grad, offset) rows of cuts, one row per cut."""
+    grads = np.array([cut.grad for cut in cuts], dtype=float)
+    return np.column_stack([grads, [cut.offset for cut in cuts]])
+
+
+def cuts_from_rows(
+    rows: np.ndarray, members: Sequence[tuple[int, ...]]
+) -> list[OptimalityCut]:
+    """``OptimalityCut`` objects of stacked (grad, offset) rows covering the
+    given member sets, which must be sorted tuples.
+
+    The cuts are built without re-validation: their gradients are read-only
+    row views of one copy of ``rows``.
+    """
+    rows = np.array(rows, dtype=float)
+    rows.setflags(write=False)
     cuts = []
-    for grad, offset, s in zip(grads, offsets, data.indices):
+    for row, offset, m in zip(rows, rows[:, -1].tolist(), members):
         cut = object.__new__(OptimalityCut)
-        object.__setattr__(cut, "grad", grad)
+        object.__setattr__(cut, "grad", row[:-1])
         object.__setattr__(cut, "offset", offset)
-        object.__setattr__(cut, "members", (s,))
-        object.__setattr__(cut, "iteration", iteration)
+        object.__setattr__(cut, "members", m)
+        object.__setattr__(cut, "iteration", 0)
         cuts.append(cut)
     return cuts
 
@@ -130,7 +156,8 @@ def aggregate_cuts(cuts: Sequence[OptimalityCut]) -> OptimalityCut:
     """Coefficient-wise sum of cuts with pairwise disjoint member sets.
 
     Summation runs in ascending scenario-index order so the floating-point
-    result is independent of the caller's ordering.
+    result is independent of the caller's ordering: it is the row-ordered
+    ``sum(axis=0)`` of the cuts' stacked rows, the sum the solver takes.
     """
     if not cuts:
         raise ValueError("cannot aggregate an empty cut list")
@@ -141,40 +168,52 @@ def aggregate_cuts(cuts: Sequence[OptimalityCut]) -> OptimalityCut:
     union = tuple(sorted(members))
     if len(set(union)) != len(members):
         raise ValueError("cut member sets overlap")
-    grad = np.zeros_like(ordered[0].grad)
-    offset = 0.0
-    for cut in ordered:
-        grad = grad + cut.grad
-        offset += cut.offset
-    return OptimalityCut(grad=grad, offset=offset, members=union, iteration=ordered[0].iteration)
+    row = cut_rows(ordered).sum(axis=0)
+    return OptimalityCut(grad=row[:-1], offset=row[-1], members=union,
+                         iteration=ordered[0].iteration)
 
 
 Theta = Mapping[int, float] | np.ndarray
 
 
-def cut_violation(
-    cut: OptimalityCut, x: np.ndarray, theta: Theta, columns: Sequence[int] | None = None
+def row_violation(
+    row: np.ndarray, x: np.ndarray, theta: Theta, columns: Sequence[int]
 ) -> float:
-    """offset - grad.x - the sum of theta over the cut's theta columns.
-
-    ``theta`` is indexed by column; the columns default to the cut's
-    members, one theta per scenario.  Positive means the master iterate
-    fails to support the cut.
-    """
+    """offset - grad.x - the sum of theta over the given theta columns, for a
+    stacked (grad, offset) row.  Positive means the master iterate fails to
+    support the cut."""
     total = 0.0
-    for t in cut.members if columns is None else columns:
+    for t in columns:
         try:
             total += theta[t]
         except (KeyError, IndexError):
             raise ValueError(f"theta value missing for column {t}") from None
-    return float(cut.offset - cut.grad @ np.asarray(x, dtype=float) - total)
+    return float(row[-1] - row[:-1] @ np.asarray(x, dtype=float) - total)
+
+
+def row_is_violated(
+    row: np.ndarray, x: np.ndarray, theta: Theta, scale: float, columns: Sequence[int]
+) -> bool:
+    """The violation test of the solver's filter, on a stacked row."""
+    return row_violation(row, x, theta, columns) > scale * (1.0 + abs(row[-1]))
+
+
+def cut_violation(
+    cut: OptimalityCut, x: np.ndarray, theta: Theta, columns: Sequence[int] | None = None
+) -> float:
+    """``row_violation`` of a cut; ``theta`` is indexed by column and the
+    columns default to the cut's members, one theta per scenario."""
+    row = np.append(cut.grad, cut.offset)
+    return row_violation(row, x, theta, cut.members if columns is None else columns)
 
 
 def is_violated(
     cut: OptimalityCut, x: np.ndarray, theta: Theta, scale: float = VIOLATION_SCALE,
     columns: Sequence[int] | None = None,
 ) -> bool:
-    return cut_violation(cut, x, theta, columns) > scale * (1.0 + abs(cut.offset))
+    """``row_is_violated`` of a cut, with ``cut_violation``'s columns."""
+    row = np.append(cut.grad, cut.offset)
+    return row_is_violated(row, x, theta, scale, cut.members if columns is None else columns)
 
 
 def _stacked(cut: OptimalityCut) -> np.ndarray:

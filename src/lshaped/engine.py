@@ -30,14 +30,19 @@ valid and tight at x; the values are the same.  These scenarios are common,
 because the master's iterates sit at kinks of the recourse function.
 
 Every strategy is a static block size T0 plus an optional inner rule
-(``aggregation.granulation``).  Each iteration sums the scenario cuts over
-contiguous blocks of T0 scenarios (``granulate``), and the inner rule places
-the granule cuts (``apply_scheme``).  The master keeps one theta column per
-granule for the whole run; an aggregate's row covers the columns of its
-granules, and its member set stays in scenario terms.  A k-medoids rule with
-no seed of its own takes ``EngineConfig.seed``.  An aggregate is skipped
-unless ``cuts.is_violated`` over its theta columns, at
-``EngineConfig.violation_tol``.
+(``aggregation.granulation``).  One iteration's cuts stay one stacked array
+of (grad, offset) rows from the dual batch to the master, with no cut
+objects: ``make_optimality_cuts`` builds a row per scenario, ``granulate``
+sums them over contiguous blocks of T0 scenarios, and the inner rule places
+the granule rows (``aggregation.aggregate_granules``).  The master keeps one
+theta column per granule for the whole run; an aggregate's row covers the
+columns of its granules, and its member set stays in scenario terms.  A
+k-medoids rule with no seed of its own takes ``EngineConfig.seed``, and the
+report's ``scheme`` names the seed used.  An aggregate is skipped unless
+``cuts.row_is_violated`` over its theta columns, at
+``EngineConfig.violation_tol``; the test takes one aggregate at a time, as
+one dot product per row, because a stacked product rounds differently and
+would move the skip decisions.
 
 Without an inner rule every optimality row covers one theta column, and the
 master is solved on a GUB basis
@@ -73,6 +78,7 @@ the bounds were then.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -83,16 +89,17 @@ import numpy as np
 from .aggregation import (
     AggregationScheme,
     Cluster,
+    Granulated,
     SingleCut,
-    apply_scheme,
+    aggregate_granules,
     granulate,
     granulation,
     scheme_label,
     validate_scheme,
 )
 from .cuts import (
-    VIOLATION_SCALE, FeasibilityCut, OptimalityCut, is_violated, make_feasibility_cut,
-    make_optimality_cuts,
+    VIOLATION_SCALE, FeasibilityCut, OptimalityCut, make_feasibility_cut, make_optimality_cuts,
+    row_is_violated,
 )
 from .problem import LinearProgram, TwoStageProblem, validate_problem
 from .simplex import (
@@ -169,7 +176,8 @@ class SolveReport:
 
     The iteration history and the optimality cuts left in the master are
     kept as arrays, so a report that callers retain stays small; ``history``
-    and ``cuts`` build them as objects on each read.  Row i of the
+    and ``cuts`` build them as objects on each read.  ``pack`` copies the
+    cut rows out of the master's row arrays, not its grown buffers.  Row i of the
     ``iteration_*`` arrays is iteration i + 1: its first-stage point,
     (lower, upper), and the ``_COUNT_FIELDS`` counts.  Cuts are kept in the
     order they were added, iteration by iteration: ``cut_rows`` holds each
@@ -202,18 +210,21 @@ class SolveReport:
     cut_members: np.ndarray
 
     @classmethod
-    def pack(cls, history: list[IterationRecord], cuts: list[OptimalityCut], n: int,
-             n_scenarios: int, **fields) -> "SolveReport":
-        mask = np.zeros((len(cuts), n_scenarios), dtype=bool)
-        for row, cut in zip(mask, cuts):
-            row[list(cut.members)] = True
-        rows = np.array([(*cut.grad, cut.offset) for cut in cuts]).reshape(len(cuts), n + 1)
+    def pack(cls, history: list[IterationRecord], rows: np.ndarray,
+             members: list[tuple[int, ...]], n_scenarios: int, **fields) -> "SolveReport":
+        """Pack a run from its iteration records and the optimality cuts it
+        added: their stacked (grad, offset) rows, in the order added, as
+        one contiguous array, and their member sets."""
+        n = rows.shape[1] - 1
+        mask = np.zeros((len(members), n_scenarios), dtype=bool)
+        mask[np.repeat(np.arange(len(members)), [len(m) for m in members]),
+             np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp)] = True
         # compare rows as raw bytes, so that only bitwise-equal rows merge
         keys = rows.view(np.dtype((np.void, rows.itemsize * (n + 1)))).ravel()
         _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
         return cls(
             n_iterations=len(history),
-            n_cuts=len(cuts),
+            n_cuts=len(members),
             iteration_x=np.array([rec.x for rec in history]).reshape(len(history), n),
             iteration_bounds=np.array(
                 [(rec.lower, rec.upper) for rec in history]
@@ -395,7 +406,9 @@ class _Master:
     are kept as appended arrays: the first-stage rows, then every cut's
     gradient and offset, and the theta column of each row that covers
     exactly one (-1 for first-stage and feasibility rows, and for rows
-    over several columns, which only ``build()`` reads).
+    over several columns, which only ``build()`` reads).  The optimality
+    cuts are those rows (``optimality``) and their member sets
+    (``members``); no cut objects are kept.
     """
 
     def __init__(self, problem: TwoStageProblem, n_theta: int):
@@ -408,7 +421,9 @@ class _Master:
         self._offsets = np.array(first.b, dtype=float)
         self._theta = np.full(first.p, -1)
         self.theta_cols: list[tuple[int, ...]] = []
-        self.optimality: list[OptimalityCut] = []
+        # row index and member set of each optimality cut, in insertion order
+        self.optimality: list[int] = []
+        self.members: list[tuple[int, ...]] = []
         self.covered: set[int] = set()
         # theta-column counts of the optimality rows so far
         self.widths: set[int] = set()
@@ -445,12 +460,22 @@ class _Master:
     def theta(self) -> np.ndarray:
         return self._theta[: self.n_rows]
 
-    def add_optimality(self, cut: OptimalityCut, theta_cols: tuple[int, ...]) -> None:
+    def add_optimality(
+        self, row: np.ndarray, members: tuple[int, ...], theta_cols: tuple[int, ...]
+    ) -> None:
+        """Append an optimality cut, a stacked (grad, offset) row over the
+        given scenarios, whose row covers the given theta columns."""
         self.fresh.extend(t for t in theta_cols if t not in self.covered)
-        self._append(cut.grad, cut.offset, theta_cols)
-        self.optimality.append(cut)
+        self.optimality.append(self.n_rows)
+        self._append(row[:-1], row[-1], theta_cols)
+        self.members.append(members)
         self.covered.update(theta_cols)
         self.widths.add(len(theta_cols))
+
+    def optimality_rows(self) -> np.ndarray:
+        """The (grad, offset) rows of the optimality cuts, copied out of the
+        row arrays in insertion order."""
+        return np.column_stack([self._grads[self.optimality], self._offsets[self.optimality]])
 
     def add_feasibility(self, cut: FeasibilityCut) -> None:
         self._append(cut.grad, cut.offset, ())
@@ -531,6 +556,27 @@ class _Master:
         return sol
 
 
+def _aggregate(
+    problem: TwoStageProblem, duals: np.ndarray, block: int, inner: AggregationScheme,
+    granule_members: list[tuple[int, ...]],
+) -> tuple[np.ndarray, list[list[int]]]:
+    """One iteration's aggregates: the scenario cuts at the stacked duals,
+    summed over blocks of ``block`` scenarios (``granulate``) and placed by
+    the inner rule.  Returns the aggregate rows and, for each, its granules,
+    which are its theta columns."""
+    granules = granulate(make_optimality_cuts(duals, problem.arrays), block)
+    return aggregate_granules(inner, granules, granule_members, len(granule_members))
+
+
+def _seeded(scheme: AggregationScheme, seed: int) -> AggregationScheme:
+    """The strategy with ``seed`` filled into a k-medoids rule that has none."""
+    if isinstance(scheme, Granulated):
+        return replace(scheme, inner=_seeded(scheme.inner, seed))
+    if isinstance(scheme, Cluster) and scheme.rule.seed is None:
+        return Cluster(replace(scheme.rule, seed=seed))
+    return scheme
+
+
 def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport:
     """Run the decomposition until convergence, iteration cap, or an
     infeasible master."""
@@ -545,10 +591,10 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
     n = problem.n
     N = problem.n_scenarios
     data = problem.arrays
-    block, inner = granulation(config.scheme, N)
-    if isinstance(inner, Cluster) and inner.rule.seed is None:
-        inner = Cluster(replace(inner.rule, seed=config.seed))
+    scheme = _seeded(config.scheme, config.seed)
+    block, inner = granulation(scheme, N)
     n_theta = math.ceil(N / block)
+    granule_members = [tuple(range(g * block, min(N, g * block + block))) for g in range(n_theta)]
 
     master = _Master(problem, n_theta)
     evaluator = ScenarioEvaluator(problem)
@@ -628,22 +674,20 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
         # every scenario participates in aggregation each iteration, so
         # the new aggregates cover all theta columns; filtering happens
         # only at the aggregate level (a satisfied aggregate is skipped)
-        singletons = make_optimality_cuts(results.duals, data, iteration=k)
-        granules, granule_ids = granulate(singletons, data.indices, block)
+        rows, groups = _aggregate(problem, results.duals, block, inner, granule_members)
 
         skipped = 0
         added = 0
         partition: list[tuple[int, ...]] = []
-        aggregates = apply_scheme(inner, granules, n_theta, atom_ids=granule_ids)
-        for agg in aggregates:
-            cols = tuple(sorted({s // block for s in agg.members}))
-            if set(cols) <= master.covered and not is_violated(
-                agg, x, theta, config.violation_tol, columns=cols
+        for row, cols in zip(rows, groups):
+            if master.covered.issuperset(cols) and not row_is_violated(
+                row, x, theta, config.violation_tol, cols
             ):
                 skipped += 1
                 continue
-            master.add_optimality(agg, cols)
-            partition.append(agg.members)
+            members = tuple(itertools.chain.from_iterable(granule_members[g] for g in cols))
+            master.add_optimality(row, members, tuple(cols))
+            partition.append(members)
             added += 1
 
         history.append(
@@ -673,14 +717,14 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
     converged = status == SolveStatus.CONVERGED
     objective = upper_best if (converged or math.isfinite(upper_best)) else None
     return SolveReport.pack(
-        history, master.optimality, n, N,
+        history, master.optimality_rows(), master.members, N,
         status=status,
         termination=termination,
         final_gap=final_gap,
         x=x_star,
         objective=objective,
         wall_seconds=wall,
-        scheme=scheme_label(config.scheme),
+        scheme=scheme_label(scheme),
         rel_tol=config.rel_tol,
     )
 

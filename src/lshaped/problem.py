@@ -82,14 +82,13 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioArrays:
-    """All scenarios stacked, read-only: H (N x r), T (N x r x n), Q (N x m),
-    pi (N), and the scenario indices as one tuple of ints."""
+    """All scenarios stacked, read-only: H (N x r), T (N x r x n), Q (N x m)
+    and pi (N), row s for scenario s."""
 
     H: np.ndarray
     T: np.ndarray
     Q: np.ndarray
     pi: np.ndarray
-    indices: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,9 +105,7 @@ class TwoStageProblem:
     def arrays(self) -> ScenarioArrays:
         """The scenario data as stacked arrays, built on first use and kept.
 
-        Scenario shapes must agree (``validate_problem``).  The index tuple
-        is created once, so every solve names scenarios with the same int
-        objects instead of allocating new ones.
+        Scenario shapes must agree (``validate_problem``).
         """
         scens = self.scenarios
         N, r, n, m = len(scens), self.q_rows, self.n, self.m
@@ -123,7 +120,6 @@ class TwoStageProblem:
             T=stack([s.T for s in scens], (N, r, n)),
             Q=stack([s.q for s in scens], (N, m)),
             pi=stack([s.pi for s in scens], (N,)),
-            indices=tuple(range(N)),
         )
 
     @property

@@ -13,6 +13,8 @@ import math
 import numpy as np
 
 from lshaped import (
+    Cluster,
+    Dynamic,
     FirstStage,
     RandomEntry,
     Scenario,
@@ -21,6 +23,8 @@ from lshaped import (
     XorShift64Star,
     aggregate_cuts,
     aggregation_distance,
+    kmedoids_cluster,
+    make_optimality_cut,
     sample_instance,
     solve_subproblem,
 )
@@ -235,6 +239,47 @@ def reference_select_closest(rule, cuts, n_atoms):
             slots[target] = []
     out.extend(aggregate_cuts(slot) for slot in slots if slot)
     return out
+
+
+def reference_sum(cuts) -> np.ndarray:
+    """The (grad, offset) row of a sum of disjoint cuts as a plain loop:
+    one cut at a time from zero, in ascending member order."""
+    ordered = sorted(cuts, key=lambda c: c.members)
+    grad = np.zeros_like(ordered[0].grad)
+    offset = 0.0
+    for cut in ordered:
+        grad = grad + cut.grad
+        offset += cut.offset
+    return np.append(grad, offset)
+
+
+def reference_aggregate(problem, duals, block, inner, granule_members):
+    """One iteration's aggregation over ``OptimalityCut`` objects, with the
+    interface of ``lshaped.engine._aggregate``: ``make_optimality_cut`` per
+    scenario, ``aggregate_cuts`` per block of ``block`` scenarios (none for
+    a block of one), then the inner rule on the granule cuts, with
+    ``aggregate_cuts`` per k-medoids cluster and the plain-loop closest
+    rule."""
+    cuts = [make_optimality_cut(s, duals[s], scen) for s, scen in enumerate(problem.scenarios)]
+    granules = cuts if block == 1 else [
+        aggregate_cuts(cuts[g * block:(g + 1) * block]) for g in range(len(granule_members))
+    ]
+    if isinstance(inner, Cluster):
+        rule = inner.rule
+        k = min(rule.clusters, len(granules))
+        assignment, _ = kmedoids_cluster(granules, k, rule.measure, rule.seed)
+        clusters = {}
+        for cut, c in zip(granules, assignment):
+            clusters.setdefault(c, []).append(cut)
+        aggregates = sorted((aggregate_cuts(group) for group in clusters.values()),
+                            key=lambda c: c.members)
+    elif isinstance(inner, Dynamic):
+        aggregates = reference_select_closest(inner.rule, granules, len(granules))
+    else:
+        aggregates = granules
+    rows = np.array([(*agg.grad, agg.offset) for agg in aggregates])
+    groups = [sorted({s // block for s in agg.members}) for agg in aggregates]
+    return rows, groups
 
 
 P1_CORE = """NAME          P1

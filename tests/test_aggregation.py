@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from lshaped import (
     validate_scheme,
 )
 from lshaped import aggregation
-from helpers import record_calls, reference_kmedoids, reference_select_closest
+from lshaped.cuts import cut_rows, cuts_from_rows
+from helpers import record_calls, reference_kmedoids, reference_select_closest, reference_sum
 
 
 def singleton(s, grad=None, offset=None):
@@ -199,8 +201,8 @@ class TestApplyScheme:
     def test_unit_granules_are_the_input(self, monkeypatch):
         calls = record_calls(monkeypatch, aggregation, "aggregate_cuts")
         cuts = singletons(5)
-        granules, ids = aggregation.granulate(cuts, [4, 3, 2, 1, 0], 1)
-        assert granules == cuts and ids == [4, 3, 2, 1, 0]
+        rows = cut_rows(cuts)
+        assert aggregation.granulate(rows, 1) is rows
         assert apply_scheme(MultiCut(), cuts, 5) == cuts
         assert calls == []
 
@@ -260,6 +262,73 @@ class TestApplyScheme:
         with pytest.raises(ValueError):
             apply_scheme(Granulated(block_size=2, inner=Granulated(block_size=2, inner=SingleCut())),
                          singletons(4), 4)
+
+
+def scaled_rows(rng, k, width):
+    """Random stacked rows, each scaled by 10**e with e uniform in [-8, 8]."""
+    return rng.uniform(-1, 1, (k, width)) * 10.0 ** rng.uniform(-8, 8, (k, 1))
+
+
+class TestStackedSums:
+    """Block and cluster sums over stacked rows equal ``aggregate_cuts`` and
+    the plain ascending loop bit for bit, including signed zeros."""
+
+    @staticmethod
+    def assert_sum_bits(got, cuts):
+        cut = aggregation.aggregate_cuts(cuts)
+        assert got.tobytes() == np.append(cut.grad, cut.offset).tobytes()
+        assert got.tobytes() == reference_sum(cuts).tobytes()
+
+    @pytest.mark.parametrize("k, block", [
+        (10, 3),  # single-row last block
+        (9, 3), (7, 7), (8, 7), (12, 5), (40, 6), (3, 2), (2, 2),
+    ])
+    def test_block_sums(self, k, block):
+        rng = np.random.default_rng(100 * k + block)
+        for _ in range(30):
+            rows = scaled_rows(rng, k, int(rng.integers(2, 8)))
+            cuts = cuts_from_rows(rows, [(s,) for s in range(k)])
+            sums = aggregation.granulate(rows, block)
+            assert len(sums) == math.ceil(k / block)
+            for g, got in enumerate(sums):
+                self.assert_sum_bits(got, cuts[g * block:(g + 1) * block])
+
+    def test_random_ragged_stacks(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            k = int(rng.integers(2, 50))
+            block = int(rng.integers(2, k + 1))
+            rows = scaled_rows(rng, k, int(rng.integers(2, 8)))
+            cuts = cuts_from_rows(rows, [(s,) for s in range(k)])
+            for g, got in enumerate(aggregation.granulate(rows, block)):
+                self.assert_sum_bits(got, cuts[g * block:(g + 1) * block])
+
+    def test_negative_zero_rows(self):
+        # a block of -0.0 rows sums to +0.0, as a loop from zero does
+        rows = np.full((7, 4), -0.0)
+        rows[5] = [1.0, -0.0, 2.0, -3.0]
+        cuts = cuts_from_rows(rows, [(s,) for s in range(7)])
+        for block in (2, 3, 7):
+            for g, got in enumerate(aggregation.granulate(rows, block)):
+                self.assert_sum_bits(got, cuts[g * block:(g + 1) * block])
+        assert not np.signbit(aggregation.granulate(rows, 3)[0]).any()
+
+    @pytest.mark.parametrize("measure", list(DistanceMeasure))
+    def test_cluster_sums(self, measure):
+        rng = np.random.default_rng(11)
+        for trial in range(20):
+            n_granules, block = int(rng.integers(3, 30)), int(rng.integers(1, 4))
+            rows = scaled_rows(rng, n_granules, 5)
+            rows[rng.integers(0, n_granules)] = -0.0
+            members = [tuple(range(g * block, (g + 1) * block)) for g in range(n_granules)]
+            rule = Cluster(Kmedoids(clusters=int(rng.integers(1, n_granules)), measure=measure,
+                                    seed=trial))
+            sums, groups = aggregation.aggregate_granules(rule, rows, members, n_granules)
+            assert sorted(g for group in groups for g in group) == list(range(n_granules))
+            cuts = cuts_from_rows(rows, members)
+            for got, group in zip(sums, groups):
+                assert group == sorted(group)
+                self.assert_sum_bits(got, [cuts[g] for g in group])
 
 
 class TestKmedoids:
@@ -329,12 +398,18 @@ class TestKmedoids:
                 )
 
 
+def distance_matrix(cuts, measure):
+    return aggregation._distance_matrix(
+        cut_rows(cuts), [len(c.members) for c in cuts], measure
+    )
+
+
 class TestDistanceMatrix:
     @pytest.mark.parametrize("measure", list(DistanceMeasure))
     def test_matches_pairwise_distance(self, measure):
         for seed in range(5):
             cuts = multi_member_cuts(seed, 15, flat=4)
-            dist = aggregation._distance_matrix(cuts, measure)
+            dist = distance_matrix(cuts, measure)
             pairwise = np.array(
                 [[aggregation_distance(a, b, measure) for b in cuts] for a in cuts]
             )
@@ -352,7 +427,7 @@ class TestDistanceMatrix:
                           members=tuple(m + 100 for m in c.members))
             for c in base
         ]
-        dist = aggregation._distance_matrix(base + twins, measure)
+        dist = distance_matrix(base + twins, measure)
         assert np.all(np.diag(dist, k=len(base)) == 0.0)
 
 

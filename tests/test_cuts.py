@@ -60,14 +60,11 @@ class TestMakeOptimalityCut:
         rng = np.random.default_rng(seed)
         for prob in probs:
             duals = rng.uniform(-3.0, 3.0, (prob.n_scenarios, prob.q_rows))
-            batched = make_optimality_cuts(duals, prob.arrays, iteration=7)
-            assert len(batched) == prob.n_scenarios
-            for s, got in enumerate(batched):
-                want = make_optimality_cut(s, duals[s], prob.scenarios[s], iteration=7)
-                assert np.array_equal(got.grad, want.grad)
-                assert got.offset == want.offset
-                assert (got.members, got.iteration) == (want.members, want.iteration)
-                assert not got.grad.flags.writeable
+            rows = make_optimality_cuts(duals, prob.arrays)
+            assert rows.shape == (prob.n_scenarios, prob.n + 1)
+            for s, row in enumerate(rows):
+                want = make_optimality_cut(s, duals[s], prob.scenarios[s])
+                assert row.tobytes() == np.append(want.grad, want.offset).tobytes()
 
 
 class TestMakeFeasibilityCut:

@@ -26,7 +26,8 @@ from lshaped import (
     verify_kkt,
 )
 from helpers import (
-    P1_OPTIMUM, ReferenceEvaluator, build_p1, random_instance, record_calls, trend_template,
+    P1_OPTIMUM, ReferenceEvaluator, build_p1, random_instance, record_calls,
+    reference_aggregate, trend_template,
 )
 
 SCHEME_LABELS = (
@@ -185,6 +186,18 @@ class TestSolve:
                       EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6, seed=7))
         assert calls and {args[3] for args, _, _ in calls} == {used}
 
+    @pytest.mark.parametrize("label, want", [
+        ("kmedoids:k=3", "kmedoids:k=3,measure=angular,seed=7"),
+        ("kmedoids:k=3,seed=5", "kmedoids:k=3,measure=angular,seed=5"),
+        ("granulated:T0=2,inner=kmedoids:k=3",
+         "granulated:T0=2,inner=kmedoids:k=3,measure=angular,seed=7"),
+        ("multi", "multi"),
+    ])
+    def test_report_names_the_kmedoids_seed_used(self, label, want):
+        report = solve_lshaped(random_instance(9, 30),
+                               EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6, seed=7))
+        assert report.scheme == want
+
     def test_unbounded_master_is_reported(self):
         # a cheap first stage with a steep recourse slope leaves the early
         # master unbounded in x; the engine surfaces that instead of looping
@@ -310,7 +323,8 @@ class TestWarmMaster:
             master = _Master(prob, prob.n_scenarios)
             for cut in report.cuts:
                 if cut.iteration < rec.index:
-                    master.add_optimality(cut, cut.members)
+                    master.add_optimality(np.append(cut.grad, cut.offset), cut.members,
+                                          cut.members)
             lp = master.build()
             sol = solve_lp(lp)
             assert rec.master_rows == lp.A.shape[0]
@@ -451,7 +465,6 @@ class TestGubMaster:
 
     def test_fresh_theta_starts_in_its_largest_row(self, monkeypatch):
         import lshaped.engine as engine_mod
-        from lshaped import OptimalityCut
         from lshaped.engine import _Master
 
         calls = record_calls(monkeypatch, engine_mod, "solve_lp")
@@ -462,7 +475,7 @@ class TestGubMaster:
         for grad, offset, t in (([1.0, 0.0], 1.0, 0), ([0.0, 1.0], 3.0, 0),
                                 ([0.2, 0.0], 2.0, 1), ([0.0, 0.0], 1.0, 1),
                                 ([1.0, 0.0], 0.0, 1)):
-            master.add_optimality(OptimalityCut(grad, offset, (t,)), (t,))
+            master.add_optimality(np.array([*grad, offset]), (t,), (t,))
         sol = master.solve()
         n, surplus = 2, 2 + 2
         # rows 1..5 hold cuts 0..4; cut i's surplus is column surplus + i
@@ -486,14 +499,14 @@ class TestGubMaster:
 
     def test_infeasible_gub_master_falls_back_to_farkas_ray(self, monkeypatch):
         import lshaped.engine as engine_mod
-        from lshaped import FeasibilityCut, OptimalityCut
+        from lshaped import FeasibilityCut
         from lshaped.engine import _Master
         from lshaped.simplex import GubProgram
 
         calls = record_calls(monkeypatch, engine_mod, "solve_lp")
         master = _Master(mixed_feasibility_problem(), 2)
         for t in (0, 1):
-            master.add_optimality(OptimalityCut([0.5, -0.25], 1.0 + t, (t,)), (t,))
+            master.add_optimality(np.array([0.5, -0.25, 1.0 + t]), (t,), (t,))
         assert master.solve().status is LpStatus.OPTIMAL
         # x1 >= 4 and x1 <= 1 together exclude every first-stage point
         master.add_feasibility(FeasibilityCut([1.0, 0.0], 4.0, 0))
@@ -745,6 +758,49 @@ class TestScenarioEvaluator:
             assert f" sub_solves {rec.sub_solves} " in line
 
 
+class TestStackedCuts:
+    """One iteration's cuts travel as stacked (grad, offset) rows from the
+    dual batch to the master; the engine must take the same sums and make
+    the same placements as aggregating ``OptimalityCut`` objects."""
+
+    @pytest.mark.parametrize("label", [
+        "multi", "single", "partial:T=7", "kmedoids:k=6,measure=angular",
+        "kmedoids:k=6,measure=absolute", "kmedoids:k=6,measure=spatioangular",
+        "closest:A=4", "granulated:T0=3,inner=kmedoids:k=4",
+        "granulated:T0=4,inner=closest:A=3",
+    ])
+    def test_engine_matches_object_reference(self, label, monkeypatch):
+        import lshaped.engine
+
+        # N is a multiple of none of the block sizes 3, 4 and 7
+        instances = [sample_instance(trend_template(seed), N, seed)
+                     for seed, N in ((3, 50), (5, 61))]
+        config = EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6)
+        stacked = [solve_lshaped(prob, config) for prob in instances]
+        monkeypatch.setattr(lshaped.engine, "_aggregate", reference_aggregate)
+        for prob, a in zip(instances, stacked):
+            b = solve_lshaped(prob, config)
+            assert a.status == b.status == SolveStatus.CONVERGED
+            assert a.cut_rows.tobytes() == b.cut_rows.tobytes()
+            assert np.array_equal(a.cut_row_of, b.cut_row_of)
+            assert np.array_equal(a.cut_members, b.cut_members)
+            assert np.array_equal(a.iteration_counts, b.iteration_counts)
+            assert a.objective.hex() == b.objective.hex()
+
+    @pytest.mark.parametrize("label", ["single", "partial:T=5",
+                                       "granulated:T0=4,inner=kmedoids:k=3"])
+    def test_no_cut_objects_are_aggregated(self, label, monkeypatch):
+        import lshaped.aggregation
+        import lshaped.cuts
+
+        calls = [record_calls(monkeypatch, module, "aggregate_cuts")
+                 for module in (lshaped.aggregation, lshaped.cuts)]
+        prob = sample_instance(trend_template(3), 60, 3)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        assert report.status == SolveStatus.CONVERGED and report.n_cuts > 0
+        assert calls == [[], []]
+
+
 class TestLeanReport:
     def test_iteration_points_own_their_memory(self):
         prob = sample_instance(trend_template(3), 60, 3)
@@ -803,19 +859,21 @@ class TestLeanReport:
         from lshaped.engine import _Master
 
         added = []
+        solves = record_calls(monkeypatch, _Master, "solve")
         original = _Master.add_optimality
 
-        def recording(self, cut, theta_cols):
-            added.append(cut)
-            return original(self, cut, theta_cols)
+        def recording(self, row, members, theta_cols):
+            # each iteration starts with one master solve
+            added.append((row.copy(), members, len(solves)))
+            return original(self, row, members, theta_cols)
 
         monkeypatch.setattr(_Master, "add_optimality", recording)
         prob = sample_instance(trend_template(3), 60, 3)
         report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
         cuts = report.cuts
         assert len(cuts) == len(added) == report.n_cuts
-        for got, want in zip(cuts, added):
-            assert np.array_equal(got.grad, want.grad)
-            assert got.offset == want.offset
-            assert got.members == want.members
-            assert got.iteration == want.iteration
+        for got, (row, members, iteration) in zip(cuts, added):
+            assert np.array_equal(got.grad, row[:-1])
+            assert got.offset == row[-1]
+            assert got.members == members
+            assert got.iteration == iteration

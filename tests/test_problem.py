@@ -148,7 +148,6 @@ class TestScenarioArrays:
         assert "arrays" not in vars(prob)  # built on first use, not by sampling
         data = prob.arrays
         assert prob.arrays is data
-        assert data.indices == tuple(range(12))
         for s, scen in enumerate(prob.scenarios):
             assert np.array_equal(data.H[s], scen.h)
             assert np.array_equal(data.T[s], scen.T)
