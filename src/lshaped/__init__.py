@@ -1,9 +1,9 @@
 """Two-stage stochastic LP solver with cut aggregation strategies."""
 
 from .aggregation import (
-    AggregateBuffer,
     AggregationScheme,
     Cluster,
+    DistanceMeasure,
     Dynamic,
     Granulated,
     Kmedoids,
@@ -12,7 +12,7 @@ from .aggregation import (
     PartitioningScheme,
     SelectClosest,
     SingleCut,
-    apply_scheme,
+    aggregation_distance,
     kmedoids_cluster,
     parse_scheme,
     scheme_label,
@@ -33,16 +33,9 @@ from .bounds import (
     stirling2,
 )
 from .cuts import (
-    DistanceMeasure,
     FeasibilityCut,
     OptimalityCut,
-    aggregate_cuts,
-    aggregation_distance,
-    cut_distance,
-    cut_violation,
-    is_violated,
     make_feasibility_cut,
-    make_optimality_cut,
     make_optimality_cuts,
 )
 from .engine import (

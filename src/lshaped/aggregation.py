@@ -7,12 +7,11 @@ produces one aggregated cut per part actually populated.
 Every strategy is a static block size T0 plus an optional inner rule: the
 cuts are summed over contiguous index blocks of T0 (``granulate``), then the
 rule, if any, places the granule cuts (``aggregate_granules``).  Both work on
-stacked (grad, offset) rows: block and cluster sums are row-ordered
-reductions, equal bit for bit to ``cuts.aggregate_cuts`` of the same cuts,
-and k-medoids builds its distance matrix from the rows.  The closest rule
-places cut objects built from the rows, one at a time.  ``apply_scheme``,
-``aggregate_cuts`` and ``kmedoids_cluster`` take ``OptimalityCut`` objects
-for callers that hold them.
+stacked (grad, offset) rows, and every aggregate is the ascending
+sequential sum of its rows from zero: block and cluster sums are row-ordered
+``sum(axis=0)`` reductions, and the closest rule keeps a running row sum per
+slot.  k-medoids builds its distance matrix from the rows; the closest rule
+ranks slots with the pairwise ``aggregation_distance``.
 
     multi                          T0 = 1
     partial:T  (alias uniform:T)   T0 = T
@@ -29,16 +28,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from enum import Enum
 from typing import Sequence, Union
 
 import numpy as np
 
-from .cuts import (
-    DistanceMeasure, OptimalityCut, aggregate_cuts, aggregation_distance, cut_rows, cuts_from_rows,
-)
 from .rng import XorShift64Star
 
 KMEDOIDS_MAX_SWEEPS = 100
+
+
+class DistanceMeasure(Enum):
+    ABSOLUTE = "absolute"
+    ANGULAR = "angular"
+    SPATIOANGULAR = "spatioangular"
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +115,7 @@ class Kmedoids:
 
     clusters: int
     measure: DistanceMeasure = DistanceMeasure.ANGULAR
-    #: breaks exact ties; None takes the engine's seed (0 outside the engine)
+    #: breaks exact ties; None takes the seed of the solve (EngineConfig.seed)
     seed: int | None = None
 
 
@@ -165,8 +168,8 @@ def validate_scheme(scheme: AggregationScheme, n_scenarios: int) -> list[str]:
                     out.append("closest rule needs at least one slot")
                 if rule.measure is DistanceMeasure.ANGULAR and not 0 <= rule.tolerance <= 1:
                     out.append("angular tolerance must lie in [0, 1]")
-                if rule.tolerance < 0:
-                    out.append("distance tolerance must be nonnegative")
+                if not rule.tolerance >= 0:
+                    out.append("distance tolerance must be a nonnegative number")
             else:
                 out.append(f"unknown selection rule {rule!r}")
         elif isinstance(s, Cluster):
@@ -189,66 +192,96 @@ def validate_scheme(scheme: AggregationScheme, n_scenarios: int) -> list[str]:
     return out
 
 
-# --- streaming buffer ---------------------------------------------------------
+# --- closest rule -------------------------------------------------------------
 
 
-class AggregateBuffer:
-    """Fixed number of slots collecting cuts; full slots flush eagerly.
+def aggregation_distance(
+    a: np.ndarray, a_count: int, b: np.ndarray, b_count: int, measure: DistanceMeasure
+) -> float:
+    """Distance between two stacked (grad, offset) rows whose cuts cover
+    ``a_count`` and ``b_count`` scenarios, under one of three measures:
 
-    Each slot's aggregate is computed at most once per slot content: it is
-    cached until the slot next changes.
+    absolute       ||a~ - b~|| / max(||a~||, ||b~||) over the rows, each
+                   divided by its member count;
+    angular        1 - |grad_a . grad_b| / (||grad_a|| ||grad_b||);
+    spatioangular  angular term plus |qa - qb| / max(|qa|, |qb|) on the
+                   member-normalized offsets.
+
+    A zero gradient has no direction, so the angular family falls back to
+    the absolute measure, which then reduces to the offset gap; two zero
+    rows sit at distance zero.  Nonnegative, and zero for identical rows.
     """
+    grad_a, grad_b = a[:-1], b[:-1]
+    if measure is not DistanceMeasure.ABSOLUTE:
+        na = float(np.linalg.norm(grad_a))
+        nb = float(np.linalg.norm(grad_b))
+        if na == 0.0 or nb == 0.0:
+            measure = DistanceMeasure.ABSOLUTE
+    if measure is DistanceMeasure.ABSOLUTE:
+        va, vb = a / a_count, b / b_count
+        denom = max(float(np.linalg.norm(va)), float(np.linalg.norm(vb)))
+        if denom == 0.0:
+            return 0.0
+        return float(np.linalg.norm(va - vb)) / denom
 
-    def __init__(self, n_slots: int):
-        self.slots: list[list[OptimalityCut]] = [[] for _ in range(n_slots)]
-        self._aggregates: list[OptimalityCut | None] = [None] * n_slots
-        self.flushed: list[OptimalityCut] = []
-
-    def aggregate(self, slot: int) -> OptimalityCut:
-        """``aggregate_cuts`` of a non-empty slot's members."""
-        if self._aggregates[slot] is None:
-            self._aggregates[slot] = aggregate_cuts(self.slots[slot])
-        return self._aggregates[slot]
-
-    def place(self, slot: int, cut: OptimalityCut, full_at: int) -> None:
-        self.slots[slot].append(cut)
-        self._aggregates[slot] = None
-        if len(self.slots[slot]) >= full_at:
-            self.flushed.append(self.aggregate(slot))
-            self.slots[slot] = []
-            self._aggregates[slot] = None
-
-    def flush_remaining(self) -> list[OptimalityCut]:
-        for i, slot in enumerate(self.slots):
-            if slot:
-                self.flushed.append(self.aggregate(i))
-        out = self.flushed
-        self.flushed = []
-        self.slots = [[] for _ in self.slots]
-        self._aggregates = [None] * len(self.slots)
-        return out
+    angular = 1.0 - abs(float(grad_a @ grad_b)) / (na * nb)
+    angular = max(angular, 0.0)
+    if measure is DistanceMeasure.ANGULAR:
+        return angular
+    qa = float(a[-1]) / a_count
+    qb = float(b[-1]) / b_count
+    if qa == qb:
+        return angular
+    return angular + abs(qa - qb) / max(abs(qa), abs(qb))
 
 
-def _apply_select_closest(rule: SelectClosest, cuts, n_atoms: int) -> list[OptimalityCut]:
+def _select_closest(
+    rule: SelectClosest, rows: np.ndarray, counts: Sequence[int], n_atoms: int
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Place stacked rows, covering ``counts`` scenarios each, one at a time
+    into ``rule.slots`` slots; a slot flushes at ceil(n_atoms / slots) rows.
+
+    Each slot keeps its granule positions and a running row sum, started
+    from zeros and added to in arrival order, so one placement costs one
+    row addition.  Rows that arrive in ascending member order are therefore
+    summed as ``granulate`` sums a block.  Returns the slot sums in the
+    order the slots flushed, then the slots left open in slot order, with
+    the positions each one sums.
+    """
     full_at = max(1, math.ceil(n_atoms / rule.slots))
-    buf = AggregateBuffer(rule.slots)
-    for cut in cuts:
+    slots: list[list[int]] = [[] for _ in range(rule.slots)]
+    sums: list[np.ndarray | None] = [None] * rule.slots
+    sizes = [0] * rule.slots
+    out_rows: list[np.ndarray] = []
+    groups: list[list[int]] = []
+    for g, row in enumerate(rows):
         best = -1
         best_dist = math.inf
-        for i, slot in enumerate(buf.slots):
+        for i, slot in enumerate(slots):
             if not slot:
                 continue
-            agg = slot[0] if len(slot) == 1 else buf.aggregate(i)
-            dist = aggregation_distance(cut, agg, rule.measure)
+            dist = aggregation_distance(row, counts[g], sums[i], sizes[i], rule.measure)
             if dist < best_dist:
                 best, best_dist = i, dist
         if best >= 0 and best_dist <= rule.tolerance:
             target = best
         else:
-            empty = next((i for i, slot in enumerate(buf.slots) if not slot), None)
+            empty = next((i for i, slot in enumerate(slots) if not slot), None)
             target = empty if empty is not None else best
-        buf.place(target, cut, full_at=full_at)
-    return buf.flush_remaining()
+        if not slots[target]:
+            sums[target] = np.zeros(rows.shape[1])
+        sums[target] += row
+        slots[target].append(g)
+        sizes[target] += counts[g]
+        if len(slots[target]) >= full_at:
+            out_rows.append(sums[target])
+            groups.append(slots[target])
+            slots[target], sizes[target] = [], 0
+    for total, slot in zip(sums, slots):
+        if slot:
+            out_rows.append(total)
+            groups.append(slot)
+    return np.array(out_rows), groups
 
 
 # --- k-medoids ----------------------------------------------------------------
@@ -324,11 +357,11 @@ def _tie_pick(candidates: np.ndarray, rng: XorShift64Star) -> int:
 
 
 def kmedoids_cluster(
-    points: Sequence[OptimalityCut] | np.ndarray,
+    rows: np.ndarray,
+    counts: Sequence[int],
     k: int,
     measure: DistanceMeasure,
     seed: int = 0,
-    counts: Sequence[int] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Alternating (Voronoi) k-medoids with a single-swap polish.
 
@@ -341,30 +374,23 @@ def kmedoids_cluster(
     procedure stops at a swap-optimal configuration or after
     KMEDOIDS_MAX_SWEEPS rounds.
 
-    The distance matrix is built once, as array operations over the stacked
-    cuts, in O(n^2 d).  The swap polish follows FastPAM1 (Schubert &
-    Rousseeuw 2019): from each point's nearest and second-nearest medoid
-    distance, one k x n table holds the cost of every (medoid, candidate)
-    swap, in O(k n^2) per swap round.  The swap rule is unchanged: pairs are
+    The points are stacked (grad, offset) rows, with ``counts`` the number
+    of scenarios each row covers.  The distance matrix is built once, as
+    array operations over the rows, in O(n^2 d).  The swap polish follows
+    FastPAM1 (Schubert & Rousseeuw 2019): from each point's nearest and
+    second-nearest medoid distance, one k x n table holds the cost of every
+    (medoid, candidate) swap, in O(k n^2) per swap round.  The swap rule is unchanged: pairs are
     scanned medoid by medoid, candidates in index order, and a swap is taken
     only when it beats the best cost so far by more than 1e-12.
-
-    ``points`` are cuts, or their stacked (grad, offset) rows with
-    ``counts`` the number of scenarios each row covers.
 
     Returns (assignment, medoids): cluster index per point and the k medoid
     point indices.
     """
-    n = len(points)
+    n = len(rows)
     if not 1 <= k <= n:
         raise ValueError(f"cluster count {k} not in 1..{n}")
-    if not isinstance(points, np.ndarray):
-        counts = [len(p.members) for p in points]
-        points = cut_rows(points)
-    elif counts is None:
-        raise ValueError("stacked rows need the member count of each row")
     rng = XorShift64Star(seed)
-    dist = _distance_matrix(points, counts, measure)
+    dist = _distance_matrix(rows, counts, measure)
 
     totals = dist.sum(axis=1)
     first = _tie_pick(np.flatnonzero(totals == totals.min()), rng)
@@ -460,64 +486,15 @@ def granulation(
     raise ValueError(f"unknown aggregation strategy {scheme!r}")
 
 
-def apply_scheme(
-    scheme: AggregationScheme,
-    cuts: Sequence[OptimalityCut],
-    n_scenarios: int,
-    atom_ids: Sequence[int] | None = None,
-) -> list[OptimalityCut]:
-    """Aggregate one iteration's cuts according to a strategy: sum them over
-    blocks of the strategy's block size, then apply its inner rule (see
-    ``granulation`` and ``aggregate_granules``).
-
-    ``cuts`` must have pairwise disjoint member sets (singletons in the
-    common case).  ``atom_ids`` gives each cut's position in the atom
-    universe of size ``n_scenarios``; it defaults to the smallest member
-    index, which is correct for singleton input.  Output member sets
-    partition the input member union, and summed coefficients are conserved
-    exactly.  The solver takes the same sums on stacked rows; this is their
-    form over ``OptimalityCut`` objects.
-    """
-    issues = validate_scheme(scheme, n_scenarios)
-    if issues:
-        raise ValueError("invalid aggregation strategy: " + "; ".join(issues))
-    cuts = list(cuts)
-    if not cuts:
-        return []
-    if atom_ids is None:
-        atom_ids = [min(c.members) for c in cuts]
-    if len(atom_ids) != len(cuts):
-        raise ValueError("atom_ids must align with cuts")
-
-    block, inner = granulation(scheme, n_scenarios)
-    granules = cuts
-    if block > 1:
-        blocks: dict[int, list[OptimalityCut]] = {}
-        for cut, atom in zip(cuts, atom_ids):
-            blocks.setdefault(atom // block, []).append(cut)
-        granules = [aggregate_cuts(blocks[g]) for g in sorted(blocks)]
-    if isinstance(inner, MultiCut):
-        return granules
-    members = [c.members for c in granules]
-    rows, groups = aggregate_granules(
-        inner, cut_rows(granules), members, math.ceil(n_scenarios / block)
-    )
-    return [
-        OptimalityCut(grad=row[:-1], offset=row[-1], iteration=granules[group[0]].iteration,
-                      members=[s for g in group for s in members[g]])
-        for row, group in zip(rows, groups)
-    ]
-
-
 def granulate(rows: np.ndarray, block_size: int) -> np.ndarray:
     """Sum stacked cut rows, row i for atom i, over contiguous blocks of
     ``block_size`` atoms; the last block may be shorter.
 
     Row g of the result is granule g.  Full blocks are summed in one
     reduction over the middle axis of a reshape and the ragged last block
-    on its own, both row by row, so each granule row equals
-    ``aggregate_cuts`` of its block bit for bit.  A block size of 1 returns
-    the input itself.
+    on its own, both row by row from zero, so each granule row is the
+    ascending sequential sum of its block bit for bit.  A block size of 1
+    returns the input itself.
     """
     if block_size == 1:
         return rows
@@ -542,25 +519,21 @@ def aggregate_granules(
 
     Returns the aggregate rows and, for each, the positions of the granules
     it sums in ascending member order.  A k-medoids cluster is summed as
-    ``rows[idx].sum(axis=0)`` over those positions, equal to
-    ``aggregate_cuts`` of its granules bit for bit; the clusters come in
-    ascending member order.  The closest rule places granule cuts built
-    from the rows one at a time (``AggregateBuffer``) and returns its
-    aggregates in the order their slots flushed.
+    ``rows[idx].sum(axis=0)`` over those positions, and the clusters come in
+    ascending member order.  The closest rule places the granule rows one
+    at a time, in arrival order, which must be ascending member order (see
+    ``_select_closest``), and returns its aggregates in the order their
+    slots flushed.
     """
     if isinstance(inner, MultiCut):
         return rows, [[g] for g in range(len(rows))]
+    counts = [len(m) for m in members]
     if isinstance(inner, Dynamic):
-        placed = _apply_select_closest(inner.rule, cuts_from_rows(rows, members), n_atoms)
-        position = {m[0]: g for g, m in enumerate(members)}
-        groups = [[position[s] for s in cut.members if s in position] for cut in placed]
-        return cut_rows(placed), groups
+        return _select_closest(inner.rule, rows, counts, n_atoms)
     if isinstance(inner, Cluster):
         rule = inner.rule
         k = min(rule.clusters, len(rows))
-        assignment, _ = kmedoids_cluster(
-            rows, k, rule.measure, rule.seed or 0, [len(m) for m in members]
-        )
+        assignment, _ = kmedoids_cluster(rows, counts, k, rule.measure, rule.seed or 0)
         clusters: dict[int, list[int]] = {}
         for g, c in enumerate(assignment):
             clusters.setdefault(c, []).append(g)
@@ -663,7 +636,8 @@ def scheme_label(scheme: AggregationScheme) -> str:
         return f"partial:T={scheme.size}"
     if isinstance(scheme, Dynamic):
         rule = scheme.rule
-        return f"closest:A={rule.slots},tau={rule.tolerance:g},measure={rule.measure.value}"
+        tau = float(rule.tolerance)  # repr: the shortest text that parses back
+        return f"closest:A={rule.slots},tau={tau!r},measure={rule.measure.value}"
     if isinstance(scheme, Cluster):
         rule = scheme.rule
         seed = "" if rule.seed is None else f",seed={rule.seed}"

@@ -123,8 +123,10 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
+        if not 0 <= self.violation_tol < math.inf:
+            raise ValueError("violation_tol must be finite and nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.max_iterations < 1:

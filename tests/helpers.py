@@ -16,15 +16,13 @@ from lshaped import (
     Cluster,
     Dynamic,
     FirstStage,
+    OptimalityCut,
     RandomEntry,
     Scenario,
     StochasticTemplate,
     TwoStageProblem,
     XorShift64Star,
-    aggregate_cuts,
     aggregation_distance,
-    kmedoids_cluster,
-    make_optimality_cut,
     sample_instance,
     solve_subproblem,
 )
@@ -150,8 +148,56 @@ class ReferenceEvaluator:
         return ScenarioResults(values=values, duals=duals, farkas=farkas, sub_solves=N)
 
 
+def make_optimality_cut(scenario_index: int, duals, scen: Scenario) -> OptimalityCut:
+    """Singleton cut (pi * duals'T, pi * duals'h) of one scenario: the
+    per-scenario form of ``lshaped.make_optimality_cuts``."""
+    duals = np.atleast_1d(np.asarray(duals, dtype=float))
+    if len(duals) != scen.T.shape[0]:
+        raise ValueError(
+            f"dual vector has {len(duals)} entries, expected {scen.T.shape[0]}"
+        )
+    grad = scen.pi * (duals @ scen.T)
+    offset = scen.pi * float(duals @ scen.h)
+    return OptimalityCut(grad=grad, offset=offset, members=(scenario_index,))
+
+
+def cut_row(cut) -> np.ndarray:
+    """The stacked (grad, offset) row of a cut."""
+    return np.append(cut.grad, cut.offset)
+
+
+def cuts_of(rows, members) -> list:
+    """``OptimalityCut`` objects of stacked rows covering the member sets."""
+    return [OptimalityCut(grad=row[:-1], offset=row[-1], members=m)
+            for row, m in zip(rows, members)]
+
+
+def reference_sum(cuts) -> np.ndarray:
+    """The (grad, offset) row of a sum of disjoint cuts as a plain loop:
+    one cut at a time from zero, in ascending member order."""
+    ordered = sorted(cuts, key=lambda c: c.members)
+    grad = np.zeros_like(ordered[0].grad)
+    offset = 0.0
+    for cut in ordered:
+        grad = grad + cut.grad
+        offset += cut.offset
+    return np.append(grad, offset)
+
+
+def summed_cut(cuts) -> OptimalityCut:
+    """The cut of ``reference_sum`` over the union of the members."""
+    row = reference_sum(cuts)
+    return OptimalityCut(grad=row[:-1], offset=row[-1],
+                         members=[s for cut in cuts for s in cut.members])
+
+
+def cut_distance(a, b, measure) -> float:
+    """``lshaped.aggregation_distance`` of two cuts."""
+    return aggregation_distance(cut_row(a), len(a.members), cut_row(b), len(b.members), measure)
+
+
 def reference_kmedoids(points, k, measure, seed=0):
-    """k-medoids as a plain loop: the distance matrix from pairwise
+    """k-medoids over cuts as a plain loop: the distance matrix from pairwise
     aggregation_distance calls, and a swap polish that re-assigns and
     re-sums the full cost for every (medoid, candidate) pair.  Same seeding,
     sweeps, tie rules and swap rule as lshaped.kmedoids_cluster."""
@@ -160,7 +206,7 @@ def reference_kmedoids(points, k, measure, seed=0):
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = aggregation_distance(points[i], points[j], measure)
+            dist[i, j] = dist[j, i] = cut_distance(points[i], points[j], measure)
 
     def tie_pick(candidates):
         if len(candidates) == 1:
@@ -215,8 +261,8 @@ def reference_kmedoids(points, k, measure, seed=0):
 
 
 def reference_select_closest(rule, cuts, n_atoms):
-    """The closest selection rule as a plain loop that re-aggregates every
-    multi-member slot for every incoming cut."""
+    """The closest selection rule over cuts as a plain loop that re-sums
+    every slot from scratch for every incoming cut."""
     full_at = max(1, math.ceil(n_atoms / rule.slots))
     slots = [[] for _ in range(rule.slots)]
     out = []
@@ -224,8 +270,7 @@ def reference_select_closest(rule, cuts, n_atoms):
         best, best_dist = -1, math.inf
         for i, slot in enumerate(slots):
             if slot:
-                agg = slot[0] if len(slot) == 1 else aggregate_cuts(slot)
-                dist = aggregation_distance(cut, agg, rule.measure)
+                dist = cut_distance(cut, summed_cut(slot), rule.measure)
                 if dist < best_dist:
                     best, best_dist = i, dist
         if best >= 0 and best_dist <= rule.tolerance:
@@ -235,49 +280,37 @@ def reference_select_closest(rule, cuts, n_atoms):
             target = empty if empty is not None else best
         slots[target].append(cut)
         if len(slots[target]) >= full_at:
-            out.append(aggregate_cuts(slots[target]))
+            out.append(summed_cut(slots[target]))
             slots[target] = []
-    out.extend(aggregate_cuts(slot) for slot in slots if slot)
+    out.extend(summed_cut(slot) for slot in slots if slot)
     return out
-
-
-def reference_sum(cuts) -> np.ndarray:
-    """The (grad, offset) row of a sum of disjoint cuts as a plain loop:
-    one cut at a time from zero, in ascending member order."""
-    ordered = sorted(cuts, key=lambda c: c.members)
-    grad = np.zeros_like(ordered[0].grad)
-    offset = 0.0
-    for cut in ordered:
-        grad = grad + cut.grad
-        offset += cut.offset
-    return np.append(grad, offset)
 
 
 def reference_aggregate(problem, duals, block, inner, granule_members):
     """One iteration's aggregation over ``OptimalityCut`` objects, with the
     interface of ``lshaped.engine._aggregate``: ``make_optimality_cut`` per
-    scenario, ``aggregate_cuts`` per block of ``block`` scenarios (none for
-    a block of one), then the inner rule on the granule cuts, with
-    ``aggregate_cuts`` per k-medoids cluster and the plain-loop closest
-    rule."""
+    scenario, ``reference_sum`` per block of ``block`` scenarios (none for
+    a block of one), then the inner rule on the granule cuts: the
+    plain-loop closest rule, or ``reference_sum`` per cluster of the
+    plain-loop k-medoids."""
     cuts = [make_optimality_cut(s, duals[s], scen) for s, scen in enumerate(problem.scenarios)]
     granules = cuts if block == 1 else [
-        aggregate_cuts(cuts[g * block:(g + 1) * block]) for g in range(len(granule_members))
+        summed_cut(cuts[g * block:(g + 1) * block]) for g in range(len(granule_members))
     ]
     if isinstance(inner, Cluster):
         rule = inner.rule
         k = min(rule.clusters, len(granules))
-        assignment, _ = kmedoids_cluster(granules, k, rule.measure, rule.seed)
+        assignment, _ = reference_kmedoids(granules, k, rule.measure, rule.seed)
         clusters = {}
         for cut, c in zip(granules, assignment):
             clusters.setdefault(c, []).append(cut)
-        aggregates = sorted((aggregate_cuts(group) for group in clusters.values()),
+        aggregates = sorted((summed_cut(group) for group in clusters.values()),
                             key=lambda c: c.members)
     elif isinstance(inner, Dynamic):
         aggregates = reference_select_closest(inner.rule, granules, len(granules))
     else:
         aggregates = granules
-    rows = np.array([(*agg.grad, agg.offset) for agg in aggregates])
+    rows = np.array([cut_row(agg) for agg in aggregates])
     groups = [sorted({s // block for s in agg.members}) for agg in aggregates]
     return rows, groups
 

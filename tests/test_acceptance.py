@@ -23,7 +23,6 @@ from lshaped import (
     bound_multi_cut,
     bound_single_cut,
     build_extensive_form,
-    cut_distance,
     DistanceMeasure,
     OptimalityCut,
     parse_scheme,
@@ -33,7 +32,7 @@ from lshaped import (
     solve_subproblem,
     stirling2,
 )
-from helpers import build_p1, random_instance, trend_template
+from helpers import build_p1, cut_distance, random_instance, trend_template
 from test_bounds import enumerate_partitions
 
 ORACLE_REL_TOL = 1e-6

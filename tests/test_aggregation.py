@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -16,9 +15,6 @@ from lshaped import (
     PartitioningScheme,
     SelectClosest,
     SingleCut,
-    aggregation_distance,
-    apply_scheme,
-    cut_distance,
     kmedoids_cluster,
     parse_scheme,
     scheme_label,
@@ -28,8 +24,9 @@ from lshaped import (
     validate_scheme,
 )
 from lshaped import aggregation
-from lshaped.cuts import cut_rows, cuts_from_rows
-from helpers import record_calls, reference_kmedoids, reference_select_closest, reference_sum
+from helpers import (
+    cut_distance, cut_row, cuts_of, reference_kmedoids, reference_select_closest, reference_sum,
+)
 
 
 def singleton(s, grad=None, offset=None):
@@ -59,6 +56,18 @@ def multi_member_cuts(seed, n, flat=0):
                                   members=tuple(range(start, start + size))))
         start += size
     return cuts
+
+
+def stacked(cuts):
+    """The rows, member sets and member counts of cuts, as the engine hands
+    granules to ``aggregate_granules``."""
+    members = [c.members for c in cuts]
+    return np.array([cut_row(c) for c in cuts]), members, [len(m) for m in members]
+
+
+def kmedoids(cuts, k, measure, seed=0):
+    rows, _, counts = stacked(cuts)
+    return kmedoids_cluster(rows, counts, k, measure, seed)
 
 
 class TestPartitioning:
@@ -112,34 +121,28 @@ class TestUniformPartition:
             uniform_partition(4, 0)
 
 
-def assert_partitions_input(outputs, inputs):
-    covered = sorted(m for c in outputs for m in c.members)
-    assert covered == sorted(m for c in inputs for m in c.members)
-    grads_in = sum(c.grad for c in inputs)
-    grads_out = sum(c.grad for c in outputs)
-    assert np.allclose(grads_in, grads_out, atol=1e-12)
-    assert sum(c.offset for c in inputs) == pytest.approx(
-        sum(c.offset for c in outputs), abs=1e-12
-    )
+def aggregate(scheme, cuts, n_scenarios):
+    """One iteration's aggregation of singleton cuts 0..n_scenarios-1 on
+    stacked rows, as the engine takes it: the rows and the scenario sets."""
+    block, inner = aggregation.granulation(scheme, n_scenarios)
+    rows = aggregation.granulate(stacked(cuts)[0], block)
+    members = [tuple(range(g * block, min(n_scenarios, (g + 1) * block)))
+               for g in range(len(rows))]
+    sums, groups = aggregation.aggregate_granules(inner, rows, members, len(rows))
+    return sums, [tuple(s for g in group for s in members[g]) for group in groups]
 
 
-class TestApplyScheme:
+class TestAggregateGranules:
     def test_multi_keeps_input(self):
-        cuts = singletons(4)
-        assert apply_scheme(MultiCut(), cuts, 4) == cuts
+        rows, members, _ = stacked(singletons(4))
+        sums, groups = aggregation.aggregate_granules(MultiCut(), rows, members, 4)
+        assert sums is rows
+        assert groups == [[0], [1], [2], [3]]
 
     def test_single_merges_all(self):
-        out = apply_scheme(SingleCut(), singletons(4), 4)
-        assert len(out) == 1
-        assert out[0].members == (0, 1, 2, 3)
-
-    def test_partial_blocks_follow_scenario_indices(self):
-        # missing scenarios keep their block identity
-        cuts = [singleton(s) for s in (0, 3, 4, 6)]
-        out = apply_scheme(Partial(size=2), cuts, 7)
-        assert [c.members for c in out] == [(0,), (3,), (4,), (6,)]
-        out2 = apply_scheme(Partial(size=4), cuts, 7)
-        assert [c.members for c in out2] == [(0, 3), (4, 6)]
+        sums, parts = aggregate(SingleCut(), singletons(4), 4)
+        assert len(sums) == 1
+        assert parts == [(0, 1, 2, 3)]
 
     def test_kmedoids_matches_brute_force_example(self):
         cuts = [
@@ -162,24 +165,20 @@ class TestApplyScheme:
             if cost < best_cost:
                 best_cost, best_parts = cost, split
         assert best_parts == ((0, 1), (2,))
-        out = apply_scheme(Cluster(Kmedoids(clusters=2, measure=DistanceMeasure.ANGULAR)), cuts, 3)
-        assert sorted(c.members for c in out) == [(0, 1), (2,)]
+        _, parts = aggregate(Cluster(Kmedoids(clusters=2, measure=DistanceMeasure.ANGULAR)),
+                             cuts, 3)
+        assert sorted(parts) == [(0, 1), (2,)]
 
     def test_granulated_composition(self):
         cuts = singletons(4)
-        out = apply_scheme(Granulated(block_size=2, inner=SingleCut()), cuts, 4)
-        assert len(out) == 1
-        assert out[0].members == (0, 1, 2, 3)
-        direct = apply_scheme(SingleCut(), cuts, 4)
-        assert np.array_equal(out[0].grad, direct[0].grad)
-        assert out[0].offset == direct[0].offset
+        sums, parts = aggregate(Granulated(block_size=2, inner=SingleCut()), cuts, 4)
+        assert parts == [(0, 1, 2, 3)]
+        direct, _ = aggregate(SingleCut(), cuts, 4)
+        assert sums.tobytes() == direct.tobytes()
 
     def test_granulated_inner_blocks_use_granule_ids(self):
-        cuts = singletons(6)
-        out = apply_scheme(
-            Granulated(block_size=2, inner=Partial(size=1)), cuts, 6
-        )
-        assert [c.members for c in out] == [(0, 1), (2, 3), (4, 5)]
+        _, parts = aggregate(Granulated(block_size=2, inner=Partial(size=1)), singletons(6), 6)
+        assert parts == [(0, 1), (2, 3), (4, 5)]
 
     @pytest.mark.parametrize("text, block, inner", [
         ("multi", 1, MultiCut()),
@@ -198,13 +197,10 @@ class TestApplyScheme:
         # N = 10: a static block size, capped at N, plus the inner rule
         assert aggregation.granulation(parse_scheme(text), 10) == (block, inner)
 
-    def test_unit_granules_are_the_input(self, monkeypatch):
-        calls = record_calls(monkeypatch, aggregation, "aggregate_cuts")
-        cuts = singletons(5)
-        rows = cut_rows(cuts)
+    def test_unit_granules_are_the_input(self):
+        rows = stacked(singletons(5))[0]
         assert aggregation.granulate(rows, 1) is rows
-        assert apply_scheme(MultiCut(), cuts, 5) == cuts
-        assert calls == []
+        assert aggregate(MultiCut(), singletons(5), 5)[0].tobytes() == rows.tobytes()
 
     def test_outputs_partition_input_for_every_strategy(self):
         schemes = [
@@ -216,52 +212,94 @@ class TestApplyScheme:
         ]
         cuts = singletons(10)
         for scheme in schemes:
-            out = apply_scheme(scheme, cuts, 10)
-            assert_partitions_input(out, cuts)
-            as_partition = PartitioningScheme(
-                parts=tuple(set(c.members) for c in out), n_scenarios=10
-            )
+            sums, parts = aggregate(scheme, cuts, 10)
+            assert sorted(s for part in parts for s in part) == list(range(10))
+            assert np.allclose(sums.sum(axis=0), stacked(cuts)[0].sum(axis=0), atol=1e-12)
+            as_partition = PartitioningScheme(parts=tuple(set(p) for p in parts), n_scenarios=10)
             assert validate_partitioning(as_partition) == []
 
     def test_select_closest_groups_parallel_cuts(self):
         parallel = [singleton(s, grad=[1.0, 0.0], offset=float(s)) for s in range(3)]
         odd = [singleton(3, grad=[0.0, 1.0], offset=9.0)]
-        out = apply_scheme(
+        _, parts = aggregate(
             Dynamic(SelectClosest(slots=2, tolerance=0.1, measure=DistanceMeasure.ANGULAR)),
             parallel + odd, 4,
         )
-        groups = sorted(c.members for c in out)
-        assert (3,) in groups  # the perpendicular cut stays alone
-        assert (0, 1) in groups  # slot flushed at ceil(4/2) = 2 members
-
-    def test_empty_input(self):
-        assert apply_scheme(SingleCut(), [], 4) == []
+        parts = sorted(parts)
+        assert (3,) in parts  # the perpendicular cut stays alone
+        assert (0, 1) in parts  # slot flushed at ceil(4/2) = 2 members
 
     @pytest.mark.parametrize("measure", list(DistanceMeasure))
-    def test_select_closest_aggregates_each_slot_content_once(self, measure, monkeypatch):
-        calls = []
-        aggregate = aggregation.aggregate_cuts
-
-        def counting(cuts):
-            calls.append(len(cuts))
-            return aggregate(cuts)
-
-        monkeypatch.setattr(aggregation, "aggregate_cuts", counting)
+    def test_select_closest_matches_reference(self, measure):
         cuts = singletons(40)
         rule = SelectClosest(slots=4, tolerance=0.6, measure=measure)
-        out = apply_scheme(Dynamic(rule), cuts, 40)
-        assert len(calls) <= len(cuts) + rule.slots
+        rows, members, _ = stacked(cuts)
+        sums, groups = aggregation.aggregate_granules(Dynamic(rule), rows, members, 40)
         expected = reference_select_closest(rule, cuts, 40)
-        assert [c.members for c in out] == [c.members for c in expected]
-        for a, b in zip(out, expected):
-            assert np.array_equal(a.grad, b.grad) and a.offset == b.offset
+        assert [[members[g][0] for g in group] for group in groups] == [
+            list(c.members) for c in expected
+        ]
+        assert sums.tobytes() == np.array([cut_row(c) for c in expected]).tobytes()
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            apply_scheme(Partial(size=9), singletons(4), 4)
-        with pytest.raises(ValueError):
-            apply_scheme(Granulated(block_size=2, inner=Granulated(block_size=2, inner=SingleCut())),
-                         singletons(4), 4)
+        assert validate_scheme(Partial(size=9), 4)
+        assert validate_scheme(
+            Granulated(block_size=2, inner=Granulated(block_size=2, inner=SingleCut())), 4
+        )
+
+
+def random_stack(rng):
+    """Granule rows for the closest rule: one to three members each, with
+    duplicate rows, zero-gradient rows and rows of -0.0 mixed in."""
+    n, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+    rows = rng.uniform(-1, 1, (n, d + 1)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    for g in range(n):
+        kind = rng.integers(0, 8)
+        if kind == 0 and g > 0:
+            rows[g] = rows[rng.integers(0, g)]
+        elif kind == 1:
+            rows[g, :-1] = 0.0
+        elif kind == 2:
+            rows[g] = -0.0
+        elif kind == 3:
+            rows[g, :-1] = -0.0
+        elif kind == 4:
+            rows[g, :-1] *= rng.choice([1.0, -2.0, 3.0])  # parallel to its start
+    sizes = rng.integers(1, 4, n)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    members = [tuple(range(starts[g], starts[g + 1])) for g in range(n)]
+    return rows, members
+
+
+class TestClosestOnRows:
+    def test_random_stacks_match_reference(self):
+        """1,200 random stacks, every measure and 1-8 slots: the rows are the
+        reference's bit for bit and the groups are its members."""
+        rng = np.random.default_rng(2024)
+        for trial in range(1200):
+            rows, members = random_stack(rng)
+            measure = list(DistanceMeasure)[trial % 3]
+            tau = float(rng.choice([0.0, 0.05, 0.3, 1.0, 2.5]))
+            if measure is DistanceMeasure.ANGULAR:
+                tau = min(tau, 1.0)
+            rule = SelectClosest(slots=int(rng.integers(1, 9)), tolerance=tau, measure=measure)
+            n_atoms = len(rows) + int(rng.integers(0, 3))
+            sums, groups = aggregation.aggregate_granules(Dynamic(rule), rows, members, n_atoms)
+            expected = reference_select_closest(rule, cuts_of(rows, members), n_atoms)
+            assert [tuple(s for g in group for s in members[g]) for group in groups] == [
+                c.members for c in expected
+            ], trial
+            assert sums.tobytes() == np.array([cut_row(c) for c in expected]).tobytes(), trial
+
+    def test_slot_sums_are_running_sums_from_zero(self):
+        # one slot of -0.0 rows sums to +0.0, as the loop from zero does
+        rows = np.full((3, 3), -0.0)
+        rule = SelectClosest(slots=1, tolerance=0.3, measure=DistanceMeasure.ABSOLUTE)
+        sums, groups = aggregation.aggregate_granules(
+            Dynamic(rule), rows, [(0,), (1,), (2,)], 3
+        )
+        assert groups == [[0, 1, 2]]
+        assert not np.signbit(sums).any()
 
 
 def scaled_rows(rng, k, width):
@@ -270,13 +308,11 @@ def scaled_rows(rng, k, width):
 
 
 class TestStackedSums:
-    """Block and cluster sums over stacked rows equal ``aggregate_cuts`` and
-    the plain ascending loop bit for bit, including signed zeros."""
+    """Block and cluster sums over stacked rows equal the plain ascending
+    loop bit for bit, including signed zeros."""
 
     @staticmethod
     def assert_sum_bits(got, cuts):
-        cut = aggregation.aggregate_cuts(cuts)
-        assert got.tobytes() == np.append(cut.grad, cut.offset).tobytes()
         assert got.tobytes() == reference_sum(cuts).tobytes()
 
     @pytest.mark.parametrize("k, block", [
@@ -287,7 +323,7 @@ class TestStackedSums:
         rng = np.random.default_rng(100 * k + block)
         for _ in range(30):
             rows = scaled_rows(rng, k, int(rng.integers(2, 8)))
-            cuts = cuts_from_rows(rows, [(s,) for s in range(k)])
+            cuts = cuts_of(rows, [(s,) for s in range(k)])
             sums = aggregation.granulate(rows, block)
             assert len(sums) == math.ceil(k / block)
             for g, got in enumerate(sums):
@@ -299,7 +335,7 @@ class TestStackedSums:
             k = int(rng.integers(2, 50))
             block = int(rng.integers(2, k + 1))
             rows = scaled_rows(rng, k, int(rng.integers(2, 8)))
-            cuts = cuts_from_rows(rows, [(s,) for s in range(k)])
+            cuts = cuts_of(rows, [(s,) for s in range(k)])
             for g, got in enumerate(aggregation.granulate(rows, block)):
                 self.assert_sum_bits(got, cuts[g * block:(g + 1) * block])
 
@@ -307,7 +343,7 @@ class TestStackedSums:
         # a block of -0.0 rows sums to +0.0, as a loop from zero does
         rows = np.full((7, 4), -0.0)
         rows[5] = [1.0, -0.0, 2.0, -3.0]
-        cuts = cuts_from_rows(rows, [(s,) for s in range(7)])
+        cuts = cuts_of(rows, [(s,) for s in range(7)])
         for block in (2, 3, 7):
             for g, got in enumerate(aggregation.granulate(rows, block)):
                 self.assert_sum_bits(got, cuts[g * block:(g + 1) * block])
@@ -325,7 +361,7 @@ class TestStackedSums:
                                     seed=trial))
             sums, groups = aggregation.aggregate_granules(rule, rows, members, n_granules)
             assert sorted(g for group in groups for g in group) == list(range(n_granules))
-            cuts = cuts_from_rows(rows, members)
+            cuts = cuts_of(rows, members)
             for got, group in zip(sums, groups):
                 assert group == sorted(group)
                 self.assert_sum_bits(got, [cuts[g] for g in group])
@@ -334,7 +370,7 @@ class TestStackedSums:
 class TestKmedoids:
     def test_every_point_its_own_medoid(self):
         cuts = singletons(5)
-        assignment, medoids = kmedoids_cluster(cuts, 5, DistanceMeasure.ANGULAR)
+        assignment, medoids = kmedoids(cuts, 5, DistanceMeasure.ANGULAR)
         assert sorted(medoids) == list(range(5))
         cost = sum(
             cut_distance(cuts[i], cuts[medoids[c]], DistanceMeasure.ANGULAR)
@@ -348,12 +384,12 @@ class TestKmedoids:
             [cut_distance(a, b, DistanceMeasure.ABSOLUTE) for b in cuts] for a in cuts
         ]
         best = min(range(7), key=lambda m: sum(dist[m]))
-        _, medoids = kmedoids_cluster(cuts, 1, DistanceMeasure.ABSOLUTE)
+        _, medoids = kmedoids(cuts, 1, DistanceMeasure.ABSOLUTE)
         assert medoids == [best]
 
     def test_duplicates_share_cluster(self):
         cuts = [singleton(s, grad=[1.0, 2.0], offset=1.0) for s in range(4)]
-        assignment, _ = kmedoids_cluster(cuts, 2, DistanceMeasure.ABSOLUTE)
+        assignment, _ = kmedoids(cuts, 2, DistanceMeasure.ABSOLUTE)
         assert len(set(assignment)) == 1
 
     def test_swap_local_optimality(self):
@@ -367,7 +403,7 @@ class TestKmedoids:
             dist = np.array(
                 [[cut_distance(a, b, DistanceMeasure.ABSOLUTE) for b in cuts] for a in cuts]
             )
-            assignment, medoids = kmedoids_cluster(cuts, k, DistanceMeasure.ABSOLUTE, seed=seed)
+            assignment, medoids = kmedoids(cuts, k, DistanceMeasure.ABSOLUTE, seed=seed)
             cost = sum(dist[i, medoids[c]] for i, c in enumerate(assignment))
             for c in range(k):
                 for cand in range(9):
@@ -380,28 +416,27 @@ class TestKmedoids:
 
     def test_deterministic_given_seed(self):
         cuts = singletons(8)
-        a = kmedoids_cluster(cuts, 3, DistanceMeasure.ANGULAR, seed=5)
-        b = kmedoids_cluster(cuts, 3, DistanceMeasure.ANGULAR, seed=5)
+        a = kmedoids(cuts, 3, DistanceMeasure.ANGULAR, seed=5)
+        b = kmedoids(cuts, 3, DistanceMeasure.ANGULAR, seed=5)
         assert a == b
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            kmedoids_cluster(singletons(3), 4, DistanceMeasure.ANGULAR)
+            kmedoids(singletons(3), 4, DistanceMeasure.ANGULAR)
 
     @pytest.mark.parametrize("measure", list(DistanceMeasure))
     def test_matches_reference_loop(self, measure):
         for seed in range(4):
             cuts = multi_member_cuts(seed, 12)
             for k in (1, 2, 5, len(cuts)):
-                assert kmedoids_cluster(cuts, k, measure, seed=seed) == reference_kmedoids(
+                assert kmedoids(cuts, k, measure, seed=seed) == reference_kmedoids(
                     cuts, k, measure, seed=seed
                 )
 
 
 def distance_matrix(cuts, measure):
-    return aggregation._distance_matrix(
-        cut_rows(cuts), [len(c.members) for c in cuts], measure
-    )
+    rows, _, counts = stacked(cuts)
+    return aggregation._distance_matrix(rows, counts, measure)
 
 
 class TestDistanceMatrix:
@@ -411,7 +446,7 @@ class TestDistanceMatrix:
             cuts = multi_member_cuts(seed, 15, flat=4)
             dist = distance_matrix(cuts, measure)
             pairwise = np.array(
-                [[aggregation_distance(a, b, measure) for b in cuts] for a in cuts]
+                [[cut_distance(a, b, measure) for b in cuts] for a in cuts]
             )
             assert np.max(np.abs(dist - pairwise)) <= 1e-12
             assert np.array_equal(dist, dist.T)
@@ -437,6 +472,8 @@ class TestSchemeGrammar:
         [
             "multi", "single", "partial:T=16", "uniform:T=16",
             "closest:A=8,tau=0.3,measure=angular",
+            "closest:A=4,tau=0.1234567,measure=absolute",
+            "closest:A=4,tau=1e-17,measure=spatioangular",
             "kmedoids:k=20,measure=angular,seed=0",
             "granulated:T0=5,inner=kmedoids:k=20",
             "granulated:T0=5,inner=kmedoids:k=20,measure=spatioangular,seed=3",
@@ -471,6 +508,12 @@ class TestSchemeGrammar:
         assert validate_scheme(Partial(size=3), 10) == []
         assert validate_scheme(Partial(size=30), 10)
         assert validate_scheme(Dynamic(SelectClosest(slots=2, tolerance=1.5)), 10)
+        for measure in DistanceMeasure:
+            for tau in (math.nan, -0.1):
+                rule = SelectClosest(slots=2, tolerance=tau, measure=measure)
+                assert validate_scheme(Dynamic(rule), 10), (measure, tau)
+            rule = SelectClosest(slots=2, tolerance=0.0, measure=measure)
+            assert validate_scheme(Dynamic(rule), 10) == []
         # ceil(10/3) = 4 granules: inner size 4 fits, size 5 does not
         assert validate_scheme(
             Granulated(block_size=3, inner=Partial(size=4)), 10

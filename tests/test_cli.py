@@ -106,6 +106,13 @@ class TestSolve:
         assert code == 1
         assert "parse error" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-3"])
+    def test_invalid_tolerance_rejected(self, capsys, p1_json, tol):
+        code, out, err = run(capsys, "solve", "--input", p1_json, f"--tol={tol}")
+        assert code == 1
+        assert "rel_tol must be positive" in err
+        assert out == ""
+
     def test_iteration_limit_exit_code(self, capsys, p1_json):
         code, out, _ = run(capsys, "solve", "--input", p1_json, "--tol", "1e-9",
                            "--max-iters", "1")

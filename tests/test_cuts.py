@@ -7,22 +7,25 @@ from lshaped import (
     DistanceMeasure,
     OptimalityCut,
     Scenario,
-    aggregate_cuts,
     aggregation_distance,
-    cut_distance,
-    cut_violation,
-    is_violated,
     make_feasibility_cut,
-    make_optimality_cut,
     make_optimality_cuts,
     sample_instance,
     solve_subproblem,
 )
-from helpers import build_p1, random_instance, trend_template
+from lshaped.aggregation import granulate
+from lshaped.cuts import VIOLATION_SCALE, row_is_violated, row_violation
+from helpers import (
+    cut_distance, cut_row, make_optimality_cut, random_instance, summed_cut, trend_template,
+)
 
 
 def cut(grad, offset, members):
     return OptimalityCut(grad=grad, offset=offset, members=members)
+
+
+def rows(*cuts):
+    return np.array([cut_row(c) for c in cuts])
 
 
 class TestMakeOptimalityCut:
@@ -97,72 +100,51 @@ class TestMakeFeasibilityCut:
 
 class TestAggregate:
     def test_sum(self):
-        merged = aggregate_cuts([cut([0.5], 1.0, (1,)), cut([0.25], 0.5, (2,))])
-        assert np.array_equal(merged.grad, [0.75])
-        assert merged.offset == pytest.approx(1.5)
-        assert merged.members == (1, 2)
+        merged = granulate(rows(cut([0.5], 1.0, (1,)), cut([0.25], 0.5, (2,))), 2)
+        assert merged.tolist() == [[0.75, 1.5]]
 
     def test_singleton_identity(self):
-        single = cut([0.5], 1.0, (3,))
-        merged = aggregate_cuts([single])
-        assert np.array_equal(merged.grad, single.grad)
-        assert merged.offset == single.offset
-        assert merged.members == single.members
+        single = rows(cut([0.5], 1.0, (3,)))
+        assert granulate(single, 1) is single
 
     def test_p1_single_cut(self):
         # 0.5*1*1 + 0.5*1*1 and 0.5*2 + 0.5*4
-        a = cut([0.5], 1.0, (0,))
-        b = cut([0.5], 2.0, (1,))
-        merged = aggregate_cuts([a, b])
-        assert np.array_equal(merged.grad, [1.0])
-        assert merged.offset == pytest.approx(3.0)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            aggregate_cuts([cut([1.0], 1.0, (1,)), cut([1.0], 1.0, (1, 2))])
+        merged = granulate(rows(cut([0.5], 1.0, (0,)), cut([0.5], 2.0, (1,))), 2)
+        assert merged[0, 0] == 1.0
+        assert merged[0, 1] == pytest.approx(3.0)
 
     def test_flattening_associativity(self):
-        # nested aggregation reassociates the float sums, so equality is
-        # exact only up to rounding; same-order equality is exact (below)
+        # nested block sums reassociate the float sums, so equality is
+        # exact only up to rounding
         rng = np.random.default_rng(2)
-        cuts = [cut(rng.uniform(-1, 1, 3), rng.uniform(-1, 1), (s,)) for s in range(6)]
-        nested = aggregate_cuts([aggregate_cuts(cuts[:3]), aggregate_cuts(cuts[3:])])
-        flat = aggregate_cuts(cuts)
-        assert nested.members == flat.members
-        assert np.max(np.abs(nested.grad - flat.grad)) <= 1e-12
-        assert nested.offset == pytest.approx(flat.offset, abs=1e-12)
-
-    def test_order_independence_exact(self):
-        rng = np.random.default_rng(3)
-        cuts = [cut(rng.uniform(-1, 1, 2), rng.uniform(-1, 1), (s,)) for s in range(5)]
-        forward = aggregate_cuts(cuts)
-        backward = aggregate_cuts(list(reversed(cuts)))
-        assert np.array_equal(forward.grad, backward.grad)
-        assert forward.offset == backward.offset
+        stack = rng.uniform(-1, 1, (6, 4))
+        nested = granulate(granulate(stack, 3), 2)
+        flat = granulate(stack, 6)
+        assert np.max(np.abs(nested - flat)) <= 1e-12
 
 
 class TestViolation:
     def test_arithmetic(self):
-        c = cut([0.5], 1.0, (0,))
-        assert cut_violation(c, [0.0], {0: -10.0}) == pytest.approx(11.0)
+        row = cut_row(cut([0.5], 1.0, (0,)))
+        assert row_violation(row, [0.0], {0: -10.0}, (0,)) == pytest.approx(11.0)
 
     def test_boundary_satisfied(self):
-        c = cut([0.5], 1.0, (0,))
-        assert cut_violation(c, [2.0], {0: 0.0}) == pytest.approx(0.0)
+        row = cut_row(cut([0.5], 1.0, (0,)))
+        assert row_violation(row, [2.0], {0: 0.0}, (0,)) == pytest.approx(0.0)
 
     def test_aggregated_p1(self):
-        c = cut([1.0], 3.0, (0, 1))
-        assert cut_violation(c, [0.0], {0: 1.5, 1: 1.5}) == pytest.approx(0.0)
+        row = cut_row(cut([1.0], 3.0, (0, 1)))
+        assert row_violation(row, [0.0], {0: 1.5, 1: 1.5}, (0, 1)) == pytest.approx(0.0)
 
     def test_missing_theta(self):
-        c = cut([1.0], 3.0, (0, 1))
+        row = cut_row(cut([1.0], 3.0, (0, 1)))
         with pytest.raises(ValueError, match="missing"):
-            cut_violation(c, [0.0], {0: 1.5})
+            row_violation(row, [0.0], {0: 1.5}, (0, 1))
 
     def test_is_violated_relative_scale(self):
-        c = cut([0.0], 100.0, (0,))
-        assert not is_violated(c, [0.0], {0: 100.0 - 1e-5})
-        assert is_violated(c, [0.0], {0: 100.0 - 1e-3})
+        row = cut_row(cut([0.0], 100.0, (0,)))
+        assert not row_is_violated(row, [0.0], {0: 100.0 - 1e-5}, VIOLATION_SCALE, (0,))
+        assert row_is_violated(row, [0.0], {0: 100.0 - 1e-3}, VIOLATION_SCALE, (0,))
 
 
 class TestDistance:
@@ -197,24 +179,18 @@ class TestDistance:
 
     def test_duplicate_aggregate_normalization(self):
         base = cut([1.0, -2.0], 3.0, (0,))
-        triple = aggregate_cuts(
-            [cut([1.0, -2.0], 3.0, (s,)) for s in range(3)]
-        )
+        triple = summed_cut([cut([1.0, -2.0], 3.0, (s,)) for s in range(3)])
         for measure in (DistanceMeasure.ABSOLUTE, DistanceMeasure.SPATIOANGULAR):
             assert cut_distance(base, triple, measure) == pytest.approx(0.0, abs=1e-12)
 
-    def test_zero_gradient_rejected_under_angular(self):
-        a = cut([0.0], 1.0, (0,))
-        b = cut([1.0], 1.0, (1,))
-        with pytest.raises(ValueError):
-            cut_distance(a, b, DistanceMeasure.ANGULAR)
-
     def test_aggregation_distance_falls_back_for_zero_gradient(self):
-        a = cut([0.0], 1.0, (0,))
-        b = cut([1.0], 1.0, (1,))
-        fallback = aggregation_distance(a, b, DistanceMeasure.ANGULAR)
-        assert fallback == pytest.approx(cut_distance(a, b, DistanceMeasure.ABSOLUTE))
-        assert aggregation_distance(a, a, DistanceMeasure.ANGULAR) == 0.0
+        a, b = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+        for measure in (DistanceMeasure.ANGULAR, DistanceMeasure.SPATIOANGULAR):
+            fallback = aggregation_distance(a, 1, b, 2, measure)
+            assert fallback == aggregation_distance(a, 1, b, 2, DistanceMeasure.ABSOLUTE)
+            assert aggregation_distance(a, 1, a, 1, measure) == 0.0
+        zero = np.zeros(2)
+        assert aggregation_distance(zero, 1, zero, 3, DistanceMeasure.ANGULAR) == 0.0
 
 
 class TestCutValidity:
@@ -228,7 +204,7 @@ class TestCutValidity:
             for s in range(prob.n_scenarios):
                 res = solve_subproblem(prob, s, x)
                 cuts.append(make_optimality_cut(s, res.duals, prob.scenarios[s]))
-        cuts.append(aggregate_cuts(cuts[: prob.n_scenarios]))
+        cuts.append(summed_cut(cuts[: prob.n_scenarios]))
         for _ in range(20):
             x = rng.uniform(0.0, 2.0, prob.n)
             values = [

@@ -184,7 +184,7 @@ class TestSolve:
         calls = record_calls(monkeypatch, aggregation_mod, "kmedoids_cluster")
         solve_lshaped(random_instance(9, 30),
                       EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6, seed=7))
-        assert calls and {args[3] for args, _, _ in calls} == {used}
+        assert calls and {args[4] for args, _, _ in calls} == {used}
 
     @pytest.mark.parametrize("label, want", [
         ("kmedoids:k=3", "kmedoids:k=3,measure=angular,seed=7"),
@@ -218,6 +218,17 @@ class TestSolve:
         bad = TwoStageProblem(first, [[1.0]], (Scenario(0.3, [1.0], [[1.0]], [1.0]),))
         with pytest.raises(ValueError, match="probabilities"):
             solve_lshaped(bad, EngineConfig())
+
+    @pytest.mark.parametrize("field, value", [
+        ("rel_tol", math.nan), ("rel_tol", 0.0), ("rel_tol", -1e-3),
+        ("violation_tol", math.nan), ("violation_tol", -1e-6), ("violation_tol", math.inf),
+    ])
+    def test_invalid_tolerances_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(**{field: value})
+
+    def test_zero_violation_tol_accepted(self):
+        assert EngineConfig(violation_tol=0.0).violation_tol == 0.0
 
     def test_iteration_limit_status(self, p1):
         report = solve_lshaped(p1, EngineConfig(rel_tol=1e-9, max_iterations=1))
@@ -766,8 +777,9 @@ class TestStackedCuts:
     @pytest.mark.parametrize("label", [
         "multi", "single", "partial:T=7", "kmedoids:k=6,measure=angular",
         "kmedoids:k=6,measure=absolute", "kmedoids:k=6,measure=spatioangular",
-        "closest:A=4", "granulated:T0=3,inner=kmedoids:k=4",
-        "granulated:T0=4,inner=closest:A=3",
+        "closest:A=4", "closest:A=4,measure=absolute", "closest:A=4,measure=spatioangular",
+        "granulated:T0=3,inner=kmedoids:k=4", "granulated:T0=4,inner=closest:A=3",
+        "granulated:T0=3,inner=closest:A=3,measure=spatioangular",
     ])
     def test_engine_matches_object_reference(self, label, monkeypatch):
         import lshaped.engine
@@ -787,18 +799,28 @@ class TestStackedCuts:
             assert np.array_equal(a.iteration_counts, b.iteration_counts)
             assert a.objective.hex() == b.objective.hex()
 
-    @pytest.mark.parametrize("label", ["single", "partial:T=5",
-                                       "granulated:T0=4,inner=kmedoids:k=3"])
-    def test_no_cut_objects_are_aggregated(self, label, monkeypatch):
-        import lshaped.aggregation
-        import lshaped.cuts
+    @pytest.mark.parametrize("label", [
+        "single", "partial:T=5", "kmedoids:k=4", "granulated:T0=4,inner=kmedoids:k=3",
+        "closest:A=4", "closest:A=3,measure=absolute",
+        "granulated:T0=4,inner=closest:A=3,measure=spatioangular",
+    ])
+    def test_a_solve_constructs_no_cut_objects(self, label, monkeypatch):
+        import lshaped
 
-        calls = [record_calls(monkeypatch, module, "aggregate_cuts")
-                 for module in (lshaped.aggregation, lshaped.cuts)]
+        class NoCut:
+            # no slots: a cut made with object.__new__ cannot be filled in
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("a solve constructed an OptimalityCut")
+
+        for name in ("aggregation", "cuts", "engine"):
+            module = getattr(lshaped, name)
+            if hasattr(module, "OptimalityCut"):
+                monkeypatch.setattr(module, "OptimalityCut", NoCut)
         prob = sample_instance(trend_template(3), 60, 3)
         report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
         assert report.status == SolveStatus.CONVERGED and report.n_cuts > 0
-        assert calls == [[], []]
 
 
 class TestLeanReport:
