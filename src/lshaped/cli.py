@@ -257,8 +257,11 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
 
-    multi = _median_run(problem, args, MultiCut())
-    single = _median_run(problem, args, SingleCut())
+    try:
+        multi = _median_run(problem, args, MultiCut())
+        single = _median_run(problem, args, SingleCut())
+    except (ValueError, RuntimeError) as exc:
+        raise CliError(str(exc))
     if multi.status != SolveStatus.CONVERGED or single.status != SolveStatus.CONVERGED:
         raise CliError("a baseline run did not converge", code=2)
 
@@ -273,7 +276,10 @@ def _cmd_bench(args) -> int:
 
     rows: list[BenchRow] = []
     for param, value, scheme in points:
-        report = _median_run(problem, args, scheme)
+        try:
+            report = _median_run(problem, args, scheme)
+        except (ValueError, RuntimeError) as exc:
+            raise CliError(str(exc))
         if report.status == SolveStatus.CONVERGED:
             rel_cut, rel_iter, rel_time = compute_relative_complexities(report, multi, single)
         else:

@@ -25,7 +25,8 @@ from lshaped import (
 )
 from lshaped import aggregation
 from helpers import (
-    cut_distance, cut_row, cuts_of, reference_kmedoids, reference_select_closest, reference_sum,
+    cut_distance, cut_row, cuts_of, record_calls, reference_kmedoids, reference_select_closest,
+    reference_sum,
 )
 
 
@@ -214,7 +215,9 @@ class TestAggregateGranules:
         for scheme in schemes:
             sums, parts = aggregate(scheme, cuts, 10)
             assert sorted(s for part in parts for s in part) == list(range(10))
-            assert np.allclose(sums.sum(axis=0), stacked(cuts)[0].sum(axis=0), atol=1e-12)
+            total = stacked(cuts)[0].sum(axis=0)
+            assert np.allclose(sums[:, :-1].sum(axis=0), total[:-1], atol=1e-12)
+            assert sums[:, -1].sum() == pytest.approx(total[-1], abs=1e-12)
             as_partition = PartitioningScheme(parts=tuple(set(p) for p in parts), n_scenarios=10)
             assert validate_partitioning(as_partition) == []
 
@@ -230,11 +233,16 @@ class TestAggregateGranules:
         assert (0, 1) in parts  # slot flushed at ceil(4/2) = 2 members
 
     @pytest.mark.parametrize("measure", list(DistanceMeasure))
-    def test_select_closest_matches_reference(self, measure):
+    def test_select_closest_places_each_row_once(self, measure, monkeypatch):
         cuts = singletons(40)
         rule = SelectClosest(slots=4, tolerance=0.6, measure=measure)
         rows, members, _ = stacked(cuts)
+        calls = record_calls(monkeypatch, aggregation, "aggregation_distance")
         sums, groups = aggregation.aggregate_granules(Dynamic(rule), rows, members, 40)
+        # one distance per arriving row and open slot, and one running sum
+        # per slot opening, added to in place rather than re-summed
+        assert len(calls) <= len(rows) * rule.slots
+        assert len({id(args[2]) for args, _, _ in calls}) <= len(groups)
         expected = reference_select_closest(rule, cuts, 40)
         assert [[members[g][0] for g in group] for group in groups] == [
             list(c.members) for c in expected

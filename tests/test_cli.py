@@ -229,6 +229,17 @@ class TestBench:
                            "--sweep", "T=")
         assert code == 1
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--scheme", "single", "--tol", "nan"], "rel_tol must be positive"),
+        (["--scheme", "closest:A=2,measure=absolute", "--sweep", "tau=nan"],
+         "invalid aggregation strategy"),
+    ])
+    def test_invalid_run_reported(self, capsys, p1_json, extra, message):
+        code, out, err = run(capsys, "bench", "--input", p1_json, "--repeats", "1", *extra)
+        assert code == 1
+        assert message in err
+        assert out == ""
+
     def test_baseline_non_convergence_aborts(self, capsys, p1_json):
         code, _, err = run(capsys, "bench", "--input", p1_json, "--scheme", "single",
                            "--repeats", "1", "--tol", "1e-9", "--max-iters", "1")
