@@ -156,6 +156,7 @@ def _report_json(report: SolveReport) -> dict:
                 "master_pivots": rec.master_pivots,
                 "master_rows": rec.master_rows,
                 "sub_solves": rec.sub_solves,
+                "master_s": rec.master_s,
             }
             for rec in report.history
         ],
@@ -321,9 +322,12 @@ def _cmd_bounds(args) -> int:
                 f"multi       {bounds_mod.bound_multi_cut(args.N, args.b, args.m)}",
             ]
             if args.sizes:
-                lines.append(
-                    f"aggregated  {bounds_mod.bound_aggregated(_sizes(args), args.b, args.m)}"
-                )
+                sizes = _sizes(args)
+                if sum(sizes) != args.N:
+                    raise CliError(
+                        f"--sizes {args.sizes} sum to {sum(sizes)}, not to --N {args.N}"
+                    )
+                lines.append(f"aggregated  {bounds_mod.bound_aggregated(sizes, args.b, args.m)}")
             lines.append(
                 f"dynamic     {bounds_mod.bound_dynamic(args.N, args.b, args.m, args.A0)}"
             )
@@ -354,7 +358,7 @@ def _sizes(args) -> list[int]:
     if not args.sizes:
         raise CliError("--aggregated needs --sizes")
     try:
-        return [int(s) for s in args.sizes.split(",") if s]
+        return [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise CliError(f"malformed --sizes {args.sizes!r}")
 
@@ -433,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--AL", type=int, default=1, help="aggregation level")
     p_bounds.add_argument("--lo", type=int, default=1, help="smallest allowed aggregate size")
     p_bounds.add_argument("--hi", type=int, default=1, help="largest allowed aggregate size")
-    p_bounds.add_argument("--sizes", help="comma-separated part sizes for --aggregated")
+    p_bounds.add_argument("--sizes", help="comma-separated part sizes for --aggregated; "
+                                          "under --compare they must sum to --N")
 
     p_val = sub.add_parser("validate", help="parse and validate an input")
     _add_input_args(p_val)

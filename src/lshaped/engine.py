@@ -147,6 +147,8 @@ class IterationRecord:
     master_rows: int
     #: cold subproblem solves, i.e. scenarios no cached basis fitted
     sub_solves: int
+    #: wall time of the iteration's master solve, in seconds
+    master_s: float
 
 
 class SolveStatus:
@@ -184,11 +186,16 @@ class SolveReport:
     (lower, upper), and the ``_COUNT_FIELDS`` counts.  Cuts are kept in the
     order they were added, iteration by iteration: ``cut_rows`` holds each
     distinct (gradient, offset) pair once, bit for bit, ``cut_row_of`` the
-    row of each cut, and ``cut_members`` each cut's member set as a bit row
-    (``np.packbits`` of a scenario mask).  Sampled instances repeat
-    scenarios, so their cuts repeat too: a multi-cut solve of one of the
-    benchmark's 200-scenario instances adds 409 cuts with 65 distinct rows.
+    row of each cut, ``cut_members`` each distinct member set once as a bit
+    row (``np.packbits`` of a scenario mask), and ``cut_member_of`` the
+    member row of each cut.  Sampled instances repeat scenarios, so their
+    cuts repeat too: a multi-cut solve of one of the benchmark's
+    200-scenario instances adds 409 cuts with 65 distinct rows, and it
+    repeats a scenario's member set in every iteration that cuts for it.
     An iteration's partition is the member sets of the cuts it added.
+    ``iteration_master_s`` holds each iteration's master solve time.  It
+    and ``wall_seconds`` are measurements; two runs of one solve agree bit
+    for bit on every other field.
     """
 
     status: str
@@ -207,9 +214,11 @@ class SolveReport:
     iteration_x: np.ndarray
     iteration_bounds: np.ndarray
     iteration_counts: np.ndarray
+    iteration_master_s: np.ndarray
     cut_rows: np.ndarray
     cut_row_of: np.ndarray
     cut_members: np.ndarray
+    cut_member_of: np.ndarray
 
     @classmethod
     def pack(cls, history: list[IterationRecord], rows: np.ndarray,
@@ -221,9 +230,9 @@ class SolveReport:
         mask = np.zeros((len(members), n_scenarios), dtype=bool)
         mask[np.repeat(np.arange(len(members)), [len(m) for m in members]),
              np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp)] = True
-        # compare rows as raw bytes, so that only bitwise-equal rows merge
-        keys = rows.view(np.dtype((np.void, rows.itemsize * (n + 1)))).ravel()
-        _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
+        packed = np.packbits(mask, axis=1)
+        rows, row_of = _distinct_rows(rows)
+        packed, member_of = _distinct_rows(packed)
         return cls(
             n_iterations=len(history),
             n_cuts=len(members),
@@ -234,9 +243,11 @@ class SolveReport:
             iteration_counts=np.array(
                 [[getattr(rec, f) for f in _COUNT_FIELDS] for rec in history], dtype=np.int64
             ).reshape(len(history), len(_COUNT_FIELDS)),
-            cut_rows=rows[first],
-            cut_row_of=row_of.reshape(-1).astype(np.int32),
-            cut_members=np.packbits(mask, axis=1),
+            iteration_master_s=np.array([rec.master_s for rec in history], dtype=float),
+            cut_rows=rows,
+            cut_row_of=row_of,
+            cut_members=packed,
+            cut_member_of=member_of,
             **fields,
         )
 
@@ -255,21 +266,23 @@ class SolveReport:
         return np.repeat(np.arange(1, self.n_iterations + 1), added)
 
     def _member_sets(self) -> list[tuple[int, ...]]:
-        return [tuple(np.flatnonzero(np.unpackbits(row)).tolist()) for row in self.cut_members]
+        sets = [tuple(np.flatnonzero(np.unpackbits(row)).tolist()) for row in self.cut_members]
+        return [sets[i] for i in self.cut_member_of.tolist()]
 
     @property
     def history(self) -> list[IterationRecord]:
         members = self._member_sets()
         records: list[IterationRecord] = []
         start = 0
-        for i, ((lower, upper), counts) in enumerate(
-            zip(self.iteration_bounds.tolist(), self.iteration_counts.tolist())
-        ):
+        for i, ((lower, upper), counts, master_s) in enumerate(zip(
+            self.iteration_bounds.tolist(), self.iteration_counts.tolist(),
+            self.iteration_master_s.tolist(),
+        )):
             fields = dict(zip(_COUNT_FIELDS, counts))
             stop = start + fields["cuts_added"]
             records.append(IterationRecord(
                 index=i + 1, x=self.iteration_x[i].copy(), lower=lower, upper=upper,
-                partition=tuple(members[start:stop]), **fields,
+                partition=tuple(members[start:stop]), master_s=master_s, **fields,
             ))
             start = stop
         return records
@@ -283,6 +296,14 @@ class SolveReport:
                 self.cut_iterations.tolist(),
             )
         ]
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array, compared as raw bytes so that only
+    bitwise-equal rows merge, and the int32 index of each row among them."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], row_of.reshape(-1).astype(np.int32)
 
 
 @dataclass(eq=False)
@@ -608,7 +629,9 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
     final_gap = math.inf
 
     for k in range(1, config.max_iterations + 1):
+        started = time.perf_counter()
         sol = master.solve()
+        master_s = time.perf_counter() - started
         if sol.status is LpStatus.INFEASIBLE:
             status = SolveStatus.MASTER_INFEASIBLE
             termination = Termination.MASTER_INFEASIBLE
@@ -637,13 +660,13 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                     cuts_added=0, cuts_skipped=0,
                     feasibility_cuts=len(results.farkas), partition=(),
                     master_pivots=master_pivots, master_rows=master_rows,
-                    sub_solves=sub_solves,
+                    sub_solves=sub_solves, master_s=master_s,
                 )
             )
             logger.debug(
-                "iteration %d: %d feasibility cuts sub_solves %d "
+                "iteration %d: %d feasibility cuts sub_solves %d master_s %.3g "
                 "master_pivots %d master_rows %d",
-                k, len(results.farkas), sub_solves, master_pivots, master_rows,
+                k, len(results.farkas), sub_solves, master_s, master_pivots, master_rows,
             )
             continue
 
@@ -661,15 +684,15 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                     index=k, x=x, lower=lower, upper=upper,
                     cuts_added=0, cuts_skipped=0, feasibility_cuts=0, partition=(),
                     master_pivots=master_pivots, master_rows=master_rows,
-                    sub_solves=sub_solves,
+                    sub_solves=sub_solves, master_s=master_s,
                 )
             )
             status = SolveStatus.CONVERGED
             termination = Termination.GAP
             logger.debug(
-                "iteration %d: converged, gap %.3g sub_solves %d "
+                "iteration %d: converged, gap %.3g sub_solves %d master_s %.3g "
                 "master_pivots %d master_rows %d",
-                k, gap, sub_solves, master_pivots, master_rows,
+                k, gap, sub_solves, master_s, master_pivots, master_rows,
             )
             break
 
@@ -698,13 +721,13 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                 cuts_added=added, cuts_skipped=skipped,
                 feasibility_cuts=0, partition=tuple(partition),
                 master_pivots=master_pivots, master_rows=master_rows,
-                sub_solves=sub_solves,
+                sub_solves=sub_solves, master_s=master_s,
             )
         )
         logger.debug(
             "iteration %d: lower %.6g upper %.6g added %d skipped %d "
-            "sub_solves %d master_pivots %d master_rows %d",
-            k, lower, upper, added, skipped, sub_solves, master_pivots, master_rows,
+            "sub_solves %d master_s %.3g master_pivots %d master_rows %d",
+            k, lower, upper, added, skipped, sub_solves, master_s, master_pivots, master_rows,
         )
         if added == 0:
             status = SolveStatus.CONVERGED

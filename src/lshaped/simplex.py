@@ -29,9 +29,11 @@ free unit column, the epigraph column of an L-shaped master with one theta
 per row (Dantzig & Van Slyke 1967).  Its warm solves run the same
 ``_Simplex`` iterations on a key-row basis (``_GubSimplex``): each basic
 theta column is keyed to one tight row of its set, and the rows left after
-substituting it out form a working matrix over the basic x columns only,
-refactorised at every pivot.  A pivot then costs O(rows * n) and no
-rows x rows inverse is held.  Its cold solve, and every fallback, runs the
+substituting it out form a working matrix over the basic x columns only.
+A key swap, where a key row's surplus enters and the surplus of another row
+of its set leaves, leaves that matrix as it is and updates the factor in
+place; every other pivot rebuilds it.  A pivot then costs O(rows * n) and
+no rows x rows inverse is held.  Its cold solve, and every fallback, runs the
 dense two-phase method on ``GubProgram.dense()``.
 
 Pricing is Dantzig (largest reduced-cost violation); after 50 consecutive
@@ -469,8 +471,9 @@ class _GubSimplex(_Simplex):
     tight).  A row whose surplus is basic drops out of the system; its
     surplus follows from the other basic values.  Subtracting each key row
     from the other tight rows of its set leaves a working matrix M over the
-    basic x columns only, one row per non-key tight row.  M is square, at
-    most n x n, and is refactorised at every pivot, so no eta file and no
+    basic x columns only, one row per non-key tight row.  M is square and
+    at most n x n.  Key swaps update the factor in place (``_swap_key``);
+    every other pivot rebuilds it (``_factor``), so no eta file and no
     rows x rows inverse exist.  FTRAN, BTRAN, pricing and the dual row each
     cost O(rows * n).
 
@@ -571,8 +574,46 @@ class _GubSimplex(_Simplex):
         self._set_basic_values()
         self._since_refactor = 0
 
+    def _swap_key(self, pos: int) -> bool:
+        """Bring the factor up to date in place after a key swap at basis
+        position pos, and say whether the pivot was one.
+
+        In a key swap the surplus of the key row r_new of theta set s enters
+        and the surplus of another row r_old of s leaves, while s owns no
+        working row.  r_new was then the only tight row of s and r_old is now,
+        so r_old becomes the key and W, kW, the basic x columns, M and its
+        inverse all stay as they are.  The factor still describes the basis
+        before the pivot, so r_old is read from ``_rs``.
+        """
+        A = self.A
+        surplus = int(self.basis[pos]) - A.X.shape[1] - A.n_theta
+        if surplus < 0:
+            return False
+        r_new = surplus + A.p
+        s = int(A.theta[r_new])
+        if s < 0 or self.key[s] != r_new:
+            return False
+        i = int(np.searchsorted(self._pos_s, pos))
+        if i == len(self._pos_s) or self._pos_s[i] != pos:
+            return False
+        r_old = int(self._rs[i])
+        if A.theta[r_old] != s or (self._tw == s).any():
+            return False
+        t = int(np.flatnonzero(self._tb == s)[0])
+        xb = self.basis[self._pos_x]
+        self.key[s] = r_old
+        # rows are written into the existing C-ordered arrays: a gather such
+        # as X[rows][:, xb] is F-ordered, and BLAS would then round XS @ zx
+        # differently from a rebuild
+        self._rs[i] = r_new
+        self._XS[i] = A.X[r_new, xb]
+        self._keys[t] = r_old
+        self._XK[t] = A.X[r_old, xb]
+        return True
+
     def _eta_update(self, w: np.ndarray, row: int, refactor_every: int) -> None:
-        self._factor()
+        if not self._swap_key(row):
+            self._factor()
         self._since_refactor += 1
         if self._since_refactor >= refactor_every:
             self.refresh()

@@ -63,6 +63,16 @@ class TestSolve:
         ]
         assert 0 < sum(rec["sub_solves"] for rec in doc["iterations"]) < 40 * len(report.history)
 
+    def test_json_reports_master_time(self, capsys, template_json):
+        code, out, _ = run(capsys, "solve", "--input", template_json, "--samples", "40",
+                           "--seed", "3", "--scheme", "multi", "--tol", "1e-6")
+        assert code == 0
+        doc = json.loads(out)
+        times = [rec["master_s"] for rec in doc["iterations"]]
+        assert len(times) == doc["metrics"]["n_iterations"]
+        assert all(isinstance(t, float) and t >= 0 for t in times)
+        assert sum(times) <= doc["metrics"]["wall_seconds"]
+
     def test_json_reports_termination_and_final_gap(self, capsys, p1_json):
         code, out, _ = run(capsys, "solve", "--input", p1_json, "--scheme", "multi",
                            "--tol", "1e-6")
@@ -160,6 +170,8 @@ class TestSolve:
             assert code == 0
             doc = json.loads(out)
             doc["metrics"].pop("wall_seconds")
+            for rec in doc["iterations"]:
+                rec.pop("master_s")
             outputs.append(doc)
         assert outputs[0] == outputs[1]
 
@@ -281,6 +293,19 @@ class TestBounds:
                            "--m", "2", "--A0", "2", "--sizes", "2,2")
         assert code == 0
         assert "single" in out and "dynamic" in out
+
+    def test_compare_sizes_must_sum_to_n(self, capsys):
+        code, out, err = run(capsys, "bounds", "--compare", "--N", "3", "--b", "2",
+                             "--m", "2", "--A0", "2", "--sizes", "2,2")
+        assert code == 1 and out == ""
+        assert "sum to 4" in err and "--N 3" in err
+
+    @pytest.mark.parametrize("kind", ["--compare", "--aggregated"])
+    def test_empty_size_field_is_malformed(self, capsys, kind):
+        code, out, err = run(capsys, "bounds", kind, "--N", "3", "--b", "2",
+                             "--m", "2", "--sizes", "2,,1")
+        assert code == 1 and out == ""
+        assert "malformed --sizes" in err
 
     def test_invalid_args(self, capsys):
         code, _, err = run(capsys, "bounds", "--single", "--N", "0", "--b", "2", "--m", "2")

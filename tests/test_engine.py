@@ -738,7 +738,7 @@ class TestScenarioEvaluator:
         a, b = solve_lshaped(prob, config), solve_lshaped(prob, config)
         assert a.objective == b.objective
         for name in ("iteration_x", "iteration_bounds", "iteration_counts", "cut_grads",
-                     "cut_offsets", "cut_members"):
+                     "cut_offsets", "cut_members", "cut_member_of"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_sub_solves_count_every_cold_solve(self, monkeypatch):
@@ -768,6 +768,20 @@ class TestScenarioEvaluator:
         for line, rec in zip(lines, report.history):
             assert f" sub_solves {rec.sub_solves} " in line
 
+    @pytest.mark.parametrize("label", ["multi", "single"])
+    def test_master_time_per_iteration(self, label, caplog):
+        prob = sample_instance(trend_template(3), 60, 3)
+        with caplog.at_level("DEBUG", logger="lshaped.engine"):
+            report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        times = report.iteration_master_s
+        assert times.dtype == np.float64 and times.shape == (report.n_iterations,)
+        assert (times >= 0).all() and times.sum() <= report.wall_seconds
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration")]
+        assert len(lines) == len(report.history)
+        for line, rec, t in zip(lines, report.history, times.tolist()):
+            assert rec.master_s == t
+            assert f" master_s {t:.3g} " in line
+
 
 class TestStackedCuts:
     """One iteration's cuts travel as stacked (grad, offset) rows from the
@@ -796,6 +810,7 @@ class TestStackedCuts:
             assert a.cut_rows.tobytes() == b.cut_rows.tobytes()
             assert np.array_equal(a.cut_row_of, b.cut_row_of)
             assert np.array_equal(a.cut_members, b.cut_members)
+            assert np.array_equal(a.cut_member_of, b.cut_member_of)
             assert np.array_equal(a.iteration_counts, b.iteration_counts)
             assert a.objective.hex() == b.objective.hex()
 
@@ -850,6 +865,18 @@ class TestLeanReport:
             tracemalloc.stop()
         assert report.status == SolveStatus.CONVERGED
         assert retained <= limit_kib * 1024
+
+    def test_multi_cut_report_stores_each_member_set_once(self):
+        # a multi-cut run cuts for the same scenario in several iterations
+        prob = sample_instance(trend_template(3), 200, 3)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
+        sets = report._member_sets()
+        assert len(sets) == report.n_cuts > 2 * prob.n_scenarios
+        assert len(report.cut_members) == len(set(sets)) <= prob.n_scenarios
+        assert report.cut_member_of.dtype == np.int32
+        # 11.3 KB as one packed row per cut, 6.8 KB stored once
+        stored = report.cut_members.nbytes + report.cut_member_of.nbytes
+        assert stored <= 0.65 * report.n_cuts * report.cut_members.shape[1]
 
     def test_history_reads_back_the_recorded_iterations(self, monkeypatch):
         from lshaped.engine import SolveReport

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from lshaped import (
+    EngineConfig,
     LinearProgram,
     LpSolution,
     LpStatus,
+    parse_scheme,
+    sample_instance,
     solve_lp,
+    solve_lshaped,
     verify_farkas,
     verify_kkt,
 )
 from lshaped.simplex import GubMatrix, GubProgram, _GubSimplex, _Simplex
-from helpers import record_calls
+from helpers import record_calls, trend_template
 
 
 def brute_force_optimum(lp):
@@ -400,3 +404,60 @@ class TestGubProgram:
             assert max(rep.primal, rep.dual, rep.complementarity) <= 1e-8, seed
             checked += 1
         assert checked >= 20
+
+    def test_in_place_factor_equals_rebuild(self, monkeypatch):
+        # after every pivot of warm GUB solves, the factor (updated in place
+        # on key swaps) equals the one _factor() builds from the basis
+        names = ("key", "_W", "_kW", "_pos_x", "_pos_t", "_pos_s", "_tb", "_keys", "_rs",
+                 "_tw", "_ts", "_XK", "_XS", "_Minv")
+        swaps = record_calls(monkeypatch, _GubSimplex, "_swap_key")
+        original = _GubSimplex._eta_update
+        checked = []
+
+        def checking(state, w, row, refactor_every):
+            original(state, w, row, refactor_every)
+            held = {name: getattr(state, name) for name in names}
+            held = {name: (value.copy(order="K"), value.flags.c_contiguous)
+                    for name, value in held.items()}
+            state._factor()
+            for name, (value, c_order) in held.items():
+                rebuilt = getattr(state, name)
+                assert np.array_equal(value, rebuilt) and value.dtype == rebuilt.dtype, name
+                assert c_order == rebuilt.flags.c_contiguous, name
+            checked.append(row)
+
+        monkeypatch.setattr(_GubSimplex, "_eta_update", checking)
+        for seed in range(30):
+            lp = random_gub_program(seed)
+            sol = solve_lp(lp.dense())
+            X, theta, N = lp.A.X, lp.A.theta, lp.A.n_theta
+            covered = np.unique(theta[theta >= 0])
+            if sol.basis is None or not len(covered):
+                continue
+            rng = np.random.default_rng(seed)
+            n, k = X.shape[1], 4
+            new_X = rng.uniform(-1.0, 1.0, (k, n))
+            # one feasibility row (theta -1) among the appended rows
+            new_theta = np.r_[rng.choice(covered, k - 1), -1]
+            lhs = new_X @ sol.x[:n] + np.where(new_theta >= 0, sol.x[n + new_theta], 0.0)
+            A = GubMatrix(np.vstack([X, new_X]), np.r_[theta, new_theta], N, 1)
+            cols = A.shape[1]
+            c = np.zeros(cols)
+            c[: len(lp.c)] = lp.c
+            lb = np.zeros(cols)
+            lb[n : n + N] = -np.inf
+            big = GubProgram(c=c, A=A, b=np.r_[lp.b, lhs + 0.5], lb=lb,
+                             ub=np.full(cols, np.inf), n_structural=n + N)
+            solve_lp(big, basis=np.r_[sol.basis, np.arange(len(lp.c), cols)])
+        random_pivots = len(checked)
+        problem = sample_instance(trend_template(3), 60, 3)
+        solve_lshaped(problem, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
+        assert random_pivots >= 20 and len(checked) > random_pivots
+        assert any(result for _, _, result in swaps)
+
+    def test_key_swaps_skip_the_rebuild(self, monkeypatch):
+        factors = record_calls(monkeypatch, _GubSimplex, "_factor")
+        pivots = record_calls(monkeypatch, _GubSimplex, "_replace_basic")
+        problem = sample_instance(trend_template(3), 60, 3)
+        solve_lshaped(problem, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
+        assert 0 < len(factors) < len(pivots)
