@@ -383,6 +383,12 @@ def kmedoids_cluster(
     scanned medoid by medoid, candidates in index order, and a swap is taken
     only when it beats the best cost so far by more than 1e-12.
 
+    A cluster's new centre depends only on ``dist`` and its member set, so
+    a sweep re-centres only the clusters whose members changed since their
+    last re-centring, and the one whose medoid a swap replaced; the others
+    keep their medoid, as re-centring them would.  A sweep that moves no
+    medoid leaves the assignment as it is and goes straight to the swap.
+
     Returns (assignment, medoids): cluster index per point and the k medoid
     point indices.
     """
@@ -402,27 +408,39 @@ def kmedoids_cluster(
         medoids.append(far)
 
     assignment = _assign(dist, medoids)
+    # slots whose member set changed since their last re-centring
+    stale = np.ones(k, dtype=bool)
     for _ in range(KMEDOIDS_MAX_SWEEPS):
         changed = False
-        for c in range(len(medoids)):
+        for c in np.flatnonzero(stale).tolist():
+            stale[c] = False
             cluster = np.flatnonzero(assignment == c)
             if len(cluster) == 0:
                 continue
-            inner = dist[np.ix_(cluster, cluster)].sum(axis=1)
-            best = cluster[np.flatnonzero(inner == inner.min())[0]]
+            best = _medoid_of(dist, cluster)
             if best != medoids[c]:
-                medoids[c] = int(best)
+                medoids[c] = best
                 changed = True
+        if not changed:
+            # unchanged medoids give the same assignment: a fixpoint
+            swap = _best_swap(dist, medoids, assignment)
+            if swap is None:
+                break
+            medoids[swap[0]] = swap[1]
+            stale[swap[0]] = True
         new_assignment = _assign(dist, medoids)
-        if changed or not np.array_equal(new_assignment, assignment):
-            assignment = new_assignment
-            continue
-        swap = _best_swap(dist, medoids, assignment)
-        if swap is None:
-            break
-        medoids[swap[0]] = swap[1]
-        assignment = _assign(dist, medoids)
+        moved = new_assignment != assignment
+        stale[assignment[moved]] = True
+        stale[new_assignment[moved]] = True
+        assignment = new_assignment
     return [int(a) for a in assignment], [int(mi) for mi in medoids]
+
+
+def _medoid_of(dist: np.ndarray, cluster: np.ndarray) -> int:
+    """The member of a cluster (ascending point indices) with the least
+    total distance to the others, ties to the first."""
+    inner = dist[np.ix_(cluster, cluster)].sum(axis=1)
+    return int(cluster[np.flatnonzero(inner == inner.min())[0]])
 
 
 def _best_swap(

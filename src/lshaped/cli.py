@@ -157,6 +157,7 @@ def _report_json(report: SolveReport) -> dict:
                 "master_rows": rec.master_rows,
                 "sub_solves": rec.sub_solves,
                 "master_s": rec.master_s,
+                "agg_s": rec.agg_s,
             }
             for rec in report.history
         ],
@@ -234,7 +235,7 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
             v += step
     else:
         try:
-            values = [float(p) for p in rest.split(",") if p]
+            values = [float(p) for p in rest.split(",")]
         except ValueError:
             raise CliError(f"malformed sweep values {rest!r}")
     if not values:

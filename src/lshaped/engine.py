@@ -67,7 +67,11 @@ sum over each row's columns is the largest of those rows at x, so every
 optimal vertex gives the aggregate filter the same violations.  Rows over
 other sets of granules (closest, k-medoids) leave the split of theta
 between columns open, and a different optimal vertex would change which
-aggregates are added, so those masters are solved cold.
+aggregates are added, so those masters are solved cold.  Warm-starting them
+was measured and rejected: on the 32 instances of the perfbench
+granulated_kmedoids workload for run seeds 1-8 it made solves faster, but
+the other vertices moved the filter and the mean iteration count rose from
+10.03 to 10.84.
 
 The run terminates Converged when the relative gap
 (upper_best - lower) / max(1, |upper_best|) reaches the tolerance
@@ -149,6 +153,10 @@ class IterationRecord:
     sub_solves: int
     #: wall time of the iteration's master solve, in seconds
     master_s: float
+    #: wall time of the iteration's aggregation (``_aggregate``: cut rows,
+    #: ``granulate`` and the inner rule), in seconds; 0 when it added
+    #: feasibility cuts or converged
+    agg_s: float
 
 
 class SolveStatus:
@@ -193,9 +201,10 @@ class SolveReport:
     200-scenario instances adds 409 cuts with 65 distinct rows, and it
     repeats a scenario's member set in every iteration that cuts for it.
     An iteration's partition is the member sets of the cuts it added.
-    ``iteration_master_s`` holds each iteration's master solve time.  It
-    and ``wall_seconds`` are measurements; two runs of one solve agree bit
-    for bit on every other field.
+    ``iteration_master_s`` holds each iteration's master solve time and
+    ``iteration_agg_s`` its aggregation time.  They and ``wall_seconds`` are
+    measurements; two runs of one solve agree bit for bit on every other
+    field.
     """
 
     status: str
@@ -215,6 +224,7 @@ class SolveReport:
     iteration_bounds: np.ndarray
     iteration_counts: np.ndarray
     iteration_master_s: np.ndarray
+    iteration_agg_s: np.ndarray
     cut_rows: np.ndarray
     cut_row_of: np.ndarray
     cut_members: np.ndarray
@@ -244,6 +254,7 @@ class SolveReport:
                 [[getattr(rec, f) for f in _COUNT_FIELDS] for rec in history], dtype=np.int64
             ).reshape(len(history), len(_COUNT_FIELDS)),
             iteration_master_s=np.array([rec.master_s for rec in history], dtype=float),
+            iteration_agg_s=np.array([rec.agg_s for rec in history], dtype=float),
             cut_rows=rows,
             cut_row_of=row_of,
             cut_members=packed,
@@ -274,15 +285,16 @@ class SolveReport:
         members = self._member_sets()
         records: list[IterationRecord] = []
         start = 0
-        for i, ((lower, upper), counts, master_s) in enumerate(zip(
+        for i, ((lower, upper), counts, master_s, agg_s) in enumerate(zip(
             self.iteration_bounds.tolist(), self.iteration_counts.tolist(),
-            self.iteration_master_s.tolist(),
+            self.iteration_master_s.tolist(), self.iteration_agg_s.tolist(),
         )):
             fields = dict(zip(_COUNT_FIELDS, counts))
             stop = start + fields["cuts_added"]
             records.append(IterationRecord(
                 index=i + 1, x=self.iteration_x[i].copy(), lower=lower, upper=upper,
-                partition=tuple(members[start:stop]), master_s=master_s, **fields,
+                partition=tuple(members[start:stop]), master_s=master_s, agg_s=agg_s,
+                **fields,
             ))
             start = stop
         return records
@@ -660,11 +672,11 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                     cuts_added=0, cuts_skipped=0,
                     feasibility_cuts=len(results.farkas), partition=(),
                     master_pivots=master_pivots, master_rows=master_rows,
-                    sub_solves=sub_solves, master_s=master_s,
+                    sub_solves=sub_solves, master_s=master_s, agg_s=0.0,
                 )
             )
             logger.debug(
-                "iteration %d: %d feasibility cuts sub_solves %d master_s %.3g "
+                "iteration %d: %d feasibility cuts sub_solves %d master_s %.3g agg_s 0 "
                 "master_pivots %d master_rows %d",
                 k, len(results.farkas), sub_solves, master_s, master_pivots, master_rows,
             )
@@ -684,13 +696,13 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                     index=k, x=x, lower=lower, upper=upper,
                     cuts_added=0, cuts_skipped=0, feasibility_cuts=0, partition=(),
                     master_pivots=master_pivots, master_rows=master_rows,
-                    sub_solves=sub_solves, master_s=master_s,
+                    sub_solves=sub_solves, master_s=master_s, agg_s=0.0,
                 )
             )
             status = SolveStatus.CONVERGED
             termination = Termination.GAP
             logger.debug(
-                "iteration %d: converged, gap %.3g sub_solves %d master_s %.3g "
+                "iteration %d: converged, gap %.3g sub_solves %d master_s %.3g agg_s 0 "
                 "master_pivots %d master_rows %d",
                 k, gap, sub_solves, master_s, master_pivots, master_rows,
             )
@@ -699,7 +711,9 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
         # every scenario participates in aggregation each iteration, so
         # the new aggregates cover all theta columns; filtering happens
         # only at the aggregate level (a satisfied aggregate is skipped)
+        started = time.perf_counter()
         rows, groups = _aggregate(problem, results.duals, block, inner, granule_members)
+        agg_s = time.perf_counter() - started
 
         skipped = 0
         added = 0
@@ -721,13 +735,14 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                 cuts_added=added, cuts_skipped=skipped,
                 feasibility_cuts=0, partition=tuple(partition),
                 master_pivots=master_pivots, master_rows=master_rows,
-                sub_solves=sub_solves, master_s=master_s,
+                sub_solves=sub_solves, master_s=master_s, agg_s=agg_s,
             )
         )
         logger.debug(
             "iteration %d: lower %.6g upper %.6g added %d skipped %d "
-            "sub_solves %d master_s %.3g master_pivots %d master_rows %d",
-            k, lower, upper, added, skipped, sub_solves, master_s, master_pivots, master_rows,
+            "sub_solves %d master_s %.3g agg_s %.3g master_pivots %d master_rows %d",
+            k, lower, upper, added, skipped, sub_solves, master_s, agg_s, master_pivots,
+            master_rows,
         )
         if added == 0:
             status = SolveStatus.CONVERGED

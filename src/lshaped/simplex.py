@@ -42,6 +42,16 @@ termination; the dual simplex switches to the dual form of the rule.  All
 choices are index-deterministic: identical input produces an identical
 pivot sequence and identical floating-point output.
 
+Pricing state is kept between pivots (Maros 2003): each column's
+pricing sign (-1 nonbasic at its lower bound, +1 at its upper bound, 0
+basic), the mask of free nonbasic columns, and the bounds of each basis
+position.  ``_replace_basic`` and bound flips update it; every ``run`` and
+``dual_run`` rebuilds it on entry, because the phase switch and the warm
+start move bounds and positions between calls.  A column prices in iff
+sign * d (|d| when free) exceeds OPTIMALITY_TOL, and the ratio test reads
+the cached bounds, so the choices and divisions are those of recomputing
+the positions on every pass.
+
 Dual sign convention: duals y are the equality-row multipliers with
 y = c_B' B^{-1}, so for a minimization subproblem whose nonbasic variables
 sit at zero lower bounds, y'b equals the optimal objective.
@@ -259,23 +269,25 @@ class _Simplex:
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
         return c - self.duals(c) @ self.A if self.m else c.copy()
 
-    def _positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masks of the nonbasic columns at their lower bound, at their upper
-        bound, and free at zero."""
+    def _track_positions(self) -> None:
+        """Rebuild the pricing state from the basis and the nonbasic
+        positions: each column's pricing sign (-1 nonbasic at its lower
+        bound, +1 nonbasic at its upper bound, 0 otherwise), the mask of
+        free nonbasic columns, and the bounds of each basis position.
+        ``_replace_basic`` and bound flips keep it current."""
         nonbasic = ~self.in_basis
-        at_lo = nonbasic & ~self.at_upper & self.finite_lb
         at_up = nonbasic & self.at_upper
-        free = nonbasic & ~self.finite_lb & ~self.finite_ub
-        return at_lo, at_up, free
+        at_lo = nonbasic & ~self.at_upper & self.finite_lb
+        self._sign = np.where(at_up, 1.0, np.where(at_lo, -1.0, 0.0))
+        self._free = nonbasic & ~self.finite_lb & ~self.finite_ub
+        self._lb_B = self.lb[self.basis]
+        self._ub_B = self.ub[self.basis]
 
-    def improving(self, d: np.ndarray) -> np.ndarray:
-        """Nonbasic columns whose reduced cost d violates dual feasibility."""
-        at_lo, at_up, free = self._positions()
-        return (
-            (at_lo & (d < -OPTIMALITY_TOL))
-            | (at_up & (d > OPTIMALITY_TOL))
-            | (free & (np.abs(d) > OPTIMALITY_TOL))
-        )
+    def _score(self, d: np.ndarray) -> np.ndarray:
+        """Pricing score of reduced costs d: sign * d, |d| on free columns.
+        A column violates dual feasibility iff its score exceeds
+        OPTIMALITY_TOL, and the score is then |d|."""
+        return np.where(self._free, np.abs(d), self._sign * d)
 
     def _eta_update(self, w: np.ndarray, row: int, refactor_every: int) -> None:
         pivot = w[row]
@@ -294,9 +306,15 @@ class _Simplex:
         self.x[old] = self.ub[old] if leaving_at_upper else self.lb[old]
         self.in_basis[old] = False
         self.at_upper[old] = leaving_at_upper
+        # a leaving column has reached a finite bound, so it is not free
+        self._sign[old] = 1.0 if leaving_at_upper else -1.0
         self.basis[pos] = j
         self.in_basis[j] = True
         self.at_upper[j] = False
+        self._sign[j] = 0.0
+        self._free[j] = False
+        self._lb_B[pos] = self.lb[j]
+        self._ub_B[pos] = self.ub[j]
         self._eta_update(w, pos, refactor_every)
 
     def _basic_bound_violation(self) -> float:
@@ -318,9 +336,11 @@ class _Simplex:
         degenerate_run = 0
         stop = self.pivots + cap
         finite_lb, finite_ub = self.finite_lb, self.finite_ub
+        self._track_positions()
         while self.pivots < stop:
             d = self.reduced_costs(c)
-            improving = self.improving(d)
+            score = self._score(d)
+            improving = score > OPTIMALITY_TOL
             if not improving.any():
                 if self._since_refactor > 0:
                     self.refresh()
@@ -331,7 +351,6 @@ class _Simplex:
             if bland:
                 j = int(np.flatnonzero(improving)[0])
             else:
-                score = np.where(improving, np.abs(d), -1.0)
                 j = int(np.argmax(score))
             direction = 1.0
             if self.at_upper[j] or (not finite_lb[j] and not finite_ub[j] and d[j] > 0):
@@ -347,13 +366,10 @@ class _Simplex:
                 t_own = np.inf
 
             xb = self.x[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                room = np.full(self.m, np.inf)
-                up = delta > ZERO_PIVOT_TOL
-                dn = delta < -ZERO_PIVOT_TOL
-                room[up] = (self.ub[self.basis[up]] - xb[up]) / delta[up]
-                room[dn] = (self.lb[self.basis[dn]] - xb[dn]) / delta[dn]
-            room = np.maximum(room, 0.0)
+            bound = np.where(delta > 0.0, self._ub_B, self._lb_B)
+            room = np.full(self.m, np.inf)
+            np.divide(bound - xb, delta, out=room, where=np.abs(delta) > ZERO_PIVOT_TOL)
+            np.maximum(room, 0.0, out=room)
             t_basic = room.min() if self.m else np.inf
 
             if not np.isfinite(min(t_own, t_basic)):
@@ -378,6 +394,7 @@ class _Simplex:
                 step = float(t_own)
                 self.x[self.basis] -= direction * step * w
                 self.at_upper[j] = not self.at_upper[j]
+                self._sign[j] = 1.0 if self.at_upper[j] else -1.0
                 self.x[j] = self.ub[j] if self.at_upper[j] else self.lb[j]
 
             self.pivots += 1
@@ -403,10 +420,11 @@ class _Simplex:
         bland = False
         degenerate_run = 0
         stop = self.pivots + cap
+        self._track_positions()
         while True:
             xb = self.x[self.basis]
-            below = self.lb[self.basis] - xb
-            above = xb - self.ub[self.basis]
+            below = self._lb_B - xb
+            above = xb - self._ub_B
             violation = np.maximum(below, above)
             violated = violation > FEASIBILITY_TOL
             if not violated.any():
@@ -424,17 +442,17 @@ class _Simplex:
             sign = 1.0 if to_upper else -1.0
             alpha = self._tableau_row(r)
             d = self.reduced_costs(c)
-            at_lo, at_up, free = self._positions()
-            eligible = (
-                (at_lo & (sign * alpha > _DUAL_PIVOT_TOL))
-                | (at_up & (sign * alpha < -_DUAL_PIVOT_TOL))
-                | (free & (np.abs(alpha) > _DUAL_PIVOT_TOL))
+            # -pricing sign * sign * alpha: the rate at which column j moves
+            # basic r towards its bound, on columns at a bound
+            eligible = (-self._sign * (sign * alpha) > _DUAL_PIVOT_TOL) | (
+                self._free & (np.abs(alpha) > _DUAL_PIVOT_TOL)
             )
             if not eligible.any():
                 return False
-            slack = np.where(free, np.abs(d), np.maximum(np.where(at_up, -d, d), 0.0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(eligible, slack / np.abs(alpha), np.inf)
+            score = self._score(d)
+            slack = np.where(self._free, score, np.maximum(-score, 0.0))
+            ratio = np.full(len(alpha), np.inf)
+            np.divide(slack, np.abs(alpha), out=ratio, where=eligible)
             best = ratio.min()
             ties = np.flatnonzero(ratio <= best + _RATIO_TIE_TOL)
             if bland:
@@ -448,7 +466,7 @@ class _Simplex:
                 continue
             if abs(w[r]) <= ZERO_PIVOT_TOL:
                 raise SimplexError("pivot element below zero tolerance")
-            bound = self.ub[self.basis[r]] if to_upper else self.lb[self.basis[r]]
+            bound = self._ub_B[r] if to_upper else self._lb_B[r]
             step = (xb[r] - bound) / w[r]
             self.x[j] += step
             self.x[self.basis] -= step * w
@@ -672,7 +690,8 @@ def _solve_warm(lp: LinearProgram, state: _Simplex, cap: int) -> LpSolution | No
         state.at_upper[boxed] = d[boxed] < 0.0
         state._set_basic_values()
     if state._basic_bound_violation() > FEASIBILITY_TOL:
-        if state.improving(d).any():
+        state._track_positions()
+        if (state._score(d) > OPTIMALITY_TOL).any():
             return None
         if not state.dual_run(lp.c, cap):
             return None

@@ -26,7 +26,11 @@ from lshaped import (
     sample_instance,
     solve_subproblem,
 )
+from lshaped import simplex
 from lshaped.engine import ScenarioResults
+from lshaped.simplex import (
+    FEASIBILITY_TOL, OPTIMALITY_TOL, ZERO_PIVOT_TOL, LpSolution, LpStatus, SimplexError,
+)
 
 P1_OPTIMUM = 3.0
 
@@ -196,11 +200,14 @@ def cut_distance(a, b, measure) -> float:
     return aggregation_distance(cut_row(a), len(a.members), cut_row(b), len(b.members), measure)
 
 
-def reference_kmedoids(points, k, measure, seed=0):
+def reference_kmedoids(points, k, measure, seed=0, visits=None):
     """k-medoids over cuts as a plain loop: the distance matrix from pairwise
-    aggregation_distance calls, and a swap polish that re-assigns and
-    re-sums the full cost for every (medoid, candidate) pair.  Same seeding,
-    sweeps, tie rules and swap rule as lshaped.kmedoids_cluster."""
+    aggregation_distance calls, every cluster re-centred in every sweep, and
+    a swap polish that re-assigns and re-sums the full cost for every
+    (medoid, candidate) pair.  Same seeding, sweeps, tie rules and swap rule
+    as lshaped.kmedoids_cluster.  ``visits``, when given, receives
+    (slot, member tuple) for every cluster a sweep visits, and (slot, None)
+    for every swap."""
     n = len(points)
     rng = XorShift64Star(seed)
     dist = np.zeros((n, n))
@@ -231,6 +238,8 @@ def reference_kmedoids(points, k, measure, seed=0):
         changed = False
         for c in range(len(medoids)):
             cluster = np.flatnonzero(assignment == c)
+            if visits is not None:
+                visits.append((c, tuple(cluster.tolist())))
             if len(cluster) == 0:
                 continue
             inner = dist[np.ix_(cluster, cluster)].sum(axis=1)
@@ -256,6 +265,8 @@ def reference_kmedoids(points, k, measure, seed=0):
         if swap is None:
             break
         medoids[swap[0]] = swap[1]
+        if visits is not None:
+            visits.append((swap[0], None))
         assignment = assign(medoids)
     return [int(a) for a in assignment], [int(m) for m in medoids]
 
@@ -313,6 +324,206 @@ def reference_aggregate(problem, duals, block, inner, granule_members):
     rows = np.array([cut_row(agg) for agg in aggregates])
     groups = [sorted({s // block for s in agg.members}) for agg in aggregates]
     return rows, groups
+
+
+# --- reference simplex pass ----------------------------------------------------
+# The pivot loops of ``lshaped.simplex._Simplex`` as they were before the
+# pricing state was kept between pivots: the nonbasic positions are
+# recomputed from ``in_basis`` and ``at_upper`` on every pass, and the
+# ratio test fills a full ``room`` array by masks.  ``use_reference_simplex``
+# swaps them in, so a test can compare the two bit for bit.
+
+
+def _reference_positions(state):
+    nonbasic = ~state.in_basis
+    at_lo = nonbasic & ~state.at_upper & state.finite_lb
+    at_up = nonbasic & state.at_upper
+    free = nonbasic & ~state.finite_lb & ~state.finite_ub
+    return at_lo, at_up, free
+
+
+def _reference_improving(state, d):
+    at_lo, at_up, free = _reference_positions(state)
+    return (
+        (at_lo & (d < -OPTIMALITY_TOL))
+        | (at_up & (d > OPTIMALITY_TOL))
+        | (free & (np.abs(d) > OPTIMALITY_TOL))
+    )
+
+
+def _reference_replace_basic(state, pos, j, leaving_at_upper, w, refactor_every):
+    old = int(state.basis[pos])
+    state.x[old] = state.ub[old] if leaving_at_upper else state.lb[old]
+    state.in_basis[old] = False
+    state.at_upper[old] = leaving_at_upper
+    state.basis[pos] = j
+    state.in_basis[j] = True
+    state.at_upper[j] = False
+    state._eta_update(w, pos, refactor_every)
+
+
+def _reference_run(state, c, cap, refactor_every=simplex._REFACTOR_EVERY):
+    bland = False
+    degenerate_run = 0
+    stop = state.pivots + cap
+    finite_lb, finite_ub = state.finite_lb, state.finite_ub
+    while state.pivots < stop:
+        d = state.reduced_costs(c)
+        improving = _reference_improving(state, d)
+        if not improving.any():
+            if state._since_refactor > 0:
+                state.refresh()
+                continue
+            if state._basic_bound_violation() > 1e-6:
+                raise SimplexError("basis lost primal feasibility")
+            return LpStatus.OPTIMAL
+        if bland:
+            j = int(np.flatnonzero(improving)[0])
+        else:
+            score = np.where(improving, np.abs(d), -1.0)
+            j = int(np.argmax(score))
+        direction = 1.0
+        if state.at_upper[j] or (not finite_lb[j] and not finite_ub[j] and d[j] > 0):
+            direction = -1.0
+
+        w = state._entering_column(j) if state.m else np.zeros(0)
+        delta = -direction * w
+        if finite_lb[j] and finite_ub[j]:
+            t_own = state.ub[j] - state.lb[j]
+        else:
+            t_own = np.inf
+
+        xb = state.x[state.basis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.full(state.m, np.inf)
+            up = delta > ZERO_PIVOT_TOL
+            dn = delta < -ZERO_PIVOT_TOL
+            room[up] = (state.ub[state.basis[up]] - xb[up]) / delta[up]
+            room[dn] = (state.lb[state.basis[dn]] - xb[dn]) / delta[dn]
+        room = np.maximum(room, 0.0)
+        t_basic = room.min() if state.m else np.inf
+
+        if not np.isfinite(min(t_own, t_basic)):
+            return LpStatus.UNBOUNDED
+
+        if t_basic <= t_own:
+            ties = np.flatnonzero(room <= t_basic + simplex._RATIO_TIE_TOL)
+            if bland:
+                leave_pos = int(ties[np.argmin(state.basis[ties])])
+            else:
+                leave_pos = int(ties[np.argmax(np.abs(w[ties]))])
+            if abs(w[leave_pos]) < 1e-7 and state._since_refactor > 0:
+                state.refresh()
+                continue
+            if abs(w[leave_pos]) <= ZERO_PIVOT_TOL:
+                raise SimplexError("pivot element below zero tolerance")
+            step = float(room[leave_pos])
+            state.x[j] += direction * step
+            state.x[state.basis] -= direction * step * w
+            state._replace_basic(leave_pos, j, bool(delta[leave_pos] > 0), w, refactor_every)
+        else:
+            step = float(t_own)
+            state.x[state.basis] -= direction * step * w
+            state.at_upper[j] = not state.at_upper[j]
+            state.x[j] = state.ub[j] if state.at_upper[j] else state.lb[j]
+
+        state.pivots += 1
+        if step <= ZERO_PIVOT_TOL:
+            degenerate_run += 1
+            if degenerate_run >= simplex._BLAND_TRIGGER:
+                bland = True
+        else:
+            degenerate_run = 0
+    raise SimplexError("simplex iteration limit exceeded")
+
+
+def _reference_dual_run(state, c, cap, refactor_every=simplex._REFACTOR_EVERY):
+    bland = False
+    degenerate_run = 0
+    stop = state.pivots + cap
+    while True:
+        xb = state.x[state.basis]
+        below = state.lb[state.basis] - xb
+        above = xb - state.ub[state.basis]
+        violation = np.maximum(below, above)
+        violated = violation > FEASIBILITY_TOL
+        if not violated.any():
+            return True
+        if state.pivots >= stop:
+            raise SimplexError("simplex iteration limit exceeded")
+        if bland:
+            candidates = np.flatnonzero(violated)
+            r = int(candidates[np.argmin(state.basis[candidates])])
+        else:
+            r = int(np.argmax(violation))
+        to_upper = bool(above[r] > 0)
+        sign = 1.0 if to_upper else -1.0
+        alpha = state._tableau_row(r)
+        d = state.reduced_costs(c)
+        at_lo, at_up, free = _reference_positions(state)
+        eligible = (
+            (at_lo & (sign * alpha > simplex._DUAL_PIVOT_TOL))
+            | (at_up & (sign * alpha < -simplex._DUAL_PIVOT_TOL))
+            | (free & (np.abs(alpha) > simplex._DUAL_PIVOT_TOL))
+        )
+        if not eligible.any():
+            return False
+        slack = np.where(free, np.abs(d), np.maximum(np.where(at_up, -d, d), 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(eligible, slack / np.abs(alpha), np.inf)
+        best = ratio.min()
+        ties = np.flatnonzero(ratio <= best + simplex._RATIO_TIE_TOL)
+        if bland:
+            j = int(ties[0])
+        else:
+            j = int(ties[np.argmax(np.abs(alpha[ties]))])
+
+        w = state._entering_column(j)
+        if abs(w[r]) < 1e-7 and state._since_refactor > 0:
+            state.refresh()
+            continue
+        if abs(w[r]) <= ZERO_PIVOT_TOL:
+            raise SimplexError("pivot element below zero tolerance")
+        bound = state.ub[state.basis[r]] if to_upper else state.lb[state.basis[r]]
+        step = (xb[r] - bound) / w[r]
+        state.x[j] += step
+        state.x[state.basis] -= step * w
+        state._replace_basic(r, j, to_upper, w, refactor_every)
+
+        state.pivots += 1
+        if best <= ZERO_PIVOT_TOL:
+            degenerate_run += 1
+            if degenerate_run >= simplex._BLAND_TRIGGER:
+                bland = True
+        else:
+            degenerate_run = 0
+
+
+def _reference_solve_warm(lp, state, cap):
+    state.refresh()
+    d = state.reduced_costs(lp.c)
+    boxed = ~state.in_basis & state.finite_lb & state.finite_ub
+    if boxed.any():
+        state.at_upper[boxed] = d[boxed] < 0.0
+        state._set_basic_values()
+    if state._basic_bound_violation() > FEASIBILITY_TOL:
+        if _reference_improving(state, d).any():
+            return None
+        if not state.dual_run(lp.c, cap):
+            return None
+    status = state.run(lp.c, cap)
+    if status is LpStatus.UNBOUNDED:
+        return LpSolution(status=LpStatus.UNBOUNDED, pivots=state.pivots)
+    return simplex._optimal(lp, state, lp.c)
+
+
+def use_reference_simplex(monkeypatch) -> None:
+    """Make ``solve_lp`` run the reference pass above, on dense and GUB
+    bases alike (``_GubSimplex`` inherits the patched methods)."""
+    monkeypatch.setattr(simplex._Simplex, "run", _reference_run)
+    monkeypatch.setattr(simplex._Simplex, "dual_run", _reference_dual_run)
+    monkeypatch.setattr(simplex._Simplex, "_replace_basic", _reference_replace_basic)
+    monkeypatch.setattr(simplex, "_solve_warm", _reference_solve_warm)
 
 
 P1_CORE = """NAME          P1

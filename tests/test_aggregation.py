@@ -441,6 +441,39 @@ class TestKmedoids:
                     cuts, k, measure, seed=seed
                 )
 
+    @pytest.mark.parametrize("measure", list(DistanceMeasure))
+    def test_recentring_follows_membership(self, measure, monkeypatch):
+        # many exact duplicates: distances and cluster sums tie exactly.  A
+        # cluster is re-centred only when its member set differs from the
+        # one it had at its last visit, or a swap replaced its medoid.
+        calls = record_calls(monkeypatch, aggregation, "_medoid_of")
+        swaps = recentred = visited = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            base = multi_member_cuts(seed, 5)
+            cuts = [
+                OptimalityCut(grad=base[b].grad, offset=base[b].offset, members=(s,))
+                for s, b in enumerate(rng.integers(0, len(base), 18))
+            ]
+            for k in (2, 3, 5):
+                calls.clear()
+                visits = []
+                got = kmedoids(cuts, k, measure, seed=seed)
+                assert got == reference_kmedoids(cuts, k, measure, seed=seed, visits=visits)
+                expected, last = [], {}
+                for c, members in visits:
+                    if members is None:
+                        last.pop(c, None)
+                        swaps += 1
+                        continue
+                    if members and members != last.get(c):
+                        expected.append(members)
+                    last[c] = members
+                assert [tuple(args[1].tolist()) for args, _, _ in calls] == expected
+                recentred += len(expected)
+                visited += sum(members is not None for _, members in visits)
+        assert swaps > 0 and recentred < visited
+
 
 def distance_matrix(cuts, measure):
     rows, _, counts = stacked(cuts)

@@ -68,10 +68,11 @@ class TestSolve:
                            "--seed", "3", "--scheme", "multi", "--tol", "1e-6")
         assert code == 0
         doc = json.loads(out)
-        times = [rec["master_s"] for rec in doc["iterations"]]
-        assert len(times) == doc["metrics"]["n_iterations"]
-        assert all(isinstance(t, float) and t >= 0 for t in times)
-        assert sum(times) <= doc["metrics"]["wall_seconds"]
+        for key in ("master_s", "agg_s"):
+            times = [rec[key] for rec in doc["iterations"]]
+            assert len(times) == doc["metrics"]["n_iterations"]
+            assert all(isinstance(t, float) and t >= 0 for t in times)
+            assert sum(times) <= doc["metrics"]["wall_seconds"]
 
     def test_json_reports_termination_and_final_gap(self, capsys, p1_json):
         code, out, _ = run(capsys, "solve", "--input", p1_json, "--scheme", "multi",
@@ -172,6 +173,7 @@ class TestSolve:
             doc["metrics"].pop("wall_seconds")
             for rec in doc["iterations"]:
                 rec.pop("master_s")
+                rec.pop("agg_s")
             outputs.append(doc)
         assert outputs[0] == outputs[1]
 
@@ -240,6 +242,15 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--input", p1_json, "--scheme", "partial",
                            "--sweep", "T=")
         assert code == 1
+
+    @pytest.mark.parametrize("scheme, sweep", [
+        ("closest:A=2", "tau=0.1,,0.3"), ("partial", "T=1,2,"),
+    ])
+    def test_empty_sweep_field_is_malformed(self, capsys, p1_json, scheme, sweep):
+        code, out, err = run(capsys, "bench", "--input", p1_json, "--scheme", scheme,
+                             "--sweep", sweep, "--repeats", "1", "--tol", "1e-6")
+        assert code == 1 and out == ""
+        assert "malformed sweep values" in err
 
     @pytest.mark.parametrize("extra, message", [
         (["--scheme", "single", "--tol", "nan"], "rel_tol must be positive"),

@@ -782,6 +782,22 @@ class TestScenarioEvaluator:
             assert rec.master_s == t
             assert f" master_s {t:.3g} " in line
 
+    @pytest.mark.parametrize("label", ["multi", "granulated:T0=3,inner=kmedoids:k=4"])
+    def test_aggregation_time_per_iteration(self, label, caplog):
+        prob = sample_instance(trend_template(3), 60, 3)
+        with caplog.at_level("DEBUG", logger="lshaped.engine"):
+            report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        times = report.iteration_agg_s
+        assert times.dtype == np.float64 and times.shape == (report.n_iterations,)
+        assert (times >= 0).all() and times.sum() <= report.wall_seconds
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration")]
+        assert len(lines) == len(report.history)
+        for line, rec, t in zip(lines, report.history, times.tolist()):
+            assert rec.agg_s == t
+            assert f" master_s {rec.master_s:.3g} agg_s {t:.3g} master_pivots " in line
+            # an iteration that aggregated cuts took time doing it
+            assert (t > 0) == (rec.cuts_added + rec.cuts_skipped > 0)
+
 
 class TestStackedCuts:
     """One iteration's cuts travel as stacked (grad, offset) rows from the

@@ -15,8 +15,9 @@ from lshaped import (
     verify_farkas,
     verify_kkt,
 )
+from lshaped import simplex as simplex_mod
 from lshaped.simplex import GubMatrix, GubProgram, _GubSimplex, _Simplex
-from helpers import record_calls, trend_template
+from helpers import record_calls, trend_template, use_reference_simplex
 
 
 def brute_force_optimum(lp):
@@ -461,3 +462,160 @@ class TestGubProgram:
         problem = sample_instance(trend_template(3), 60, 3)
         solve_lshaped(problem, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
         assert 0 < len(factors) < len(pivots)
+
+
+def mixed_bounds_lp(seed):
+    """A feasible LP whose columns are boxed, bounded below only, bounded
+    above only or free, in random order."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 8))
+    n = int(rng.integers(m + 1, 15))
+    kind = rng.integers(0, 4, n)  # boxed, lower only, upper only, free
+    low, width = rng.uniform(-1.0, 0.5, n), rng.uniform(0.2, 2.0, n)
+    high = rng.uniform(-0.5, 1.0, n)
+    lb = np.where(kind <= 1, low, -np.inf)
+    ub = np.select([kind == 0, kind == 2], [low + width, high], np.inf)
+    x0 = np.select(
+        [kind == 0, kind == 1, kind == 2],
+        [low + rng.uniform(0.0, 1.0, n) * width, low + rng.exponential(1.0, n),
+         high - rng.exponential(1.0, n)],
+        rng.normal(size=n),
+    )
+    A = rng.uniform(-2.0, 2.0, (m, n))
+    return LinearProgram(c=rng.uniform(-1.0, 1.0, n), A=A, b=A @ x0, lb=lb, ub=ub)
+
+
+def degenerate_cone_lp(seed):
+    """min c'x over A x = 0, x >= 0, with c in the dual cone: every basic
+    solution is x = 0, so every pivot is degenerate until the optimum."""
+    rng = np.random.default_rng(seed)
+    m, n = 40, 80
+    A = rng.uniform(-1.0, 1.0, (m, n))
+    c = rng.uniform(-1.0, 1.0, m) @ A + rng.uniform(0.0, 0.1, n)
+    return LinearProgram(c=c, A=A, b=np.zeros(m), lb=np.zeros(n), ub=np.full(n, np.inf))
+
+
+def zero_cost_surplus_lp(seed):
+    """[R | -I] x = b > 0 with zero costs, warm-started from the surplus
+    basis: every row is violated, every reduced cost is zero, and every
+    dual step is degenerate."""
+    rng = np.random.default_rng(seed)
+    m = n = 40
+    A = np.hstack([rng.uniform(-1.0, 1.0, (m, n)), -np.eye(m)])
+    lp = LinearProgram(c=np.zeros(n + m), A=A, b=rng.uniform(0.1, 1.0, m),
+                       lb=np.zeros(n + m), ub=np.full(n + m, np.inf))
+    return lp, np.arange(n, n + m)
+
+
+def assert_same_solution(a, b):
+    assert a.status is b.status
+    assert a.pivots == b.pivots
+    assert repr(a.objective) == repr(b.objective)
+    for name in ("x", "duals", "farkas", "basis"):
+        u, v = getattr(a, name), getattr(b, name)
+        assert (u is None) == (v is None), name
+        if u is not None:
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
+
+
+class TestReferencePass:
+    """``solve_lp`` keeps the pricing state between pivots; it must pivot
+    exactly as the reference pass (``helpers.use_reference_simplex``),
+    which recomputes the nonbasic positions on every pass."""
+
+    @staticmethod
+    def check(monkeypatch, lp, basis=None):
+        new = solve_lp(lp, basis=basis)
+        with monkeypatch.context() as patch:
+            use_reference_simplex(patch)
+            ref = solve_lp(lp, basis=basis)
+        assert_same_solution(new, ref)
+        return new
+
+    def test_mixed_bounds(self, monkeypatch):
+        statuses = set()
+        for seed in range(60):
+            lp = mixed_bounds_lp(seed)
+            sol = self.check(monkeypatch, lp)
+            statuses.add(sol.status)
+            rng = np.random.default_rng(seed)
+            # out of reach of A x whenever the bounds confine it
+            far_b = lp.b + 10.0 * np.abs(lp.A).sum(axis=1) + 1.0
+            far = LinearProgram(c=lp.c, A=lp.A, b=far_b, lb=lp.lb, ub=lp.ub)
+            statuses.add(self.check(monkeypatch, far).status)
+            if sol.basis is None:
+                continue
+            # warm starts: other costs (primal repair), another rhs (dual
+            # repair) and a random basis (often singular or infeasible)
+            moved_c = LinearProgram(c=lp.c + rng.normal(0.0, 0.5, len(lp.c)), A=lp.A, b=lp.b,
+                                    lb=lp.lb, ub=lp.ub)
+            moved_b = LinearProgram(c=lp.c, A=lp.A, b=lp.b + rng.normal(0.0, 0.5, len(lp.b)),
+                                    lb=lp.lb, ub=lp.ub)
+            self.check(monkeypatch, moved_c, sol.basis)
+            self.check(monkeypatch, moved_b, sol.basis)
+            self.check(monkeypatch, lp, rng.permutation(lp.A.shape[1])[: lp.A.shape[0]])
+        assert statuses == set(LpStatus)
+
+    def test_box_lps_and_warm_starts(self, monkeypatch):
+        for seed in range(40):
+            self.check(monkeypatch, random_box_lp(seed))
+            for infeasible in (False, True):
+                lp, basis = warm_start_case(seed, infeasible)
+                self.check(monkeypatch, lp, basis)
+
+    def test_degenerate_runs_reach_bland(self, monkeypatch):
+        # every pivot of these solves is degenerate, so a run or dual run
+        # that pivots more than _BLAND_TRIGGER times has switched rules
+        events = []
+        for name in ("run", "dual_run", "_replace_basic"):
+            original = getattr(_Simplex, name)
+
+            def recording(state, *args, _name=name, _original=original, **kwargs):
+                events.append(_name)
+                return _original(state, *args, **kwargs)
+
+            monkeypatch.setattr(_Simplex, name, recording)
+        longest = {}
+        for seed in range(3):
+            for lp, basis in ((degenerate_cone_lp(seed), None), zero_cost_surplus_lp(seed)):
+                events.clear()
+                self.check(monkeypatch, lp, basis)
+                loop, count = None, 0
+                for event in events:
+                    if event == "_replace_basic":
+                        count += 1
+                        longest[loop] = max(longest.get(loop, 0), count)
+                    else:
+                        loop, count = event, 0
+        assert longest["run"] > simplex_mod._BLAND_TRIGGER
+        assert longest["dual_run"] > simplex_mod._BLAND_TRIGGER
+
+    def test_gub_masters(self, monkeypatch):
+        checked = 0
+        for seed in range(30):
+            lp = random_gub_program(seed)
+            sol = solve_lp(lp.dense())
+            if sol.basis is None:
+                continue
+            rng = np.random.default_rng(seed)
+            moved = GubProgram(c=lp.c, A=lp.A, b=lp.b + rng.normal(0.0, 0.3, len(lp.b)),
+                               lb=lp.lb, ub=lp.ub, n_structural=lp.n_structural)
+            self.check(monkeypatch, moved, sol.basis)
+            self.check(monkeypatch, lp.dense())
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("label", ["multi", "granulated:T0=3,inner=kmedoids:k=4",
+                                       "partial:T=7"])
+    def test_engine_masters(self, monkeypatch, label):
+        import lshaped.engine as engine_mod
+
+        problem = sample_instance(trend_template(3), 60, 3)
+        config = EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6)
+        calls = record_calls(monkeypatch, engine_mod, "solve_lp")
+        solve_lshaped(problem, config)
+        masters = [(args[0], kwargs.get("basis")) for args, kwargs, _ in calls]
+        monkeypatch.undo()
+        assert len(masters) >= 4
+        for lp, basis in masters:
+            self.check(monkeypatch, lp, basis)
