@@ -527,38 +527,36 @@ def granulate(rows: np.ndarray, block_size: int) -> np.ndarray:
 def aggregate_granules(
     inner: AggregationScheme,
     rows: np.ndarray,
-    members: Sequence[Sequence[int]],
+    counts: Sequence[int],
     n_atoms: int,
 ) -> tuple[np.ndarray, list[list[int]]]:
     """Apply an inner rule (``MultiCut``, ``Dynamic`` or ``Cluster``, see
     ``granulation``) to one iteration's granule cuts: stacked (grad, offset)
-    rows with their disjoint member sets, in arrival order, out of
-    ``n_atoms`` granules in all.
+    rows over disjoint member sets of the given sizes, in arrival order, out
+    of ``n_atoms`` granules in all.  Arrival order is ascending member
+    order.
 
     Returns the aggregate rows and, for each, the positions of the granules
-    it sums in ascending member order.  A k-medoids cluster is summed as
+    it sums in ascending order.  A k-medoids cluster is summed as
     ``rows[idx].sum(axis=0)`` over those positions, and the clusters come in
-    ascending member order.  The closest rule places the granule rows one
-    at a time, in arrival order, which must be ascending member order (see
-    ``_select_closest``), and returns its aggregates in the order their
-    slots flushed.
+    ascending order of their first granule.  The closest rule places the
+    granule rows one at a time, in arrival order (see ``_select_closest``),
+    and returns its aggregates in the order their slots flushed.
     """
     if isinstance(inner, MultiCut):
         return rows, [[g] for g in range(len(rows))]
-    counts = [len(m) for m in members]
     if isinstance(inner, Dynamic):
         return _select_closest(inner.rule, rows, counts, n_atoms)
     if isinstance(inner, Cluster):
         rule = inner.rule
         k = min(rule.clusters, len(rows))
         assignment, _ = kmedoids_cluster(rows, counts, k, rule.measure, rule.seed or 0)
+        # granules are visited in ascending order, so each cluster lists its
+        # granules in ascending order and the clusters open in that order
         clusters: dict[int, list[int]] = {}
         for g, c in enumerate(assignment):
             clusters.setdefault(c, []).append(g)
-        groups = sorted(
-            (sorted(idx, key=members.__getitem__) for idx in clusters.values()),
-            key=lambda idx: members[idx[0]],
-        )
+        groups = list(clusters.values())
         return np.array([rows[idx].sum(axis=0) for idx in groups]), groups
     raise ValueError(f"unknown inner rule {inner!r}")
 
@@ -669,21 +667,27 @@ def with_parameter(scheme: AggregationScheme, name: str, value: float) -> Aggreg
     """Return a copy of the strategy with one named parameter replaced.
 
     Used by the benchmark sweep; the parameter names match the textual
-    grammar (T, A, tau, k, T0, seed).
+    grammar (T, A, tau, k, T0, seed).  Every parameter but tau is an
+    integer, and a value that is not one is rejected.
     """
+    def integer() -> int:
+        if not float(value).is_integer():
+            raise ValueError(f"parameter {name!r} must be an integer, not {value!r}")
+        return int(value)
+
     if isinstance(scheme, Partial) and name == "T":
-        return Partial(size=int(value))
+        return Partial(size=integer())
     if isinstance(scheme, Dynamic):
         rule = scheme.rule
         if name == "tau":
             return Dynamic(replace(rule, tolerance=float(value)))
         if name == "A":
-            return Dynamic(replace(rule, slots=int(value)))
+            return Dynamic(replace(rule, slots=integer()))
     if isinstance(scheme, Cluster):
         if name == "k":
-            return Cluster(replace(scheme.rule, clusters=int(value)))
+            return Cluster(replace(scheme.rule, clusters=integer()))
         if name == "seed":
-            return Cluster(replace(scheme.rule, seed=int(value)))
+            return Cluster(replace(scheme.rule, seed=integer()))
     if isinstance(scheme, Granulated) and name == "T0":
-        return Granulated(block_size=int(value), inner=scheme.inner)
+        return Granulated(block_size=integer(), inner=scheme.inner)
     raise ValueError(f"strategy {scheme_label(scheme)!r} has no parameter {name!r}")

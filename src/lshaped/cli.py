@@ -18,6 +18,8 @@ import statistics
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from .aggregation import MultiCut, SingleCut, parse_scheme, scheme_label, with_parameter
 from .engine import EngineConfig, SolveReport, SolveStatus, compute_relative_complexities, solve_lshaped
@@ -129,6 +131,22 @@ def _materialize(model, args) -> TwoStageProblem:
         raise CliError(str(exc))
 
 
+#: IterationRecord fields that the JSON iteration objects name otherwise
+_JSON_KEYS = {"index": "k", "partition": "partition_used"}
+
+
+def _json_value(value):
+    """A record field as JSON: arrays and member sets as lists, a
+    non-finite bound as null."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [list(part) for part in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _report_json(report: SolveReport) -> dict:
     return {
         "status": report.status,
@@ -144,21 +162,7 @@ def _report_json(report: SolveReport) -> dict:
             "wall_seconds": report.wall_seconds,
         },
         "iterations": [
-            {
-                "k": rec.index,
-                "x": [float(v) for v in rec.x],
-                "lower": rec.lower if rec.lower > -float("inf") else None,
-                "upper": rec.upper if rec.upper < float("inf") else None,
-                "cuts_added": rec.cuts_added,
-                "cuts_skipped": rec.cuts_skipped,
-                "feasibility_cuts": rec.feasibility_cuts,
-                "partition_used": [list(part) for part in rec.partition],
-                "master_pivots": rec.master_pivots,
-                "master_rows": rec.master_rows,
-                "sub_solves": rec.sub_solves,
-                "master_s": rec.master_s,
-                "agg_s": rec.agg_s,
-            }
+            {_JSON_KEYS.get(name, name): _json_value(getattr(rec, name)) for name in rec.__slots__}
             for rec in report.history
         ],
     }
@@ -226,6 +230,8 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
             start, stop, step = (float(p) for p in pieces)
         except ValueError:
             raise CliError(f"malformed sweep range {rest!r}")
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise CliError(f"sweep range {rest!r} must be finite")
         if step <= 0:
             raise CliError("sweep step must be positive")
         values = []
@@ -253,9 +259,18 @@ def _median_run(problem, args, scheme) -> SolveReport:
 
 
 def _cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise CliError("--repeats must be at least 1")
     problem = _materialize(_load_model(args), args)
+    points: list[tuple[str, str, object]] = []
     try:
         target = parse_scheme(args.scheme)
+        if args.sweep:
+            param, values = _parse_sweep(args.sweep)
+            for value in values:
+                points.append((param, f"{value:g}", with_parameter(target, param, value)))
+        else:
+            points.append(("", "", target))
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -266,15 +281,6 @@ def _cmd_bench(args) -> int:
         raise CliError(str(exc))
     if multi.status != SolveStatus.CONVERGED or single.status != SolveStatus.CONVERGED:
         raise CliError("a baseline run did not converge", code=2)
-
-    points: list[tuple[str, str, object]] = []
-    if args.sweep:
-        param, values = _parse_sweep(args.sweep)
-        for value in values:
-            scheme = with_parameter(target, param, value)
-            points.append((param, f"{value:g}", scheme))
-    else:
-        points.append(("", "", target))
 
     rows: list[BenchRow] = []
     for param, value, scheme in points:

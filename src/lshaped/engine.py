@@ -35,8 +35,9 @@ of (grad, offset) rows from the dual batch to the master, with no cut
 objects: ``make_optimality_cuts`` builds a row per scenario, ``granulate``
 sums them over contiguous blocks of T0 scenarios, and the inner rule places
 the granule rows (``aggregation.aggregate_granules``).  The master keeps one
-theta column per granule for the whole run; an aggregate's row covers the
-columns of its granules, and its member set stays in scenario terms.  A
+theta column per granule for the whole run, and a cut's coverage is its list
+of granules, which are its theta columns; only ``SolveReport.pack`` expands
+it to scenarios, granule g being scenarios g*T0 up to the next block.  A
 k-medoids rule with no seed of its own takes ``EngineConfig.seed``, and the
 report's ``scheme`` names the seed used.  An aggregate is skipped unless
 ``cuts.row_is_violated`` over its theta columns, at
@@ -78,6 +79,13 @@ The run terminates Converged when the relative gap
 (termination ``gap``) or when an iteration adds no cuts at all
 (``no_violated_aggregate``); ``SolveReport.final_gap`` says how far apart
 the bounds were then.
+
+Every iteration that solves its master ends in one ``IterationRecord``,
+whether it added feasibility cuts, reached the gap or aggregated cuts.  Its
+field names are the only names an iteration's values go by: the DEBUG line
+(``iteration k:`` and then ``name value`` for each scalar field), the
+columns of ``SolveReport.iterations`` and the solve JSON, which calls
+``index`` ``k`` and ``partition`` ``partition_used``.
 """
 
 from __future__ import annotations
@@ -86,7 +94,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -146,9 +154,9 @@ class IterationRecord:
     cuts_added: int
     cuts_skipped: int
     feasibility_cuts: int
+    #: member sets of the cuts added, in scenario terms; ``SolveReport``
+    #: reads them back from its cut member bits, and the loop leaves them empty
     partition: tuple[tuple[int, ...], ...]
-    master_pivots: int
-    master_rows: int
     #: cold subproblem solves, i.e. scenarios no cached basis fitted
     sub_solves: int
     #: wall time of the iteration's master solve, in seconds
@@ -157,6 +165,30 @@ class IterationRecord:
     #: ``granulate`` and the inner rule), in seconds; 0 when it added
     #: feasibility cuts or converged
     agg_s: float
+    master_pivots: int
+    master_rows: int
+
+
+#: IterationRecord's per-iteration values by element type, the columns of
+#: ``SolveReport.iterations``; ``partition`` is kept as the cut member bits
+_COLUMNS = {
+    f.name: "float" if f.name == "x" else f.type
+    for f in fields(IterationRecord) if f.name != "partition"
+}
+
+
+def _debug_line(rec: IterationRecord) -> str:
+    """The DEBUG line of an iteration: ``iteration k:``, then every other
+    scalar field as ``name value``."""
+    def text(name):
+        value = getattr(rec, name)
+        if name.endswith("_s"):
+            return f"{name} {value:.3g}"
+        return f"{name} {value:.6g}" if isinstance(value, float) else f"{name} {value}"
+
+    return f"iteration {rec.index}: " + " ".join(
+        text(name) for name in _COLUMNS if name not in ("index", "x")
+    )
 
 
 class SolveStatus:
@@ -175,13 +207,6 @@ class Termination:
     MASTER_INFEASIBLE = "master_infeasible"
 
 
-#: IterationRecord's count fields, the columns of SolveReport.iteration_counts
-_COUNT_FIELDS = (
-    "cuts_added", "cuts_skipped", "feasibility_cuts", "master_pivots", "master_rows",
-    "sub_solves",
-)
-
-
 @dataclass(eq=False, slots=True)
 class SolveReport:
     """Result of one run.
@@ -189,22 +214,20 @@ class SolveReport:
     The iteration history and the optimality cuts left in the master are
     kept as arrays, so a report that callers retain stays small; ``history``
     and ``cuts`` build them as objects on each read.  ``pack`` copies the
-    cut rows out of the master's row arrays, not its grown buffers.  Row i of the
-    ``iteration_*`` arrays is iteration i + 1: its first-stage point,
-    (lower, upper), and the ``_COUNT_FIELDS`` counts.  Cuts are kept in the
-    order they were added, iteration by iteration: ``cut_rows`` holds each
-    distinct (gradient, offset) pair once, bit for bit, ``cut_row_of`` the
-    row of each cut, ``cut_members`` each distinct member set once as a bit
-    row (``np.packbits`` of a scenario mask), and ``cut_member_of`` the
-    member row of each cut.  Sampled instances repeat scenarios, so their
-    cuts repeat too: a multi-cut solve of one of the benchmark's
-    200-scenario instances adds 409 cuts with 65 distinct rows, and it
-    repeats a scenario's member set in every iteration that cuts for it.
-    An iteration's partition is the member sets of the cuts it added.
-    ``iteration_master_s`` holds each iteration's master solve time and
-    ``iteration_agg_s`` its aggregation time.  They and ``wall_seconds`` are
-    measurements; two runs of one solve agree bit for bit on every other
-    field.
+    cut rows out of the master's row arrays, not its grown buffers.
+    ``iterations`` maps each ``IterationRecord`` field but ``partition`` to
+    one array, row i for iteration i + 1 (``x`` is one row per iteration).
+    Cuts are kept in the order they were added, iteration by iteration:
+    ``cut_rows`` holds each distinct (gradient, offset) pair once, bit for
+    bit, ``cut_row_of`` the row of each cut, ``cut_members`` each distinct
+    member set once as a bit row (``np.packbits`` of a scenario mask), and
+    ``cut_member_of`` the member row of each cut.  Sampled instances repeat
+    scenarios, so their cuts repeat too: a multi-cut solve of one of the
+    benchmark's 200-scenario instances adds 409 cuts with 65 distinct rows,
+    and it repeats a scenario's member set in every iteration that cuts for
+    it.  An iteration's partition is the member sets of the cuts it added.
+    The ``_s`` columns and ``wall_seconds`` are measurements; two runs of
+    one solve agree bit for bit on every other field.
     """
 
     status: str
@@ -220,11 +243,7 @@ class SolveReport:
     wall_seconds: float
     scheme: str
     rel_tol: float
-    iteration_x: np.ndarray
-    iteration_bounds: np.ndarray
-    iteration_counts: np.ndarray
-    iteration_master_s: np.ndarray
-    iteration_agg_s: np.ndarray
+    iterations: dict[str, np.ndarray]
     cut_rows: np.ndarray
     cut_row_of: np.ndarray
     cut_members: np.ndarray
@@ -232,34 +251,31 @@ class SolveReport:
 
     @classmethod
     def pack(cls, history: list[IterationRecord], rows: np.ndarray,
-             members: list[tuple[int, ...]], n_scenarios: int, **fields) -> "SolveReport":
+             coverage: list[tuple[int, ...]], block: int, n_scenarios: int,
+             **summary) -> "SolveReport":
         """Pack a run from its iteration records and the optimality cuts it
         added: their stacked (grad, offset) rows, in the order added, as
-        one contiguous array, and their member sets."""
-        n = rows.shape[1] - 1
-        mask = np.zeros((len(members), n_scenarios), dtype=bool)
-        mask[np.repeat(np.arange(len(members)), [len(m) for m in members]),
-             np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp)] = True
-        packed = np.packbits(mask, axis=1)
+        one contiguous array, and the granules each covers, granule g
+        being scenarios g * block up to the next block."""
+        mask = np.zeros((len(coverage), math.ceil(n_scenarios / block)), dtype=bool)
+        mask[_incidence(coverage)] = True
+        packed = np.packbits(np.repeat(mask, block, axis=1)[:, :n_scenarios], axis=1)
+        iterations = {
+            name: np.array([getattr(rec, name) for rec in history], dtype=kind)
+            for name, kind in _COLUMNS.items()
+        }
+        iterations["x"] = iterations["x"].reshape(len(history), rows.shape[1] - 1)
         rows, row_of = _distinct_rows(rows)
         packed, member_of = _distinct_rows(packed)
         return cls(
             n_iterations=len(history),
-            n_cuts=len(members),
-            iteration_x=np.array([rec.x for rec in history]).reshape(len(history), n),
-            iteration_bounds=np.array(
-                [(rec.lower, rec.upper) for rec in history]
-            ).reshape(len(history), 2),
-            iteration_counts=np.array(
-                [[getattr(rec, f) for f in _COUNT_FIELDS] for rec in history], dtype=np.int64
-            ).reshape(len(history), len(_COUNT_FIELDS)),
-            iteration_master_s=np.array([rec.master_s for rec in history], dtype=float),
-            iteration_agg_s=np.array([rec.agg_s for rec in history], dtype=float),
+            n_cuts=len(coverage),
+            iterations=iterations,
             cut_rows=rows,
             cut_row_of=row_of,
             cut_members=packed,
             cut_member_of=member_of,
-            **fields,
+            **summary,
         )
 
     @property
@@ -273,8 +289,7 @@ class SolveReport:
     @property
     def cut_iterations(self) -> np.ndarray:
         """The iteration that added each cut."""
-        added = self.iteration_counts[:, _COUNT_FIELDS.index("cuts_added")]
-        return np.repeat(np.arange(1, self.n_iterations + 1), added)
+        return np.repeat(self.iterations["index"], self.iterations["cuts_added"])
 
     def _member_sets(self) -> list[tuple[int, ...]]:
         sets = [tuple(np.flatnonzero(np.unpackbits(row)).tolist()) for row in self.cut_members]
@@ -283,18 +298,14 @@ class SolveReport:
     @property
     def history(self) -> list[IterationRecord]:
         members = self._member_sets()
+        columns = {name: col.tolist() for name, col in self.iterations.items() if name != "x"}
         records: list[IterationRecord] = []
         start = 0
-        for i, ((lower, upper), counts, master_s, agg_s) in enumerate(zip(
-            self.iteration_bounds.tolist(), self.iteration_counts.tolist(),
-            self.iteration_master_s.tolist(), self.iteration_agg_s.tolist(),
-        )):
-            fields = dict(zip(_COUNT_FIELDS, counts))
-            stop = start + fields["cuts_added"]
+        for i, x in enumerate(self.iterations["x"]):
+            stop = start + columns["cuts_added"][i]
             records.append(IterationRecord(
-                index=i + 1, x=self.iteration_x[i].copy(), lower=lower, upper=upper,
-                partition=tuple(members[start:stop]), master_s=master_s, agg_s=agg_s,
-                **fields,
+                x=x.copy(), partition=tuple(members[start:stop]),
+                **{name: col[i] for name, col in columns.items()},
             ))
             start = stop
         return records
@@ -308,6 +319,15 @@ class SolveReport:
                 self.cut_iterations.tolist(),
             )
         ]
+
+
+def _incidence(theta_cols: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of every (row, theta column it covers) pair,
+    rows numbered in list order."""
+    widths = [len(cols) for cols in theta_cols]
+    cols = np.fromiter(itertools.chain.from_iterable(theta_cols), dtype=np.intp,
+                       count=sum(widths))
+    return np.repeat(np.arange(len(theta_cols)), widths), cols
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,8 +462,8 @@ class _Master:
     gradient and offset, and the theta column of each row that covers
     exactly one (-1 for first-stage and feasibility rows, and for rows
     over several columns, which only ``build()`` reads).  The optimality
-    cuts are those rows (``optimality``) and their member sets
-    (``members``); no cut objects are kept.
+    cuts are those rows (``optimality``) and their theta columns; no cut
+    objects are kept.
     """
 
     def __init__(self, problem: TwoStageProblem, n_theta: int):
@@ -456,9 +476,8 @@ class _Master:
         self._offsets = np.array(first.b, dtype=float)
         self._theta = np.full(first.p, -1)
         self.theta_cols: list[tuple[int, ...]] = []
-        # row index and member set of each optimality cut, in insertion order
+        # row index of each optimality cut, in insertion order
         self.optimality: list[int] = []
-        self.members: list[tuple[int, ...]] = []
         self.covered: set[int] = set()
         # theta-column counts of the optimality rows so far
         self.widths: set[int] = set()
@@ -495,22 +514,20 @@ class _Master:
     def theta(self) -> np.ndarray:
         return self._theta[: self.n_rows]
 
-    def add_optimality(
-        self, row: np.ndarray, members: tuple[int, ...], theta_cols: tuple[int, ...]
-    ) -> None:
-        """Append an optimality cut, a stacked (grad, offset) row over the
-        given scenarios, whose row covers the given theta columns."""
+    def add_optimality(self, row: np.ndarray, theta_cols: tuple[int, ...]) -> None:
+        """Append an optimality cut, a stacked (grad, offset) row that covers
+        the given theta columns."""
         self.fresh.extend(t for t in theta_cols if t not in self.covered)
         self.optimality.append(self.n_rows)
         self._append(row[:-1], row[-1], theta_cols)
-        self.members.append(members)
         self.covered.update(theta_cols)
         self.widths.add(len(theta_cols))
 
-    def optimality_rows(self) -> np.ndarray:
+    def optimality_cuts(self) -> tuple[np.ndarray, list[tuple[int, ...]]]:
         """The (grad, offset) rows of the optimality cuts, copied out of the
-        row arrays in insertion order."""
-        return np.column_stack([self._grads[self.optimality], self._offsets[self.optimality]])
+        row arrays in insertion order, and the theta columns of each."""
+        rows = np.column_stack([self._grads[self.optimality], self._offsets[self.optimality]])
+        return rows, [self.theta_cols[i - self.p] for i in self.optimality]
 
     def add_feasibility(self, cut: FeasibilityCut) -> None:
         self._append(cut.grad, cut.offset, ())
@@ -537,8 +554,8 @@ class _Master:
         n_cols = n + self.n_theta + m - p
         A = np.zeros((m, n_cols))
         A[:, :n] = self.grads
-        for i, theta_cols in enumerate(self.theta_cols):
-            A[p + i, [n + t for t in theta_cols]] = 1.0
+        rows, cols = _incidence(self.theta_cols)
+        A[p + rows, n + cols] = 1.0
         cut_rows = np.arange(m - p)
         A[p + cut_rows, n + self.n_theta + cut_rows] = -1.0  # surplus: row is >= offset
         lb, ub = self._bounds(n_cols)
@@ -593,14 +610,15 @@ class _Master:
 
 def _aggregate(
     problem: TwoStageProblem, duals: np.ndarray, block: int, inner: AggregationScheme,
-    granule_members: list[tuple[int, ...]],
+    counts: list[int],
 ) -> tuple[np.ndarray, list[list[int]]]:
     """One iteration's aggregates: the scenario cuts at the stacked duals,
     summed over blocks of ``block`` scenarios (``granulate``) and placed by
-    the inner rule.  Returns the aggregate rows and, for each, its granules,
-    which are its theta columns."""
+    the inner rule, given each granule's scenario count.  Returns the
+    aggregate rows and, for each, its granules, which are its theta
+    columns."""
     granules = granulate(make_optimality_cuts(duals, problem.arrays), block)
-    return aggregate_granules(inner, granules, granule_members, len(granule_members))
+    return aggregate_granules(inner, granules, counts, len(counts))
 
 
 def _seeded(scheme: AggregationScheme, seed: int) -> AggregationScheme:
@@ -629,7 +647,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
     scheme = _seeded(config.scheme, config.seed)
     block, inner = granulation(scheme, N)
     n_theta = math.ceil(N / block)
-    granule_members = [tuple(range(g * block, min(N, g * block + block))) for g in range(n_theta)]
+    counts = [min(block, N - g * block) for g in range(n_theta)]
 
     master = _Master(problem, n_theta)
     evaluator = ScenarioEvaluator(problem)
@@ -656,97 +674,52 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
         x = sol.x[:n].copy()
         theta = sol.x[n : n + n_theta]
         lower = sol.objective if master.all_covered else -math.inf
-        master_pivots, master_rows = sol.pivots, master.solved_shape[0]
-
         results = evaluator.evaluate(x)
-        sub_solves = results.sub_solves
+        upper, added, skipped, agg_s = math.inf, 0, 0, 0.0
 
         if results.farkas:
             for s, sigma in results.farkas.items():
                 master.add_feasibility(
                     make_feasibility_cut(sigma, problem.scenarios[s], problem.W, s)
                 )
-            history.append(
-                IterationRecord(
-                    index=k, x=x, lower=lower, upper=math.inf,
-                    cuts_added=0, cuts_skipped=0,
-                    feasibility_cuts=len(results.farkas), partition=(),
-                    master_pivots=master_pivots, master_rows=master_rows,
-                    sub_solves=sub_solves, master_s=master_s, agg_s=0.0,
-                )
-            )
-            logger.debug(
-                "iteration %d: %d feasibility cuts sub_solves %d master_s %.3g agg_s 0 "
-                "master_pivots %d master_rows %d",
-                k, len(results.farkas), sub_solves, master_s, master_pivots, master_rows,
-            )
-            continue
+        else:
+            upper = float(problem.first.c @ x + sum((data.pi * results.values).tolist()))
+            if upper < upper_best:
+                upper_best = upper
+                x_star = x
+            final_gap = (upper_best - lower) / max(1.0, abs(upper_best))
+            if math.isfinite(lower) and final_gap <= config.rel_tol:
+                status, termination = SolveStatus.CONVERGED, Termination.GAP
+            else:
+                # every scenario participates in aggregation each iteration,
+                # so the new aggregates cover all theta columns; filtering
+                # happens only at the aggregate level (a satisfied aggregate
+                # is skipped)
+                started = time.perf_counter()
+                rows, groups = _aggregate(problem, results.duals, block, inner, counts)
+                agg_s = time.perf_counter() - started
+                for row, cols in zip(rows, groups):
+                    if master.covered.issuperset(cols) and not row_is_violated(
+                        row, x, theta, config.violation_tol, cols
+                    ):
+                        skipped += 1
+                        continue
+                    master.add_optimality(row, tuple(cols))
+                    added += 1
+                if added == 0:
+                    status = SolveStatus.CONVERGED
+                    termination = Termination.NO_VIOLATED_AGGREGATE
 
-        recourse = sum((data.pi * results.values).tolist())
-        upper = float(problem.first.c @ x + recourse)
-        if upper < upper_best:
-            upper_best = upper
-            x_star = x
-
-        gap = (upper_best - lower) / max(1.0, abs(upper_best))
-        final_gap = gap
-        if math.isfinite(lower) and gap <= config.rel_tol:
-            history.append(
-                IterationRecord(
-                    index=k, x=x, lower=lower, upper=upper,
-                    cuts_added=0, cuts_skipped=0, feasibility_cuts=0, partition=(),
-                    master_pivots=master_pivots, master_rows=master_rows,
-                    sub_solves=sub_solves, master_s=master_s, agg_s=0.0,
-                )
-            )
-            status = SolveStatus.CONVERGED
-            termination = Termination.GAP
-            logger.debug(
-                "iteration %d: converged, gap %.3g sub_solves %d master_s %.3g agg_s 0 "
-                "master_pivots %d master_rows %d",
-                k, gap, sub_solves, master_s, master_pivots, master_rows,
-            )
-            break
-
-        # every scenario participates in aggregation each iteration, so
-        # the new aggregates cover all theta columns; filtering happens
-        # only at the aggregate level (a satisfied aggregate is skipped)
-        started = time.perf_counter()
-        rows, groups = _aggregate(problem, results.duals, block, inner, granule_members)
-        agg_s = time.perf_counter() - started
-
-        skipped = 0
-        added = 0
-        partition: list[tuple[int, ...]] = []
-        for row, cols in zip(rows, groups):
-            if master.covered.issuperset(cols) and not row_is_violated(
-                row, x, theta, config.violation_tol, cols
-            ):
-                skipped += 1
-                continue
-            members = tuple(itertools.chain.from_iterable(granule_members[g] for g in cols))
-            master.add_optimality(row, members, tuple(cols))
-            partition.append(members)
-            added += 1
-
-        history.append(
-            IterationRecord(
-                index=k, x=x, lower=lower, upper=upper,
-                cuts_added=added, cuts_skipped=skipped,
-                feasibility_cuts=0, partition=tuple(partition),
-                master_pivots=master_pivots, master_rows=master_rows,
-                sub_solves=sub_solves, master_s=master_s, agg_s=agg_s,
-            )
+        record = IterationRecord(
+            index=k, x=x, lower=lower, upper=upper, cuts_added=added, cuts_skipped=skipped,
+            feasibility_cuts=len(results.farkas), partition=(), sub_solves=results.sub_solves,
+            master_s=master_s, agg_s=agg_s, master_pivots=sol.pivots,
+            master_rows=master.solved_shape[0],
         )
-        logger.debug(
-            "iteration %d: lower %.6g upper %.6g added %d skipped %d "
-            "sub_solves %d master_s %.3g agg_s %.3g master_pivots %d master_rows %d",
-            k, lower, upper, added, skipped, sub_solves, master_s, agg_s, master_pivots,
-            master_rows,
-        )
-        if added == 0:
-            status = SolveStatus.CONVERGED
-            termination = Termination.NO_VIOLATED_AGGREGATE
+        history.append(record)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(_debug_line(record))
+        if status == SolveStatus.CONVERGED:
             break
 
     wall = time.perf_counter() - start
@@ -757,7 +730,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
     converged = status == SolveStatus.CONVERGED
     objective = upper_best if (converged or math.isfinite(upper_best)) else None
     return SolveReport.pack(
-        history, master.optimality_rows(), master.members, N,
+        history, *master.optimality_cuts(), block, N,
         status=status,
         termination=termination,
         final_gap=final_gap,

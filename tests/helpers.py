@@ -297,7 +297,7 @@ def reference_select_closest(rule, cuts, n_atoms):
     return out
 
 
-def reference_aggregate(problem, duals, block, inner, granule_members):
+def reference_aggregate(problem, duals, block, inner, counts):
     """One iteration's aggregation over ``OptimalityCut`` objects, with the
     interface of ``lshaped.engine._aggregate``: ``make_optimality_cut`` per
     scenario, ``reference_sum`` per block of ``block`` scenarios (none for
@@ -306,7 +306,7 @@ def reference_aggregate(problem, duals, block, inner, granule_members):
     plain-loop k-medoids."""
     cuts = [make_optimality_cut(s, duals[s], scen) for s, scen in enumerate(problem.scenarios)]
     granules = cuts if block == 1 else [
-        summed_cut(cuts[g * block:(g + 1) * block]) for g in range(len(granule_members))
+        summed_cut(cuts[g * block:(g + 1) * block]) for g in range(len(counts))
     ]
     if isinstance(inner, Cluster):
         rule = inner.rule

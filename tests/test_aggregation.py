@@ -60,8 +60,8 @@ def multi_member_cuts(seed, n, flat=0):
 
 
 def stacked(cuts):
-    """The rows, member sets and member counts of cuts, as the engine hands
-    granules to ``aggregate_granules``."""
+    """The rows, member sets and member counts of cuts; the engine hands
+    ``aggregate_granules`` the rows and the counts."""
     members = [c.members for c in cuts]
     return np.array([cut_row(c) for c in cuts]), members, [len(m) for m in members]
 
@@ -129,14 +129,15 @@ def aggregate(scheme, cuts, n_scenarios):
     rows = aggregation.granulate(stacked(cuts)[0], block)
     members = [tuple(range(g * block, min(n_scenarios, (g + 1) * block)))
                for g in range(len(rows))]
-    sums, groups = aggregation.aggregate_granules(inner, rows, members, len(rows))
+    sums, groups = aggregation.aggregate_granules(inner, rows, [len(m) for m in members],
+                                                  len(rows))
     return sums, [tuple(s for g in group for s in members[g]) for group in groups]
 
 
 class TestAggregateGranules:
     def test_multi_keeps_input(self):
-        rows, members, _ = stacked(singletons(4))
-        sums, groups = aggregation.aggregate_granules(MultiCut(), rows, members, 4)
+        rows, _, counts = stacked(singletons(4))
+        sums, groups = aggregation.aggregate_granules(MultiCut(), rows, counts, 4)
         assert sums is rows
         assert groups == [[0], [1], [2], [3]]
 
@@ -236,9 +237,9 @@ class TestAggregateGranules:
     def test_select_closest_places_each_row_once(self, measure, monkeypatch):
         cuts = singletons(40)
         rule = SelectClosest(slots=4, tolerance=0.6, measure=measure)
-        rows, members, _ = stacked(cuts)
+        rows, members, counts = stacked(cuts)
         calls = record_calls(monkeypatch, aggregation, "aggregation_distance")
-        sums, groups = aggregation.aggregate_granules(Dynamic(rule), rows, members, 40)
+        sums, groups = aggregation.aggregate_granules(Dynamic(rule), rows, counts, 40)
         # one distance per arriving row and open slot, and one running sum
         # per slot opening, added to in place rather than re-summed
         assert len(calls) <= len(rows) * rule.slots
@@ -292,7 +293,9 @@ class TestClosestOnRows:
                 tau = min(tau, 1.0)
             rule = SelectClosest(slots=int(rng.integers(1, 9)), tolerance=tau, measure=measure)
             n_atoms = len(rows) + int(rng.integers(0, 3))
-            sums, groups = aggregation.aggregate_granules(Dynamic(rule), rows, members, n_atoms)
+            sums, groups = aggregation.aggregate_granules(
+                Dynamic(rule), rows, [len(m) for m in members], n_atoms
+            )
             expected = reference_select_closest(rule, cuts_of(rows, members), n_atoms)
             assert [tuple(s for g in group for s in members[g]) for group in groups] == [
                 c.members for c in expected
@@ -304,7 +307,7 @@ class TestClosestOnRows:
         rows = np.full((3, 3), -0.0)
         rule = SelectClosest(slots=1, tolerance=0.3, measure=DistanceMeasure.ABSOLUTE)
         sums, groups = aggregation.aggregate_granules(
-            Dynamic(rule), rows, [(0,), (1,), (2,)], 3
+            Dynamic(rule), rows, [1, 1, 1], 3
         )
         assert groups == [[0, 1, 2]]
         assert not np.signbit(sums).any()
@@ -367,7 +370,8 @@ class TestStackedSums:
             members = [tuple(range(g * block, (g + 1) * block)) for g in range(n_granules)]
             rule = Cluster(Kmedoids(clusters=int(rng.integers(1, n_granules)), measure=measure,
                                     seed=trial))
-            sums, groups = aggregation.aggregate_granules(rule, rows, members, n_granules)
+            sums, groups = aggregation.aggregate_granules(rule, rows, [block] * n_granules,
+                                                          n_granules)
             assert sorted(g for group in groups for g in group) == list(range(n_granules))
             cuts = cuts_of(rows, members)
             for got, group in zip(sums, groups):
@@ -544,6 +548,19 @@ class TestSchemeGrammar:
             parse_scheme("surprise:T=2")
         with pytest.raises(ValueError):
             parse_scheme("partial:T=2,bogus=1")
+
+    @pytest.mark.parametrize("text, name", [
+        ("partial:T=2", "T"), ("closest:A=2", "A"), ("kmedoids:k=2", "k"),
+        ("kmedoids:k=2", "seed"), ("granulated:T0=2,inner=single", "T0"),
+    ])
+    def test_with_parameter_takes_only_integers_for_integer_parameters(self, text, name):
+        scheme = parse_scheme(text)
+        for value in (2.5, 1e-3, math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be an integer"):
+                aggregation.with_parameter(scheme, name, value)
+        assert f"{name}=3" in scheme_label(aggregation.with_parameter(scheme, name, 3.0))
+        tau = aggregation.with_parameter(parse_scheme("closest"), "tau", 0.25)
+        assert tau.rule.tolerance == 0.25
 
     def test_validate_scheme(self):
         assert validate_scheme(Partial(size=3), 10) == []

@@ -252,6 +252,37 @@ class TestBench:
         assert code == 1 and out == ""
         assert "malformed sweep values" in err
 
+    @pytest.mark.parametrize("sweep", ["tau=0:inf:1", "tau=nan:1:0.5", "tau=0:1:inf",
+                                       "tau=-inf:1:1"])
+    def test_non_finite_sweep_range_rejected(self, capsys, p1_json, sweep):
+        code, out, err = run(capsys, "bench", "--input", p1_json, "--scheme", "closest:A=2",
+                             "--sweep", sweep, "--repeats", "1")
+        assert code == 1 and out == ""
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("scheme, sweep", [
+        ("kmedoids:k=2", "k=1:3:0.5"), ("partial", "T=1,1.5"), ("closest", "A=2.5"),
+        ("granulated:T0=2,inner=single", "T0=1e-3"), ("kmedoids", "seed=0.5"),
+    ])
+    def test_non_integral_sweep_value_rejected(self, capsys, p1_json, scheme, sweep):
+        code, out, err = run(capsys, "bench", "--input", p1_json, "--scheme", scheme,
+                             "--sweep", sweep, "--repeats", "1")
+        assert code == 1 and out == ""
+        assert "must be an integer" in err
+
+    def test_unknown_sweep_parameter_rejected(self, capsys, p1_json):
+        code, out, err = run(capsys, "bench", "--input", p1_json, "--scheme", "partial",
+                             "--sweep", "k=1,2", "--repeats", "1")
+        assert code == 1 and out == ""
+        assert "has no parameter 'k'" in err
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_must_be_positive(self, capsys, p1_json, repeats):
+        code, out, err = run(capsys, "bench", "--input", p1_json, "--scheme", "single",
+                             "--repeats", repeats)
+        assert code == 1 and out == ""
+        assert "--repeats must be at least 1" in err
+
     @pytest.mark.parametrize("extra, message", [
         (["--scheme", "single", "--tol", "nan"], "rel_tol must be positive"),
         (["--scheme", "closest:A=2,measure=absolute", "--sweep", "tau=nan"],

@@ -25,6 +25,7 @@ from lshaped import (
     verify_farkas,
     verify_kkt,
 )
+from lshaped.aggregation import granulation
 from helpers import (
     P1_OPTIMUM, ReferenceEvaluator, build_p1, random_instance, record_calls,
     reference_aggregate, trend_template,
@@ -334,8 +335,7 @@ class TestWarmMaster:
             master = _Master(prob, prob.n_scenarios)
             for cut in report.cuts:
                 if cut.iteration < rec.index:
-                    master.add_optimality(np.append(cut.grad, cut.offset), cut.members,
-                                          cut.members)
+                    master.add_optimality(np.append(cut.grad, cut.offset), cut.members)
             lp = master.build()
             sol = solve_lp(lp)
             assert rec.master_rows == lp.A.shape[0]
@@ -401,6 +401,76 @@ def mixed_feasibility_problem():
             Scenario(0.5, [1.0], [[1.0, 0.0]], [2.0]),
         ),
     )
+
+
+class TestMasterBuild:
+    def test_theta_entries_match_a_per_row_loop(self, monkeypatch):
+        from lshaped import FeasibilityCut
+        from lshaped.engine import _Master
+
+        built = []
+        original = _Master.build
+
+        def recording(self):
+            built.append(self)
+            return original(self)
+
+        monkeypatch.setattr(_Master, "build", recording)
+        prob = sample_instance(trend_template(3), 60, 3)
+        solve_lshaped(prob, EngineConfig(scheme=parse_scheme("kmedoids:k=5"), rel_tol=1e-6))
+        master = built[-1]
+        master.add_feasibility(FeasibilityCut(grad=-np.ones(prob.n), offset=-50.0, scenario=0))
+        assert len({len(cols) for cols in master.theta_cols}) > 2  # 0 and mixed widths
+        n, p, m = prob.n, master.p, master.n_rows
+        want = np.zeros((m, n + master.n_theta + m - p))
+        want[:, :n] = master.grads
+        for i, cols in enumerate(master.theta_cols):
+            for t in cols:
+                want[p + i, n + t] = 1.0
+            want[p + i, n + master.n_theta + i] = -1.0
+        assert master.build().A.tobytes() == want.tobytes()
+
+
+class TestFieldNames:
+    """Each iteration's fields carry one name in the API, the solve JSON
+    and the DEBUG line."""
+
+    @pytest.mark.parametrize("kind", ["feasibility", "converged"])
+    def test_outputs_agree_on_field_names(self, kind, caplog):
+        import json
+
+        from lshaped.cli import _report_json
+
+        if kind == "feasibility":
+            prob, label = mixed_feasibility_problem(), "multi"
+        else:
+            prob, label = sample_instance(trend_template(3), 60, 3), "partial:T=7"
+        with caplog.at_level("DEBUG", logger="lshaped.engine"):
+            report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        assert report.status == SolveStatus.CONVERGED
+        history = report.history
+        assert any(rec.feasibility_cuts for rec in history) == (kind == "feasibility")
+        scalars = [name for name in history[0].__slots__
+                   if isinstance(getattr(history[0], name), (int, float))]
+        assert {"index", "lower", "upper", "cuts_added", "master_s"} <= set(scalars)
+        doc = json.loads(json.dumps(_report_json(report)))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration")]
+        assert len(lines) == len(doc["iterations"]) == len(history)
+        for rec, obj, line in zip(history, doc["iterations"], lines):
+            # the DEBUG line leads with the index as "iteration k:", the JSON names it k
+            lead, _, rest = line.partition(": ")
+            words = rest.split()
+            pairs = dict(zip(words[::2], words[1::2]))
+            assert lead == f"iteration {rec.index}" and len(pairs) == len(words) // 2
+            for name in scalars:
+                value = getattr(rec, name)
+                assert name in report.iterations, name
+                assert obj["k" if name == "index" else name] == (
+                    value if math.isfinite(value) else None
+                ), name
+                if name != "index":
+                    logged = float(pairs[name])
+                    assert logged == value or logged == pytest.approx(value, rel=1e-2), name
 
 
 class TestGubMaster:
@@ -486,7 +556,7 @@ class TestGubMaster:
         for grad, offset, t in (([1.0, 0.0], 1.0, 0), ([0.0, 1.0], 3.0, 0),
                                 ([0.2, 0.0], 2.0, 1), ([0.0, 0.0], 1.0, 1),
                                 ([1.0, 0.0], 0.0, 1)):
-            master.add_optimality(np.array([*grad, offset]), (t,), (t,))
+            master.add_optimality(np.array([*grad, offset]), (t,))
         sol = master.solve()
         n, surplus = 2, 2 + 2
         # rows 1..5 hold cuts 0..4; cut i's surplus is column surplus + i
@@ -517,7 +587,7 @@ class TestGubMaster:
         calls = record_calls(monkeypatch, engine_mod, "solve_lp")
         master = _Master(mixed_feasibility_problem(), 2)
         for t in (0, 1):
-            master.add_optimality(np.array([0.5, -0.25, 1.0 + t]), (t,), (t,))
+            master.add_optimality(np.array([0.5, -0.25, 1.0 + t]), (t,))
         assert master.solve().status is LpStatus.OPTIMAL
         # x1 >= 4 and x1 <= 1 together exclude every first-stage point
         master.add_feasibility(FeasibilityCut([1.0, 0.0], 4.0, 0))
@@ -737,8 +807,10 @@ class TestScenarioEvaluator:
         config = EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6)
         a, b = solve_lshaped(prob, config), solve_lshaped(prob, config)
         assert a.objective == b.objective
-        for name in ("iteration_x", "iteration_bounds", "iteration_counts", "cut_grads",
-                     "cut_offsets", "cut_members", "cut_member_of"):
+        for name, column in a.iterations.items():
+            if not name.endswith("_s"):
+                assert np.array_equal(column, b.iterations[name]), name
+        for name in ("cut_grads", "cut_offsets", "cut_members", "cut_member_of"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_sub_solves_count_every_cold_solve(self, monkeypatch):
@@ -773,7 +845,7 @@ class TestScenarioEvaluator:
         prob = sample_instance(trend_template(3), 60, 3)
         with caplog.at_level("DEBUG", logger="lshaped.engine"):
             report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
-        times = report.iteration_master_s
+        times = report.iterations["master_s"]
         assert times.dtype == np.float64 and times.shape == (report.n_iterations,)
         assert (times >= 0).all() and times.sum() <= report.wall_seconds
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration")]
@@ -787,7 +859,7 @@ class TestScenarioEvaluator:
         prob = sample_instance(trend_template(3), 60, 3)
         with caplog.at_level("DEBUG", logger="lshaped.engine"):
             report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
-        times = report.iteration_agg_s
+        times = report.iterations["agg_s"]
         assert times.dtype == np.float64 and times.shape == (report.n_iterations,)
         assert (times >= 0).all() and times.sum() <= report.wall_seconds
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration")]
@@ -827,7 +899,9 @@ class TestStackedCuts:
             assert np.array_equal(a.cut_row_of, b.cut_row_of)
             assert np.array_equal(a.cut_members, b.cut_members)
             assert np.array_equal(a.cut_member_of, b.cut_member_of)
-            assert np.array_equal(a.iteration_counts, b.iteration_counts)
+            for name, column in a.iterations.items():
+                if not name.endswith("_s"):
+                    assert np.array_equal(column, b.iterations[name]), name
             assert a.objective.hex() == b.objective.hex()
 
     @pytest.mark.parametrize("label", [
@@ -911,10 +985,17 @@ class TestLeanReport:
         )
         history = report.history
         assert len(history) == len(recorded) == report.n_iterations >= 3
+        cuts = report.cuts
         for got, want in zip(history, recorded):
             for name in got.__slots__:
                 if name == "x":
                     assert np.array_equal(got.x, want.x)
+                elif name == "partition":
+                    # the loop leaves it to the report's cut member bits
+                    assert want.partition == ()
+                    assert got.partition == tuple(
+                        cut.members for cut in cuts if cut.iteration == got.index
+                    )
                 else:
                     assert getattr(got, name) == getattr(want, name), name
 
@@ -923,17 +1004,21 @@ class TestLeanReport:
     def test_cuts_are_the_master_rows_added(self, label, monkeypatch):
         from lshaped.engine import _Master
 
+        prob = sample_instance(trend_template(3), 60, 3)
+        block, _ = granulation(parse_scheme(label), prob.n_scenarios)
         added = []
         solves = record_calls(monkeypatch, _Master, "solve")
         original = _Master.add_optimality
 
-        def recording(self, row, members, theta_cols):
-            # each iteration starts with one master solve
+        def recording(self, row, theta_cols):
+            # each iteration starts with one master solve; theta column g
+            # is the granule of scenarios g * block up to the next block
+            members = tuple(s for g in theta_cols
+                            for s in range(g * block, min(prob.n_scenarios, (g + 1) * block)))
             added.append((row.copy(), members, len(solves)))
-            return original(self, row, members, theta_cols)
+            return original(self, row, theta_cols)
 
         monkeypatch.setattr(_Master, "add_optimality", recording)
-        prob = sample_instance(trend_template(3), 60, 3)
         report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
         cuts = report.cuts
         assert len(cuts) == len(added) == report.n_cuts
