@@ -151,6 +151,9 @@ class IterationRecord:
     x: np.ndarray
     lower: float
     upper: float
+    #: relative gap (upper_best - lower) / max(1, |upper_best|) after this
+    #: iteration; inf when it added feasibility cuts or had no lower bound
+    gap: float
     cuts_added: int
     cuts_skipped: int
     feasibility_cuts: int
@@ -159,6 +162,12 @@ class IterationRecord:
     partition: tuple[tuple[int, ...], ...]
     #: cold subproblem solves, i.e. scenarios no cached basis fitted
     sub_solves: int
+    #: wall time of the iteration's scenario evaluation, in seconds
+    sub_s: float
+    #: wall time of the iteration's violation filter, the adding of the kept
+    #: aggregates to the master included, in seconds; 0 when it added
+    #: feasibility cuts or converged
+    filter_s: float
     #: wall time of the iteration's master solve, in seconds
     master_s: float
     #: wall time of the iteration's aggregation (``_aggregate``: cut rows,
@@ -486,20 +495,22 @@ class _Master:
         self.solved_shape = (0, 0)
         self.x: np.ndarray | None = None
 
-    def _append(self, grad: np.ndarray, offset: float, theta_cols: tuple[int, ...]) -> None:
-        if self.n_rows == len(self._offsets):
-            size = max(16, 2 * self.n_rows)
+    def _append(self, grads: np.ndarray, offsets: np.ndarray,
+                theta_cols: list[tuple[int, ...]]) -> None:
+        """Append rows with the given gradients, offsets and theta columns."""
+        i, k = self.n_rows, len(theta_cols)
+        if i + k > len(self._offsets):
+            size = max(16, 2 * i, i + k)
             for name in ("_grads", "_offsets", "_theta"):
                 old = getattr(self, name)
                 grown = np.empty((size,) + old.shape[1:], dtype=old.dtype)
-                grown[: self.n_rows] = old[: self.n_rows]
+                grown[:i] = old[:i]
                 setattr(self, name, grown)
-        i = self.n_rows
-        self._grads[i] = grad
-        self._offsets[i] = offset
-        self._theta[i] = theta_cols[0] if len(theta_cols) == 1 else -1
-        self.theta_cols.append(theta_cols)
-        self.n_rows += 1
+        self._grads[i : i + k] = grads
+        self._offsets[i : i + k] = offsets
+        self._theta[i : i + k] = [cols[0] if len(cols) == 1 else -1 for cols in theta_cols]
+        self.theta_cols.extend(theta_cols)
+        self.n_rows += k
 
     @property
     def grads(self) -> np.ndarray:
@@ -513,14 +524,15 @@ class _Master:
     def theta(self) -> np.ndarray:
         return self._theta[: self.n_rows]
 
-    def add_optimality(self, row: np.ndarray, theta_cols: tuple[int, ...]) -> None:
-        """Append an optimality cut, a stacked (grad, offset) row that covers
-        the given theta columns."""
-        self.fresh.extend(t for t in theta_cols if t not in self.covered)
-        self.optimality.append(self.n_rows)
-        self._append(row[:-1], row[-1], theta_cols)
-        self.covered.update(theta_cols)
-        self.widths.add(len(theta_cols))
+    def add_optimality(self, rows: np.ndarray, theta_cols: list[tuple[int, ...]]) -> None:
+        """Append optimality cuts: stacked (grad, offset) rows, each covering
+        its entry of theta_cols."""
+        cols = set(itertools.chain.from_iterable(theta_cols))
+        self.fresh.extend(cols - self.covered)
+        self.covered |= cols
+        self.widths.update(map(len, theta_cols))
+        self.optimality.extend(range(self.n_rows, self.n_rows + len(theta_cols)))
+        self._append(rows[:, :-1], rows[:, -1], theta_cols)
 
     def optimality_cuts(self) -> tuple[np.ndarray, list[tuple[int, ...]]]:
         """The (grad, offset) rows of the optimality cuts, copied out of the
@@ -529,7 +541,7 @@ class _Master:
         return rows, [self.theta_cols[i - self.p] for i in self.optimality]
 
     def add_feasibility(self, cut: FeasibilityCut) -> None:
-        self._append(cut.grad, cut.offset, ())
+        self._append(cut.grad, cut.offset, [()])
 
     @property
     def all_covered(self) -> bool:
@@ -672,8 +684,10 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
         x = sol.x[:n].copy()
         theta = sol.x[n : n + n_theta]
         lower = sol.objective if master.all_covered else -math.inf
+        started = time.perf_counter()
         results = evaluator.evaluate(x)
-        upper, added, skipped, agg_s = math.inf, 0, 0, 0.0
+        sub_s = time.perf_counter() - started
+        upper, gap, added, skipped, agg_s, filter_s = math.inf, math.inf, 0, 0, 0.0, 0.0
 
         if results.farkas:
             for s, sigma in results.farkas.items():
@@ -683,34 +697,39 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
             if upper < upper_best:
                 upper_best = upper
                 x_star = x
-            final_gap = (upper_best - lower) / max(1.0, abs(upper_best))
+            final_gap = gap = (upper_best - lower) / max(1.0, abs(upper_best))
             if math.isfinite(lower) and final_gap <= config.rel_tol:
                 status, termination = SolveStatus.CONVERGED, Termination.GAP
             else:
                 # every scenario participates in aggregation each iteration,
                 # so the new aggregates cover all theta columns; filtering
                 # happens only at the aggregate level (a satisfied aggregate
-                # is skipped)
+                # is skipped).  The aggregates of one iteration are
+                # disjoint, so the coverage before any of them is added
+                # decides as well as adding them one by one would.
                 started = time.perf_counter()
                 rows, groups = _aggregate(problem, results.duals, block, inner, counts)
-                agg_s = time.perf_counter() - started
-                for row, cols in zip(rows, groups):
-                    if master.covered.issuperset(cols) and not row_is_violated(
-                        row, x, theta, config.violation_tol, cols
-                    ):
-                        skipped += 1
-                        continue
-                    master.add_optimality(row, tuple(cols))
-                    added += 1
+                aggregated = time.perf_counter()
+                agg_s = aggregated - started
+                keep = np.array([
+                    not master.covered.issuperset(cols)
+                    or row_is_violated(row, x, theta, config.violation_tol, cols)
+                    for row, cols in zip(rows, groups)
+                ], dtype=bool)
+                kept = [tuple(cols) for cols, k in zip(groups, keep.tolist()) if k]
+                added, skipped = len(kept), len(groups) - len(kept)
+                if kept:
+                    master.add_optimality(rows[keep], kept)
+                filter_s = time.perf_counter() - aggregated
                 if added == 0:
                     status = SolveStatus.CONVERGED
                     termination = Termination.NO_VIOLATED_AGGREGATE
 
         record = IterationRecord(
-            index=k, x=x, lower=lower, upper=upper, cuts_added=added, cuts_skipped=skipped,
-            feasibility_cuts=len(results.farkas), partition=(), sub_solves=results.sub_solves,
-            master_s=master_s, agg_s=agg_s, master_pivots=sol.pivots,
-            master_rows=master.solved_shape[0],
+            index=k, x=x, lower=lower, upper=upper, gap=gap, cuts_added=added,
+            cuts_skipped=skipped, feasibility_cuts=len(results.farkas), partition=(),
+            sub_solves=results.sub_solves, sub_s=sub_s, filter_s=filter_s, master_s=master_s,
+            agg_s=agg_s, master_pivots=sol.pivots, master_rows=master.solved_shape[0],
         )
         history.append(record)
         if logger.isEnabledFor(logging.DEBUG):

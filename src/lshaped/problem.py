@@ -388,20 +388,29 @@ def sample_instance(template: StochasticTemplate, n_scenarios: int, seed: int) -
     """Draw n_scenarios independent samples, each weighted 1/n_scenarios.
 
     A pure function of (template, n_scenarios, seed): the xorshift64* stream
-    consumes one draw per random entry per scenario, in declaration order.
+    consumes one draw per random entry per scenario, in declaration order,
+    and each draw picks the outcome ``XorShift64Star.choice_index`` would.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
     issues = validate_template(template)
     if issues:
         raise ValueError("invalid template: " + "; ".join(issues))
-    rng = XorShift64Star(seed)
-    outcome_probs = [[p for _, p in entry.outcomes] for entry in template.entries]
-    choices = np.array(
-        [rng.choice_index(probs) for _ in range(n_scenarios) for probs in outcome_probs],
-        dtype=np.intp,
-    ).reshape(n_scenarios, len(outcome_probs))
+    entries = template.entries
+    u = np.array(XorShift64Star(seed).uniforms(n_scenarios * len(entries)))
+    u = u.reshape(n_scenarios, len(entries))
+    choices = np.empty(u.shape, dtype=np.intp)
+    for k, entry in enumerate(entries):
+        choices[:, k] = choice_indices([p for _, p in entry.outcomes], u[:, k])
     return _stacked(template, choices, np.full(n_scenarios, 1.0 / n_scenarios))
+
+
+def choice_indices(probabilities, u: np.ndarray) -> np.ndarray:
+    """``XorShift64Star.choice_index`` for each uniform in u: the first index
+    whose sequential cumulative probability exceeds u, the last index when
+    none does (a probability shortfall)."""
+    cum = np.cumsum(np.asarray(probabilities, dtype=float))
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
 def build_extensive_form(problem: TwoStageProblem) -> LinearProgram:

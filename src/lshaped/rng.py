@@ -40,6 +40,20 @@ class XorShift64Star:
         """Uniform double in [0, 1) from the top 53 bits."""
         return (self.next_uint64() >> 11) * (1.0 / (1 << 53))
 
+    def uniforms(self, count: int) -> list[float]:
+        """The next count uniform doubles, as count calls of ``random`` would
+        give them, drawn in one loop."""
+        s = self._state
+        out = []
+        append = out.append
+        for _ in range(count):
+            s ^= s >> 12
+            s = (s ^ (s << 25)) & _MASK
+            s ^= s >> 27
+            append((((s * _MULT) & _MASK) >> 11) * (1.0 / (1 << 53)))
+        self._state = s
+        return out
+
     def choice_index(self, probabilities) -> int:
         """Index drawn from a discrete distribution by cumulative inversion.
 

@@ -30,10 +30,15 @@ per row (Dantzig & Van Slyke 1967).  Its warm solves run the same
 ``_Simplex`` iterations on a key-row basis (``_GubSimplex``): each basic
 theta column is keyed to one tight row of its set, and the rows left after
 substituting it out form a working matrix over the basic x columns only.
-A key swap, where a key row's surplus enters and the surplus of another row
-of its set leaves, leaves that matrix as it is and updates the factor in
-place; every other pivot rebuilds it.  A pivot then costs O(rows * n) and
-no rows x rows inverse is held.  Its cold solve, and every fallback, runs the
+Every pivot that no theta column enters or leaves updates that factor in
+place (``_GubSimplex._update_factor``): a key swap, where a key row's
+surplus enters and the surplus of another row of its set leaves, changes
+no entry of the matrix; a surplus that leaves or enters adds or drops a
+working row; an x column that enters or leaves adds or drops a column.
+The matrix is then inverted afresh from the entries a rebuild would
+gather, so the factor equals the rebuild bit for bit.  Refreshes and theta
+pivots rebuild it (``_factor``).  A pivot then costs O(rows * n) and no
+rows x rows inverse is held.  Its cold solve, and every fallback, runs the
 dense two-phase method on ``GubProgram.dense()``.
 
 Pricing is Dantzig (largest reduced-cost violation); after 50 consecutive
@@ -52,6 +57,17 @@ sign * d (|d| when free) exceeds OPTIMALITY_TOL, and the ratio test reads
 the cached bounds, so the choices and divisions are those of recomputing
 the positions on every pass.
 
+The dual simplex also keeps the reduced costs d between pivots (Maros
+2003; Koberstein 2005): after column q enters on the row whose tableau row
+is alpha, d <- d - (d_q / alpha_q) alpha and d_q = 0, which saves one BTRAN
+and one pricing pass per pivot.  They are recomputed from the costs after
+every refactorization, the regular cadence and the retry of a suspicious
+pivot alike, and a warm solve starts from the d it has already computed.
+Updated d rounds differently from recomputed d; the ratio test runs on the
+few eligible columns only, and the primal iterations that end every warm
+solve confirm optimality from a fresh factorization and fresh reduced
+costs, so returned solutions come from a rebuild.
+
 Dual sign convention: duals y are the equality-row multipliers with
 y = c_B' B^{-1}, so for a minimization subproblem whose nonbasic variables
 sit at zero lower bounds, y'b equals the optimal objective.
@@ -59,6 +75,7 @@ sit at zero lower bounds, y'b equals the optimal objective.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 
@@ -185,6 +202,20 @@ class GubProgram:
                              n_structural=self.n_structural)
 
 
+def _drop(a: np.ndarray, i: int, axis: int = 0) -> np.ndarray:
+    """A copy of a without its entry i (a column when axis is 1)."""
+    if axis:
+        return np.concatenate((a[:, :i], a[:, i + 1:]), axis=1)
+    return np.concatenate((a[:i], a[i + 1:]))
+
+
+def _put(a: np.ndarray, i: int, v, axis: int = 0) -> np.ndarray:
+    """A copy of a with v inserted as its entry i (a column when axis is 1)."""
+    if axis:
+        return np.concatenate((a[:, :i], np.reshape(v, (-1, 1)), a[:, i:]), axis=1)
+    return np.concatenate((a[:i], np.reshape(v, (1,) + a.shape[1:]), a[i:]))
+
+
 class _Simplex:
     """Working state of one solve: columns, bounds, basis and basis inverse."""
 
@@ -287,11 +318,15 @@ class _Simplex:
         self._lb_B = self.lb[self.basis]
         self._ub_B = self.ub[self.basis]
 
-    def _score(self, d: np.ndarray) -> np.ndarray:
-        """Pricing score of reduced costs d: sign * d, |d| on free columns.
-        A column violates dual feasibility iff its score exceeds
-        OPTIMALITY_TOL, and the score is then |d|."""
-        return np.where(self._free, np.abs(d), self._sign * d)
+    def _score(self, d: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """Pricing score of reduced costs d: sign * d, |d| on free columns
+        (on the columns ``cols`` only, when given).  A column violates dual
+        feasibility iff its score exceeds OPTIMALITY_TOL, and the score is
+        then |d|."""
+        free, sign = self._free, self._sign
+        if cols is not None:
+            d, free, sign = d[cols], free[cols], sign[cols]
+        return np.where(free, np.abs(d), sign * d)
 
     def _eta_update(self, w: np.ndarray, row: int) -> None:
         pivot = w[row]
@@ -409,7 +444,18 @@ class _Simplex:
                 degenerate_run = 0
         raise SimplexError("simplex iteration limit exceeded")
 
-    def dual_run(self, c: np.ndarray, cap: int) -> bool:
+    def _next_reduced_costs(self, d: np.ndarray, c: np.ndarray, alpha: np.ndarray,
+                            j: int) -> np.ndarray:
+        """Reduced costs after column j entered on the row whose tableau row
+        was alpha: d - (d_j / alpha_j) alpha with d_j = 0, updated in place,
+        or recomputed from c when the pivot refactorized."""
+        if self._since_refactor == 0:
+            return self.reduced_costs(c)
+        d -= (d[j] / alpha[j]) * alpha
+        d[j] = 0.0
+        return d
+
+    def dual_run(self, c: np.ndarray, cap: int, d: np.ndarray | None = None) -> bool:
         """Dual iterations from a dual-feasible basis until every basic value
         is within its bounds; False when a violated row admits no entering
         column, which proves the LP primal infeasible.
@@ -418,46 +464,51 @@ class _Simplex:
         column wins the dual ratio test, ties to the largest pivot element.
         After 50 consecutive degenerate steps both choices switch to the
         lowest index (Bland's rule for the dual), which guarantees
-        termination.
+        termination.  The reduced costs d (of the current basis, computed
+        from c when not given, and updated in place) are kept from pivot to
+        pivot and recomputed after every refactorization.
         """
         bland = False
         degenerate_run = 0
         stop = self.pivots + cap
+        if self.m == 0:
+            return True
         self._track_positions()
+        # pivots only take columns out of the free set
+        any_free = bool(self._free.any())
+        if d is None:
+            d = self.reduced_costs(c)
         while True:
             xb = self.x[self.basis]
-            below = self._lb_B - xb
-            above = xb - self._ub_B
-            violation = np.maximum(below, above)
-            violated = violation > FEASIBILITY_TOL
-            if not violated.any():
+            violation = np.maximum(self._lb_B - xb, xb - self._ub_B)
+            r = int(np.argmax(violation))
+            if violation[r] <= FEASIBILITY_TOL:
                 return True
             if self.pivots >= stop:
                 raise SimplexError("simplex iteration limit exceeded")
             if bland:
-                candidates = np.flatnonzero(violated)
+                candidates = np.flatnonzero(violation > FEASIBILITY_TOL)
                 r = int(candidates[np.argmin(self.basis[candidates])])
-            else:
-                r = int(np.argmax(violation))
-            to_upper = bool(above[r] > 0)
-            # moving nonbasic j by t changes basic r by -alpha_j t; r must
-            # fall when above its upper bound and rise when below its lower
-            sign = 1.0 if to_upper else -1.0
+            to_upper = bool(xb[r] - self._ub_B[r] > 0)
             alpha = self._tableau_row(r)
-            d = self.reduced_costs(c)
-            # -pricing sign * sign * alpha: the rate at which column j moves
-            # basic r towards its bound, on columns at a bound
-            eligible = (-self._sign * (sign * alpha) > _DUAL_PIVOT_TOL) | (
-                self._free & (np.abs(alpha) > _DUAL_PIVOT_TOL)
-            )
-            if not eligible.any():
+            # moving nonbasic j by t changes basic r by -alpha_j t; r must
+            # fall when above its upper bound and rise when below its lower,
+            # so a column at a bound is eligible when its pricing sign times
+            # alpha_j is negative (above) or positive (below)
+            rate = self._sign * alpha
+            eligible = rate < -_DUAL_PIVOT_TOL if to_upper else rate > _DUAL_PIVOT_TOL
+            if any_free:
+                eligible |= self._free & (np.abs(alpha) > _DUAL_PIVOT_TOL)
+            eligible = np.flatnonzero(eligible)
+            if not len(eligible):
                 return False
-            score = self._score(d)
-            slack = np.where(self._free, score, np.maximum(-score, 0.0))
-            ratio = np.full(len(alpha), np.inf)
-            np.divide(slack, np.abs(alpha), out=ratio, where=eligible)
+            # the ratio test runs on the eligible columns only, which are
+            # few: alpha is sparse
+            score = self._score(d, eligible)
+            slack = np.where(self._free[eligible], score, np.maximum(-score, 0.0))
+            ratio = slack / np.abs(alpha[eligible])
             best = ratio.min()
-            ties = np.flatnonzero(ratio <= best + _RATIO_TIE_TOL)
+            ties = eligible[ratio <= best + _RATIO_TIE_TOL]
             if bland:
                 j = int(ties[0])
             else:
@@ -466,6 +517,7 @@ class _Simplex:
             w = self._entering_column(j)
             if abs(w[r]) < 1e-7 and self._since_refactor > 0:
                 self.refresh()  # suspicious pivot: retry from a clean inverse
+                d = self.reduced_costs(c)
                 continue
             if abs(w[r]) <= ZERO_PIVOT_TOL:
                 raise SimplexError("pivot element below zero tolerance")
@@ -474,6 +526,7 @@ class _Simplex:
             self.x[j] += step
             self.x[self.basis] -= step * w
             self._replace_basic(r, j, to_upper, w)
+            d = self._next_reduced_costs(d, c, alpha, j)
 
             self.pivots += 1
             if best <= ZERO_PIVOT_TOL:
@@ -493,10 +546,10 @@ class _GubSimplex(_Simplex):
     surplus follows from the other basic values.  Subtracting each key row
     from the other tight rows of its set leaves a working matrix M over the
     basic x columns only, one row per non-key tight row.  M is square and
-    at most n x n.  Key swaps update the factor in place (``_swap_key``);
-    every other pivot rebuilds it (``_factor``), so no eta file and no
-    rows x rows inverse exist.  FTRAN, BTRAN, pricing and the dual row each
-    cost O(rows * n).
+    at most n x n.  Pivots update the factor in place (``_update_factor``)
+    unless a theta column enters or leaves; those and every refresh rebuild
+    it (``_factor``), so no eta file and no rows x rows inverse exist.
+    FTRAN, BTRAN, pricing and the dual row each cost O(rows * n).
 
     A key changes only when its row's surplus enters the basis; a basic
     theta column without a tight key takes the lowest tight row of its set.
@@ -545,6 +598,9 @@ class _GubSimplex(_Simplex):
             raise np.linalg.LinAlgError("singular basis")
         self._tb = basis[self._pos_t] - n
         self._keys = key[self._tb]
+        # position of each basic theta column in _tb
+        self._t_of = np.zeros(N, dtype=int)
+        self._t_of[self._tb] = np.arange(len(self._tb))
         self._rs = basis[self._pos_s] - (n + N) + p
         # theta column of the working and surplus-basic rows; N stands for none
         self._tw = np.where(A.theta[self._W] >= 0, A.theta[self._W], N)
@@ -595,45 +651,111 @@ class _GubSimplex(_Simplex):
         self._set_basic_values()
         self._since_refactor = 0
 
-    def _swap_key(self, pos: int) -> bool:
-        """Bring the factor up to date in place after a key swap at basis
-        position pos, and say whether the pivot was one.
+    def _update_factor(self, pos: int) -> bool:
+        """Bring the factor up to date in place after the pivot at basis
+        position pos, and say whether it could; False, with the factor
+        untouched, when a theta column entered or left.
 
-        In a key swap the surplus of the key row r_new of theta set s enters
-        and the surplus of another row r_old of s leaves, while s owns no
-        working row.  r_new was then the only tight row of s and r_old is now,
-        so r_old becomes the key and W, kW, the basic x columns, M and its
-        inverse all stay as they are.  The factor still describes the basis
-        before the pivot, so r_old is read from ``_rs``.
+        The factor still describes the basis before the pivot, so the
+        leaving column is read from it.  Tight rows are the working rows
+        and the key rows.  A surplus that leaves makes its row tight, and
+        the row joins W under its set's key.  A surplus that enters takes
+        its row out of W or, if the row was its set's key, hands the key to
+        the lowest working row of the set; in a key swap that is the row
+        whose surplus left, and W stays as it is.  An x column that enters
+        or leaves adds or drops a column of M, XK and XS.  M is at most
+        n x n and is inverted afresh whenever it changes, from the entries
+        ``_factor`` would gather, so the factor equals a rebuild bit for
+        bit.  Arrays keep the C order ``_factor`` gives them: BLAS rounds
+        XS @ zx differently on an F-ordered copy.
         """
         A = self.A
-        surplus = int(self.basis[pos]) - A.X.shape[1] - A.n_theta
-        if surplus < 0:
+        X, theta, key = A.X, A.theta, self.key
+        m, n = X.shape
+        N, p = A.n_theta, A.p
+        new = int(self.basis[pos])
+        if n <= new < n + N:
             return False
-        r_new = surplus + A.p
-        s = int(A.theta[r_new])
-        if s < 0 or self.key[s] != r_new:
-            return False
-        i = int(np.searchsorted(self._pos_s, pos))
-        if i == len(self._pos_s) or self._pos_s[i] != pos:
-            return False
-        r_old = int(self._rs[i])
-        if A.theta[r_old] != s or (self._tw == s).any():
-            return False
-        t = int(np.flatnonzero(self._tb == s)[0])
-        xb = self.basis[self._pos_x]
-        self.key[s] = r_old
-        # rows are written into the existing C-ordered arrays: a gather such
-        # as X[rows][:, xb] is F-ordered, and BLAS would then round XS @ zx
-        # differently from a rebuild
-        self._rs[i] = r_new
-        self._XS[i] = A.X[r_new, xb]
-        self._keys[t] = r_old
-        self._XK[t] = A.X[r_old, xb]
+        pos_x, pos_s = self._pos_x, self._pos_s
+        i_s = int(pos_s.searchsorted(pos))
+        old_s = i_s < len(pos_s) and pos_s[i_s] == pos
+        i_x = int(pos_x.searchsorted(pos))
+        if not old_s and not (i_x < len(pos_x) and pos_x[i_x] == pos):
+            return False  # a theta column left
+        new_x = new < n
+        W0, kW0 = self._W.tolist(), self._kW.tolist()
+        W, kW, tw = list(W0), list(kW0), self._tw.tolist()
+        rekey = -1
+        if not new_x:  # row r_in leaves the tight rows
+            r_in = new - (n + N) + p
+            s_in = int(theta[r_in])
+            t_in = s_in if s_in >= 0 else N  # its entry of _ts
+            if r_in in W:
+                k = W.index(r_in)
+                del W[k], kW[k], tw[k]
+            else:
+                rekey = s_in
+        if old_s:  # row r_out joins them
+            r_out = int(self._rs[i_s])
+            s = int(theta[r_out])
+            k = bisect.bisect(W, r_out)
+            W.insert(k, r_out)
+            kW.insert(k, int(key[s]) if s >= 0 and key[s] >= 0 else m)
+            tw.insert(k, s if s >= 0 else N)
+        if rekey >= 0:
+            if rekey not in tw:
+                raise np.linalg.LinAlgError("a basic theta column has no tight row")
+            k = tw.index(rekey)
+            r_key = W[k]
+            key[rekey] = r_key
+            kW = [r_key if t == rekey else kr for t, kr in zip(tw, kW)]
+            del W[k], kW[k], tw[k]
+
+        if not old_s and not new_x:
+            pos_x = _drop(pos_x, i_x)
+        elif old_s and new_x:
+            pos_x = _put(pos_x, i_x, pos)
+        xb = self.basis[pos_x]
+        XK, XS, rs, ts = self._XK, self._XS, self._rs, self._ts
+        if not old_s:
+            if new_x:
+                XK[:, i_x] = X[self._keys, new]
+                XS[:, i_x] = X[rs, new]
+            else:
+                XK, XS = _drop(XK, i_x, axis=1), _drop(XS, i_x, axis=1)
+        if old_s and not new_x:
+            rs[i_s] = r_in
+            ts[i_s] = t_in
+            XS[i_s] = X[r_in, xb]
+        elif old_s:
+            self._pos_s = _drop(pos_s, i_s)
+            rs, ts = _drop(rs, i_s), _drop(ts, i_s)
+            XK = _put(XK, i_x, X[self._keys, new], axis=1)
+            XS = _put(_drop(XS, i_s), i_x, X[rs, new], axis=1)
+        elif not new_x:
+            self._pos_s = _put(pos_s, i_s, pos)
+            rs = _put(rs, i_s, r_in)
+            ts = _put(ts, i_s, t_in)
+            XS = _put(XS, i_s, X[r_in, xb])
+        if rekey >= 0:
+            t = self._t_of[rekey]
+            self._keys[t] = key[rekey]
+            XK[t] = X[key[rekey], xb]
+
+        if new_x or not old_s or W != W0 or kW != kW0:
+            dtype = self._W.dtype
+            self._W, self._kW = np.array(W, dtype=dtype), np.array(kW, dtype=dtype)
+            self._tw = np.array(tw, dtype=dtype)
+            M = X[self._W][:, xb]
+            for k, r in enumerate(kW):
+                if r < m:
+                    M[k] -= X[r, xb]
+            self._Minv = np.linalg.inv(M)
+        self._pos_x, self._XK, self._XS, self._rs, self._ts = pos_x, XK, XS, rs, ts
         return True
 
     def _eta_update(self, w: np.ndarray, row: int) -> None:
-        if not self._swap_key(row):
+        if not self._update_factor(row):
             self._factor()
         self._since_refactor += 1
         if self._since_refactor >= self.refactor_every:
@@ -697,7 +819,7 @@ def _solve_warm(lp: LinearProgram, state: _Simplex, cap: int) -> LpSolution | No
         state._track_positions()
         if (state._score(d) > OPTIMALITY_TOL).any():
             return None
-        if not state.dual_run(lp.c, cap):
+        if not state.dual_run(lp.c, cap, d):
             return None
     status = state.run(lp.c, cap)
     if status is LpStatus.UNBOUNDED:

@@ -68,7 +68,7 @@ class TestSolve:
                            "--seed", "3", "--scheme", "multi", "--tol", "1e-6")
         assert code == 0
         doc = json.loads(out)
-        for key in ("master_s", "agg_s"):
+        for key in ("sub_s", "filter_s", "master_s", "agg_s"):
             times = [rec[key] for rec in doc["iterations"]]
             assert len(times) == doc["metrics"]["n_iterations"]
             assert all(isinstance(t, float) and t >= 0 for t in times)
@@ -172,8 +172,8 @@ class TestSolve:
             doc = json.loads(out)
             doc["metrics"].pop("wall_seconds")
             for rec in doc["iterations"]:
-                rec.pop("master_s")
-                rec.pop("agg_s")
+                for key in ("sub_s", "filter_s", "master_s", "agg_s"):
+                    rec.pop(key)
             outputs.append(doc)
         assert outputs[0] == outputs[1]
 

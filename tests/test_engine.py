@@ -336,7 +336,7 @@ class TestWarmMaster:
             master = _Master(prob, prob.n_scenarios)
             for cut in report.cuts:
                 if cut.iteration < rec.index:
-                    master.add_optimality(np.append(cut.grad, cut.offset), cut.members)
+                    master.add_optimality(np.append(cut.grad, cut.offset)[None], [cut.members])
             lp = master.build()
             sol = solve_lp(lp)
             assert rec.master_rows == lp.A.shape[0]
@@ -476,13 +476,13 @@ class TestFieldNames:
 
 class TestGubMaster:
     """Masters whose optimality rows each cover one theta column are solved
-    on the key-row (GUB) basis; every one of them must agree with a dense
-    cold solve of ``_Master.build()``."""
+    on the key-row (GUB) basis; every master, GUB or dense, must agree with
+    a dense cold solve of ``_Master.build()`` and pass ``verify_kkt``."""
 
     @staticmethod
     def install_check(monkeypatch):
-        """Wrap ``_Master.solve`` so that every GUB master is re-solved cold
-        and densely; returns the per-master records."""
+        """Wrap ``_Master.solve`` so that every master is re-solved cold and
+        densely; returns the per-master records of the GUB masters."""
         import lshaped.simplex as simplex_mod
         from lshaped.engine import _Master
 
@@ -494,24 +494,24 @@ class TestGubMaster:
             gub = self.widths == {1}
             cold_solves.clear()
             sol = original(self)
+            lp = self.build()
             if gub:
                 records.append(dict(
                     fallbacks=len(cold_solves),
                     feasibility_rows=int((self.theta[self.p:] < 0).sum()),
                 ))
-                lp = self.build()
                 dense_gub = self.program().dense()
                 assert np.array_equal(dense_gub.A, lp.A)
                 assert np.array_equal(dense_gub.b, lp.b) and np.array_equal(dense_gub.c, lp.c)
-                dense = solve_lp(lp)
-                assert sol.status is dense.status
-                if sol.status is LpStatus.OPTIMAL:
-                    assert sol.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-12)
-                    # the GUB program has the dense column layout, so its
-                    # (x, duals) map onto build() one to one
-                    assert sol.x.shape == (lp.A.shape[1],) and sol.duals.shape == lp.b.shape
-                    rep = verify_kkt(lp, sol)
-                    assert max(rep.primal, rep.dual, rep.complementarity) <= 1e-8
+            dense = solve_lp(lp)
+            assert sol.status is dense.status
+            if sol.status is LpStatus.OPTIMAL:
+                assert sol.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-12)
+                # the GUB program has the dense column layout, so its
+                # (x, duals) map onto build() one to one
+                assert sol.x.shape == (lp.A.shape[1],) and sol.duals.shape == lp.b.shape
+                rep = verify_kkt(lp, sol)
+                assert max(rep.primal, rep.dual, rep.complementarity) <= 1e-8
             return sol
 
         monkeypatch.setattr(_Master, "solve", solve)
@@ -557,7 +557,7 @@ class TestGubMaster:
         for grad, offset, t in (([1.0, 0.0], 1.0, 0), ([0.0, 1.0], 3.0, 0),
                                 ([0.2, 0.0], 2.0, 1), ([0.0, 0.0], 1.0, 1),
                                 ([1.0, 0.0], 0.0, 1)):
-            master.add_optimality(np.array([*grad, offset]), (t,))
+            master.add_optimality(np.array([[*grad, offset]]), [(t,)])
         sol = master.solve()
         n, surplus = 2, 2 + 2
         # rows 1..5 hold cuts 0..4; cut i's surplus is column surplus + i
@@ -588,7 +588,7 @@ class TestGubMaster:
         calls = record_calls(monkeypatch, engine_mod, "solve_lp")
         master = _Master(mixed_feasibility_problem(), 2)
         for t in (0, 1):
-            master.add_optimality(np.array([0.5, -0.25, 1.0 + t]), (t,))
+            master.add_optimality(np.array([[0.5, -0.25, 1.0 + t]]), [(t,)])
         assert master.solve().status is LpStatus.OPTIMAL
         # x1 >= 4 and x1 <= 1 together exclude every first-stage point
         master.add_feasibility(FeasibilityCut([1.0, 0.0], 4.0, 0))
@@ -853,6 +853,43 @@ class TestScenarioEvaluator:
             assert rec.master_s == t
             assert f" master_s {t:.3g} " in line
 
+    @pytest.mark.parametrize("kind", ["feasibility", "multi", "granulated"])
+    def test_phase_times_and_gap_per_iteration(self, kind):
+        if kind == "feasibility":
+            prob, label = mixed_feasibility_problem(), "multi"
+        else:
+            prob = sample_instance(trend_template(3), 60, 3)
+            label = "multi" if kind == "multi" else "granulated:T0=3,inner=kmedoids:k=4"
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        its = report.iterations
+        times = sum(its[name] for name in ("sub_s", "filter_s", "master_s", "agg_s"))
+        assert all((its[name] >= 0).all() for name in ("sub_s", "filter_s"))
+        assert times.sum() <= report.wall_seconds
+        # only an iteration that aggregated cuts filtered them
+        filtered = its["cuts_added"] + its["cuts_skipped"] > 0
+        assert ((its["filter_s"] > 0) == filtered).all()
+        upper_best, gaps = math.inf, []
+        for rec in report.history:
+            if rec.feasibility_cuts:
+                gaps.append(math.inf)
+                continue
+            upper_best = min(upper_best, rec.upper)
+            gaps.append((upper_best - rec.lower) / max(1.0, abs(upper_best)))
+        assert its["gap"].tolist() == gaps
+        assert report.final_gap == [g for g, rec in zip(gaps, report.history)
+                                    if not rec.feasibility_cuts][-1]
+        assert any(rec.feasibility_cuts for rec in report.history) == (kind == "feasibility")
+
+    def test_kept_aggregates_enter_the_master_in_one_call(self, monkeypatch):
+        from lshaped.engine import _Master
+
+        calls = record_calls(monkeypatch, _Master, "add_optimality")
+        prob = sample_instance(trend_template(3), 60, 3)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
+        added = report.iterations["cuts_added"]
+        assert [len(args[1]) for args, _, _ in calls] == added[added > 0].tolist()
+        assert (report.iterations["cuts_skipped"] > 0).any()
+
     @pytest.mark.parametrize("label", ["multi", "granulated:T0=3,inner=kmedoids:k=4"])
     def test_aggregation_time_per_iteration(self, label, caplog):
         prob = sample_instance(trend_template(3), 60, 3)
@@ -1009,13 +1046,14 @@ class TestLeanReport:
         solves = record_calls(monkeypatch, _Master, "solve")
         original = _Master.add_optimality
 
-        def recording(self, row, theta_cols):
+        def recording(self, rows, theta_cols):
             # each iteration starts with one master solve; theta column g
             # is the granule of scenarios g * block up to the next block
-            members = tuple(s for g in theta_cols
-                            for s in range(g * block, min(prob.n_scenarios, (g + 1) * block)))
-            added.append((row.copy(), members, len(solves)))
-            return original(self, row, theta_cols)
+            for row, cols in zip(rows, theta_cols):
+                members = tuple(s for g in cols for s in
+                                range(g * block, min(prob.n_scenarios, (g + 1) * block)))
+                added.append((row.copy(), members, len(solves)))
+            return original(self, rows, theta_cols)
 
         monkeypatch.setattr(_Master, "add_optimality", recording)
         report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))

@@ -24,6 +24,8 @@ from lshaped import (
 from helpers import (
     build_p1, random_instance, random_template, reference_enumerate, reference_sample,
 )
+from lshaped.problem import choice_indices
+from lshaped.rng import XorShift64Star
 
 
 def simple_template(entries=()):
@@ -216,6 +218,64 @@ def overlapping_template(seed: int) -> StochasticTemplate:
     return StochasticTemplate(
         base.first, base.W, base.q, base.T, base.h, tuple(entries[i] for i in order)
     )
+
+
+class _Fixed:
+    """Stands in for the generator: ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = iter(u)
+
+    def random(self):
+        return next(self.u)
+
+
+def per_draw(probabilities, u):
+    return [XorShift64Star.choice_index(_Fixed([v]), probabilities) for v in u]
+
+
+class TestChoiceDraws:
+    """``sample_instance`` draws all uniforms in one loop and inverts them
+    with ``choice_indices``; both must equal the per-draw generator calls."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, 2**64 + 3])
+    def test_uniforms_continue_the_stream(self, seed):
+        batch, single = XorShift64Star(seed), XorShift64Star(seed)
+        for count in (0, 1, 250):
+            assert batch.uniforms(count) == [single.random() for _ in range(count)]
+        assert batch.next_uint64() == single.next_uint64()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_inversion_matches_choice_index(self, seed):
+        rng = np.random.default_rng(seed)
+        u = XorShift64Star(seed).uniforms(400)
+        for count in (1, 2, 3, 7):
+            probs = rng.uniform(0.05, 1.0, count)
+            probs = (probs / probs.sum()).tolist()
+            assert choice_indices(probs, np.array(u)).tolist() == per_draw(probs, u)
+
+    def test_shortfall_and_cumulative_boundaries(self):
+        # ten tenths sum to 0.9999999999999999: a draw above that falls
+        # off the end and takes the last index
+        tenths = [0.1] * 10
+        boundaries = np.cumsum(tenths).tolist()
+        assert boundaries[-1] < 1.0
+        below_one = 1.0 - 2.0**-53
+        u = [0.0, 0.1, 0.2, 0.30000000000000004, below_one, *boundaries]
+        assert choice_indices(tenths, np.array(u)).tolist() == per_draw(tenths, u)
+        assert per_draw(tenths, [below_one, boundaries[2]]) == [9, 3]
+        halves = [0.25, 0.25, 0.5]
+        u = [0.25, 0.5, 0.49999999999999994, 0.75, below_one]
+        assert choice_indices(halves, np.array(u)).tolist() == per_draw(halves, u) == [
+            1, 2, 1, 2, 2
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sample_matches_per_draw_reference(self, seed):
+        template = random_template(seed)
+        for n_scenarios in (1, 60, 401):
+            prob = sample_instance(template, n_scenarios, seed + 17)
+            assert_same_bits(prob, reference_sample(template, n_scenarios, seed + 17))
 
 
 class TestStackedSampler:

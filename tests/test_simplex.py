@@ -408,18 +408,37 @@ class TestGubProgram:
 
     def test_in_place_factor_equals_rebuild(self, monkeypatch):
         # after every pivot of warm GUB solves, the factor (updated in place
-        # on key swaps) equals the one _factor() builds from the basis
+        # unless a theta column enters or leaves) equals the one _factor()
+        # builds from the basis and the keys before the pivot
         names = ("key", "_W", "_kW", "_pos_x", "_pos_t", "_pos_s", "_tb", "_keys", "_rs",
                  "_tw", "_ts", "_XK", "_XS", "_Minv")
-        swaps = record_calls(monkeypatch, _GubSimplex, "_swap_key")
+        updates = record_calls(monkeypatch, _GubSimplex, "_update_factor")
         original = _GubSimplex._eta_update
         checked = []
+        # (leaving, entering) column kinds of the pivots updated in place:
+        # x, theta or surplus; "key swap" when only the key moved
+        in_place = set()
+
+        def kind(state, col):
+            n, N = state.A.X.shape[1], state.A.n_theta
+            return "x" if col < n else "theta" if col < n + N else "surplus"
 
         def checking(state, w, row):
+            leaving = "x" if row in state._pos_x else "theta" if row in state._pos_t else "surplus"
+            entering = kind(state, int(state.basis[row]))
+            W, key = state._W.copy(), state.key.copy()
+            calls = len(updates)
             original(state, w, row)
+            if updates[calls][2]:
+                swap = np.array_equal(W, state._W) and not np.array_equal(key, state.key)
+                in_place.add("key swap" if swap else (leaving, entering))
             held = {name: getattr(state, name) for name in names}
             held = {name: (value.copy(order="K"), value.flags.c_contiguous)
                     for name, value in held.items()}
+            # rebuild from the keys before the pivot, as a rebuild at every
+            # pivot would: a key that is no longer tight moves to the lowest
+            # tight row of its set
+            state.key[:] = key
             state._factor()
             for name, (value, c_order) in held.items():
                 rebuilt = getattr(state, name)
@@ -454,7 +473,9 @@ class TestGubProgram:
         problem = sample_instance(trend_template(3), 60, 3)
         solve_lshaped(problem, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
         assert random_pivots >= 20 and len(checked) > random_pivots
-        assert any(result for _, _, result in swaps)
+        # rows join W when a surplus leaves, and leave it when one enters
+        assert in_place >= {"key swap", ("surplus", "surplus"), ("surplus", "x"),
+                            ("x", "surplus"), ("x", "x")}
 
     def test_key_swaps_skip_the_rebuild(self, monkeypatch):
         factors = record_calls(monkeypatch, _GubSimplex, "_factor")
@@ -462,6 +483,65 @@ class TestGubProgram:
         problem = sample_instance(trend_template(3), 60, 3)
         solve_lshaped(problem, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
         assert 0 < len(factors) < len(pivots)
+
+    def test_only_refreshes_rebuild_the_factor(self, monkeypatch):
+        # no theta column enters or leaves a multi-cut master's warm solve,
+        # so every pivot updates the factor in place
+        factors = record_calls(monkeypatch, _GubSimplex, "_factor")
+        refreshes = record_calls(monkeypatch, _GubSimplex, "refresh")
+        pivots = record_calls(monkeypatch, _GubSimplex, "_replace_basic")
+        problem = sample_instance(trend_template(3), 60, 3)
+        solve_lshaped(problem, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
+        assert len(pivots) > 2 * len(refreshes) > 0
+        assert len(factors) == len(refreshes)
+
+
+class TestKeptReducedCosts:
+    """``dual_run`` updates the reduced costs from the pivot row instead of
+    recomputing them; after every dual pivot they must agree with a fresh
+    ``reduced_costs``."""
+
+    @staticmethod
+    def checked_pivots(monkeypatch, solves):
+        original = _Simplex._next_reduced_costs
+        seen = {_Simplex: 0, _GubSimplex: 0, "refactored": 0}
+
+        def checking(state, d, c, alpha, j):
+            d = original(state, d, c, alpha, j)
+            fresh = state.reduced_costs(c)
+            if state._since_refactor == 0:  # recomputed after the refactor
+                assert np.array_equal(d, fresh)
+                seen["refactored"] += 1
+            else:
+                assert (np.abs(d - fresh) <= 1e-9 * (1.0 + np.abs(fresh))).all()
+                assert d[j] == 0.0
+            seen[type(state)] += 1
+            return d
+
+        monkeypatch.setattr(_Simplex, "_next_reduced_costs", checking)
+        for lp, basis in solves:
+            solve_lp(lp, basis=basis)
+        return seen
+
+    def test_dense_warm_solves(self, monkeypatch):
+        cases = [warm_start_case(seed, infeasible) for seed in range(40)
+                 for infeasible in (False, True)]
+        cases += [zero_cost_surplus_lp(seed) for seed in range(2)]
+        seen = self.checked_pivots(monkeypatch, cases)
+        assert seen[_Simplex] >= 100 and seen["refactored"] > 0
+
+    def test_gub_warm_solves(self, monkeypatch):
+        import lshaped.engine as engine_mod
+
+        masters = record_calls(monkeypatch, engine_mod, "solve_lp")
+        for label in ("multi", "granulated:T0=3,inner=multi"):
+            problem = sample_instance(trend_template(3), 150, 3)
+            solve_lshaped(problem, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        solves = [(args[0], kwargs.get("basis")) for args, kwargs, _ in masters]
+        monkeypatch.undo()
+        assert any(isinstance(lp, GubProgram) for lp, _ in solves)
+        seen = self.checked_pivots(monkeypatch, solves)
+        assert seen[_GubSimplex] >= 200 and seen["refactored"] > 0
 
 
 def mixed_bounds_lp(seed):
