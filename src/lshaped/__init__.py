@@ -2,23 +2,17 @@
 
 from .aggregation import (
     AggregationScheme,
-    Cluster,
     DistanceMeasure,
-    Dynamic,
     Granulated,
     Kmedoids,
     MultiCut,
     Partial,
-    PartitioningScheme,
     SelectClosest,
     SingleCut,
     aggregation_distance,
     kmedoids_cluster,
     parse_scheme,
     scheme_label,
-    scheme_stats,
-    uniform_partition,
-    validate_partitioning,
     validate_scheme,
 )
 from .bounds import (

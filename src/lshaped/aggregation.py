@@ -1,17 +1,21 @@
-"""Partitioning schemes, selection rules and cut-aggregation strategies.
+"""Cut-aggregation strategies and their inner rules.
 
-A partitioning scheme splits the scenario indices 0..N-1 into disjoint
-covering parts; applying an aggregation strategy to one iteration's cuts
-produces one aggregated cut per part actually populated.
+A strategy is one of ``MultiCut``, ``SingleCut``, ``Partial``,
+``SelectClosest``, ``Kmedoids`` and ``Granulated``; the two rules are
+strategies themselves, with no wrapper.  Applying a strategy to one
+iteration's cuts partitions the scenarios 0..N-1 into disjoint covering
+sets and yields one aggregated cut per set.
 
-Every strategy is a static block size T0 plus an optional inner rule: the
-cuts are summed over contiguous index blocks of T0 (``granulate``), then the
-rule, if any, places the granule cuts (``aggregate_granules``).  Both work on
-stacked (grad, offset) rows, and every aggregate is the ascending
-sequential sum of its rows from zero: block and cluster sums are row-ordered
-``sum(axis=0)`` reductions, and the closest rule keeps a running row sum per
-slot.  k-medoids builds its distance matrix from the rows; the closest rule
-ranks slots with the pairwise ``aggregation_distance``.
+Every strategy is a static block size T0 plus an optional inner rule
+(``granulation``; ``None`` for no rule): the cuts are summed over
+contiguous index blocks of T0 (``granulate``), then the rule, if any,
+places the granule cuts (``aggregate_granules``).  Both work on stacked
+(grad, offset) rows, and every aggregate is the ascending sequential sum of
+its rows from zero: block and cluster sums are row-ordered ``sum(axis=0)``
+reductions, and the closest rule keeps a running row sum per slot.
+k-medoids builds its distance matrix from the rows; the closest rule ranks
+slots with the pairwise ``aggregation_distance``.  An aggregate is one row
+plus the granules it covers.
 
     multi                          T0 = 1
     partial:T  (alias uniform:T)   T0 = T
@@ -42,57 +46,6 @@ class DistanceMeasure(Enum):
     ABSOLUTE = "absolute"
     ANGULAR = "angular"
     SPATIOANGULAR = "spatioangular"
-
-
-@dataclass(frozen=True, eq=False)
-class PartitioningScheme:
-    """Disjoint covering index sets over 0..n_scenarios-1."""
-
-    parts: tuple[frozenset[int], ...]
-    n_scenarios: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(frozenset(p) for p in self.parts))
-
-
-def validate_partitioning(scheme: PartitioningScheme) -> list[str]:
-    """Violations of the partition conditions (subset, disjoint, covering)."""
-    out: list[str] = []
-    seen: set[int] = set()
-    universe = set(range(scheme.n_scenarios))
-    for i, part in enumerate(scheme.parts):
-        if not part:
-            out.append(f"part {i} is empty")
-        stray = part - universe
-        if stray:
-            out.append(f"part {i} contains out-of-range indices {sorted(stray)}")
-        overlap = part & seen
-        if overlap:
-            out.append(f"overlap at {sorted(overlap)}")
-        seen |= part
-    missing = universe - seen
-    if missing:
-        out.append(f"uncovered: {sorted(missing)}")
-    return out
-
-
-def scheme_stats(scheme: PartitioningScheme) -> tuple[int, int]:
-    """(aggregation size, aggregation level) = (#parts, largest part)."""
-    issues = validate_partitioning(scheme)
-    if issues:
-        raise ValueError("invalid partitioning: " + "; ".join(issues))
-    return len(scheme.parts), max(len(p) for p in scheme.parts)
-
-
-def uniform_partition(n_scenarios: int, size: int) -> PartitioningScheme:
-    """Contiguous index blocks of the given size; the last may be smaller."""
-    if not 1 <= size <= n_scenarios:
-        raise ValueError(f"block size {size} not in 1..{n_scenarios}")
-    parts = [
-        frozenset(range(start, min(start + size, n_scenarios)))
-        for start in range(0, n_scenarios, size)
-    ]
-    return PartitioningScheme(parts=tuple(parts), n_scenarios=n_scenarios)
 
 
 # --- strategy and rule descriptions ------------------------------------------
@@ -135,22 +88,12 @@ class Partial:
 
 
 @dataclass(frozen=True)
-class Dynamic:
-    rule: SelectClosest
-
-
-@dataclass(frozen=True)
-class Cluster:
-    rule: Kmedoids
-
-
-@dataclass(frozen=True)
 class Granulated:
     block_size: int
     inner: "AggregationScheme"
 
 
-AggregationScheme = Union[MultiCut, SingleCut, Partial, Dynamic, Cluster, Granulated]
+AggregationScheme = Union[MultiCut, SingleCut, Partial, SelectClosest, Kmedoids, Granulated]
 
 
 def validate_scheme(scheme: AggregationScheme, n_scenarios: int) -> list[str]:
@@ -161,21 +104,15 @@ def validate_scheme(scheme: AggregationScheme, n_scenarios: int) -> list[str]:
         if isinstance(s, Partial):
             if not 1 <= s.size <= n_atoms:
                 out.append(f"partial block size {s.size} not in 1..{n_atoms}")
-        elif isinstance(s, Dynamic):
-            rule = s.rule
-            if isinstance(rule, SelectClosest):
-                if rule.slots < 1:
-                    out.append("closest rule needs at least one slot")
-                if rule.measure is DistanceMeasure.ANGULAR and not 0 <= rule.tolerance <= 1:
-                    out.append("angular tolerance must lie in [0, 1]")
-                if not rule.tolerance >= 0:
-                    out.append("distance tolerance must be a nonnegative number")
-            else:
-                out.append(f"unknown selection rule {rule!r}")
-        elif isinstance(s, Cluster):
-            if not isinstance(s.rule, Kmedoids):
-                out.append(f"unknown cluster rule {s.rule!r}")
-            elif s.rule.clusters < 1:
+        elif isinstance(s, SelectClosest):
+            if s.slots < 1:
+                out.append("closest rule needs at least one slot")
+            if s.measure is DistanceMeasure.ANGULAR and not 0 <= s.tolerance <= 1:
+                out.append("angular tolerance must lie in [0, 1]")
+            if not s.tolerance >= 0:
+                out.append("distance tolerance must be a nonnegative number")
+        elif isinstance(s, Kmedoids):
+            if s.clusters < 1:
                 out.append("k-medoids needs at least one cluster")
         elif isinstance(s, Granulated):
             if not granulated_ok:
@@ -489,17 +426,19 @@ def _best_swap(
 
 def granulation(
     scheme: AggregationScheme, n_scenarios: int
-) -> tuple[int, AggregationScheme]:
+) -> tuple[int, SelectClosest | Kmedoids | None]:
     """The static block size T0 of a strategy and its inner rule over the
-    granule cuts: ``MultiCut()`` for none, else a ``Dynamic`` or ``Cluster``."""
+    granule cuts: ``None`` for none, else a ``SelectClosest`` or ``Kmedoids``."""
     if isinstance(scheme, Granulated):
         block, inner = granulation(scheme.inner, math.ceil(n_scenarios / scheme.block_size))
         return min(scheme.block_size * block, n_scenarios), inner
     if isinstance(scheme, SingleCut):
-        return n_scenarios, MultiCut()
+        return n_scenarios, None
     if isinstance(scheme, Partial):
-        return scheme.size, MultiCut()
-    if isinstance(scheme, (MultiCut, Dynamic, Cluster)):
+        return scheme.size, None
+    if isinstance(scheme, MultiCut):
+        return 1, None
+    if isinstance(scheme, (SelectClosest, Kmedoids)):
         return 1, scheme
     raise ValueError(f"unknown aggregation strategy {scheme!r}")
 
@@ -525,12 +464,12 @@ def granulate(rows: np.ndarray, block_size: int) -> np.ndarray:
 
 
 def aggregate_granules(
-    inner: AggregationScheme,
+    inner: SelectClosest | Kmedoids | None,
     rows: np.ndarray,
     counts: Sequence[int],
     n_atoms: int,
 ) -> tuple[np.ndarray, list[list[int]]]:
-    """Apply an inner rule (``MultiCut``, ``Dynamic`` or ``Cluster``, see
+    """Apply an inner rule (``None``, ``SelectClosest`` or ``Kmedoids``, see
     ``granulation``) to one iteration's granule cuts: stacked (grad, offset)
     rows over disjoint member sets of the given sizes, in arrival order, out
     of ``n_atoms`` granules in all.  Arrival order is ascending member
@@ -543,14 +482,13 @@ def aggregate_granules(
     granule rows one at a time, in arrival order (see ``_select_closest``),
     and returns its aggregates in the order their slots flushed.
     """
-    if isinstance(inner, MultiCut):
+    if inner is None:
         return rows, [[g] for g in range(len(rows))]
-    if isinstance(inner, Dynamic):
-        return _select_closest(inner.rule, rows, counts, n_atoms)
-    if isinstance(inner, Cluster):
-        rule = inner.rule
-        k = min(rule.clusters, len(rows))
-        assignment, _ = kmedoids_cluster(rows, counts, k, rule.measure, rule.seed or 0)
+    if isinstance(inner, SelectClosest):
+        return _select_closest(inner, rows, counts, n_atoms)
+    if isinstance(inner, Kmedoids):
+        k = min(inner.clusters, len(rows))
+        assignment, _ = kmedoids_cluster(rows, counts, k, inner.measure, inner.seed or 0)
         # granules are visited in ascending order, so each cluster lists its
         # granules in ascending order and the clusters open in that order
         clusters: dict[int, list[int]] = {}
@@ -576,8 +514,11 @@ def _parse_params(text: str) -> dict[str, str]:
         piece, _, rest = rest.partition(",")
         key, eq, value = piece.partition("=")
         if not eq:
-            raise ValueError(f"malformed strategy parameter {piece!r}")
-        params[key.strip()] = value.strip()
+            raise ValueError(f"parameter {piece!r} has no value")
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"repeated parameter {key!r}")
+        params[key] = value.strip()
     return params
 
 
@@ -592,53 +533,47 @@ def parse_scheme(text: str) -> AggregationScheme:
     """Parse a strategy description like ``partial:T=16`` or
     ``granulated:T0=5,inner=kmedoids:k=20``."""
     name, _, param_text = text.strip().partition(":")
-    params = _parse_params(param_text) if param_text else {}
+    try:
+        params = _parse_params(param_text) if param_text else {}
+    except ValueError as exc:
+        raise ValueError(f"malformed strategy {text!r}: {exc}") from exc
+
+    def number(key, kind, default):
+        if key not in params:
+            return default
+        try:
+            return kind(params.pop(key))
+        except ValueError as exc:
+            raise ValueError(f"malformed strategy {text!r}: {exc}") from exc
 
     def done(result):
         if params:
             raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
         return result
 
-    try:
-        if name == "multi":
-            return done(MultiCut())
-        if name == "single":
-            return done(SingleCut())
-        if name in ("partial", "uniform"):
-            # uniform slots fill in arrival order, and the engine passes
-            # complete cuts in index order, so they are partial blocks here
-            return done(Partial(size=int(params.pop("T", 1))))
-        if name == "closest":
-            measure = _measure_param(params)
-            return done(
-                Dynamic(
-                    SelectClosest(
-                        slots=int(params.pop("A", 8)),
-                        tolerance=float(params.pop("tau", 0.3)),
-                        measure=measure,
-                    )
-                )
-            )
-        if name == "kmedoids":
-            measure = _measure_param(params)
-            return done(
-                Cluster(
-                    Kmedoids(
-                        clusters=int(params.pop("k", 20)),
-                        measure=measure,
-                        seed=int(params.pop("seed")) if "seed" in params else None,
-                    )
-                )
-            )
-        if name == "granulated":
-            inner = parse_scheme(params.pop("inner", "closest"))
-            if isinstance(inner, Granulated):
-                raise ValueError("granulated strategies cannot be nested")
-            return done(Granulated(block_size=int(params.pop("T0", 5)), inner=inner))
-    except ValueError:
-        raise
-    except Exception as exc:  # int()/float() conversion failures
-        raise ValueError(f"malformed strategy {text!r}: {exc}") from exc
+    if name == "multi":
+        return done(MultiCut())
+    if name == "single":
+        return done(SingleCut())
+    if name in ("partial", "uniform"):
+        # uniform slots fill in arrival order, and the engine passes
+        # complete cuts in index order, so they are partial blocks here
+        return done(Partial(size=number("T", int, 1)))
+    if name == "closest":
+        measure = _measure_param(params)
+        return done(SelectClosest(
+            slots=number("A", int, 8), tolerance=number("tau", float, 0.3), measure=measure
+        ))
+    if name == "kmedoids":
+        measure = _measure_param(params)
+        return done(Kmedoids(
+            clusters=number("k", int, 20), measure=measure, seed=number("seed", int, None)
+        ))
+    if name == "granulated":
+        inner = parse_scheme(params.pop("inner", "closest"))
+        if isinstance(inner, Granulated):
+            raise ValueError("granulated strategies cannot be nested")
+        return done(Granulated(block_size=number("T0", int, 5), inner=inner))
     raise ValueError(f"unknown aggregation strategy {name!r}")
 
 
@@ -650,14 +585,12 @@ def scheme_label(scheme: AggregationScheme) -> str:
         return "single"
     if isinstance(scheme, Partial):
         return f"partial:T={scheme.size}"
-    if isinstance(scheme, Dynamic):
-        rule = scheme.rule
-        tau = float(rule.tolerance)  # repr: the shortest text that parses back
-        return f"closest:A={rule.slots},tau={tau!r},measure={rule.measure.value}"
-    if isinstance(scheme, Cluster):
-        rule = scheme.rule
-        seed = "" if rule.seed is None else f",seed={rule.seed}"
-        return f"kmedoids:k={rule.clusters},measure={rule.measure.value}{seed}"
+    if isinstance(scheme, SelectClosest):
+        tau = float(scheme.tolerance)  # repr: the shortest text that parses back
+        return f"closest:A={scheme.slots},tau={tau!r},measure={scheme.measure.value}"
+    if isinstance(scheme, Kmedoids):
+        seed = "" if scheme.seed is None else f",seed={scheme.seed}"
+        return f"kmedoids:k={scheme.clusters},measure={scheme.measure.value}{seed}"
     if isinstance(scheme, Granulated):
         return f"granulated:T0={scheme.block_size},inner={scheme_label(scheme.inner)}"
     raise ValueError(f"unknown aggregation strategy {scheme!r}")
@@ -678,17 +611,16 @@ def with_parameter(scheme: AggregationScheme, name: str, value: float) -> Aggreg
 
     if isinstance(scheme, Partial) and name == "T":
         return Partial(size=integer())
-    if isinstance(scheme, Dynamic):
-        rule = scheme.rule
+    if isinstance(scheme, SelectClosest):
         if name == "tau":
-            return Dynamic(replace(rule, tolerance=float(value)))
+            return replace(scheme, tolerance=float(value))
         if name == "A":
-            return Dynamic(replace(rule, slots=integer()))
-    if isinstance(scheme, Cluster):
+            return replace(scheme, slots=integer())
+    if isinstance(scheme, Kmedoids):
         if name == "k":
-            return Cluster(replace(scheme.rule, clusters=integer()))
+            return replace(scheme, clusters=integer())
         if name == "seed":
-            return Cluster(replace(scheme.rule, seed=integer()))
+            return replace(scheme, seed=integer())
     if isinstance(scheme, Granulated):
         if name == "T0":
             return replace(scheme, block_size=integer())

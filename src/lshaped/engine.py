@@ -36,14 +36,14 @@ objects: ``make_optimality_cuts`` builds a row per scenario, ``granulate``
 sums them over contiguous blocks of T0 scenarios, and the inner rule places
 the granule rows (``aggregation.aggregate_granules``).  The master keeps one
 theta column per granule for the whole run, and a cut's coverage is its list
-of granules, which are its theta columns; only ``SolveReport.pack`` expands
-it to scenarios, granule g being scenarios g*T0 up to the next block.  A
-k-medoids rule with no seed of its own takes ``EngineConfig.seed``, and the
-report's ``scheme`` names the seed used.  An aggregate is skipped unless
-``cuts.row_is_violated`` over its theta columns, at
-``EngineConfig.violation_tol``; the test takes one aggregate at a time, as
-one dot product per row, because a stacked product rounds differently and
-would move the skip decisions.
+of granules, which are its theta columns.  ``SolveReport`` keeps that list
+and expands it to scenarios only on read, granule g being scenarios g*T0 up
+to the next block.  A k-medoids rule with no seed of its own takes
+``EngineConfig.seed``, and the report's ``scheme`` names the seed used.  An
+aggregate is skipped unless ``cuts.row_is_violated`` over its theta columns,
+at ``EngineConfig.violation_tol``; the test takes one aggregate at a time,
+as one dot product per row, because a stacked product rounds differently
+and would move the skip decisions.
 
 Without an inner rule every optimality row covers one theta column, and the
 master is solved on a GUB basis
@@ -100,8 +100,9 @@ import numpy as np
 
 from .aggregation import (
     AggregationScheme,
-    Cluster,
     Granulated,
+    Kmedoids,
+    SelectClosest,
     SingleCut,
     aggregate_granules,
     granulate,
@@ -158,7 +159,7 @@ class IterationRecord:
     cuts_skipped: int
     feasibility_cuts: int
     #: member sets of the cuts added, in scenario terms; ``SolveReport``
-    #: reads them back from its cut member bits, and the loop leaves them empty
+    #: reads them back from its cut granules, and the loop leaves them empty
     partition: tuple[tuple[int, ...], ...]
     #: cold subproblem solves, i.e. scenarios no cached basis fitted
     sub_solves: int
@@ -179,7 +180,7 @@ class IterationRecord:
 
 
 #: IterationRecord's per-iteration values by element type, the columns of
-#: ``SolveReport.iterations``; ``partition`` is kept as the cut member bits
+#: ``SolveReport.iterations``; ``partition`` is kept as the cut granules
 _COLUMNS = {
     f.name: "float" if f.name == "x" else f.type
     for f in fields(IterationRecord) if f.name != "partition"
@@ -228,15 +229,17 @@ class SolveReport:
     one array, row i for iteration i + 1 (``x`` is one row per iteration).
     Cuts are kept in the order they were added, iteration by iteration:
     ``cut_rows`` holds each distinct (gradient, offset) pair once, bit for
-    bit, ``cut_row_of`` the row of each cut, ``cut_members`` each distinct
-    member set once as a bit row (``np.packbits`` of a scenario mask), and
-    ``cut_member_of`` the member row of each cut.  Sampled instances repeat
+    bit, and ``cut_row_of`` the row of each cut.  Sampled instances repeat
     scenarios, so their cuts repeat too: a multi-cut solve of one of the
-    benchmark's 200-scenario instances adds 409 cuts with 65 distinct rows,
-    and it repeats a scenario's member set in every iteration that cuts for
-    it.  An iteration's partition is the member sets of the cuts it added.
-    The ``_s`` columns and ``wall_seconds`` are measurements; two runs of
-    one solve agree bit for bit on every other field.
+    benchmark's 200-scenario instances adds 409 cuts with 65 distinct rows.
+    A cut's coverage is the master's own: the granules it covers, which are
+    its theta columns, are ``cut_granules[cut_starts[i]:cut_starts[i + 1]]``
+    for cut i, in ascending order, and granule g is scenarios
+    g * ``block_size`` up to the next block, the last one cut short at
+    ``n_scenarios``.  An iteration's partition is the member sets of the
+    cuts it added.  The ``_s`` columns and ``wall_seconds`` are
+    measurements; two runs of one solve agree bit for bit on every other
+    field.
     """
 
     status: str
@@ -255,35 +258,38 @@ class SolveReport:
     iterations: dict[str, np.ndarray]
     cut_rows: np.ndarray
     cut_row_of: np.ndarray
-    cut_members: np.ndarray
-    cut_member_of: np.ndarray
+    cut_granules: np.ndarray
+    cut_starts: np.ndarray
+    block_size: int
+    n_scenarios: int
 
     @classmethod
     def pack(cls, history: list[IterationRecord], rows: np.ndarray,
-             coverage: list[tuple[int, ...]], block: int, n_scenarios: int,
+             coverage: list[tuple[int, ...]], block_size: int, n_scenarios: int,
              **summary) -> "SolveReport":
         """Pack a run from its iteration records and the optimality cuts it
         added: their stacked (grad, offset) rows, in the order added, as
-        one contiguous array, and the granules each covers, granule g
-        being scenarios g * block up to the next block."""
-        mask = np.zeros((len(coverage), math.ceil(n_scenarios / block)), dtype=bool)
-        mask[_incidence(coverage)] = True
-        packed = np.packbits(np.repeat(mask, block, axis=1)[:, :n_scenarios], axis=1)
+        one contiguous array, and the granules each covers."""
         iterations = {
             name: np.array([getattr(rec, name) for rec in history], dtype=kind)
             for name, kind in _COLUMNS.items()
         }
         iterations["x"] = iterations["x"].reshape(len(history), rows.shape[1] - 1)
         rows, row_of = _distinct_rows(rows)
-        packed, member_of = _distinct_rows(packed)
+        starts = np.zeros(len(coverage) + 1, dtype=np.int32)
+        np.cumsum([len(cols) for cols in coverage], out=starts[1:])
+        granules = np.fromiter(itertools.chain.from_iterable(coverage), dtype=np.int32,
+                               count=int(starts[-1]))
         return cls(
             n_iterations=len(history),
             n_cuts=len(coverage),
             iterations=iterations,
             cut_rows=rows,
             cut_row_of=row_of,
-            cut_members=packed,
-            cut_member_of=member_of,
+            cut_granules=granules,
+            cut_starts=starts,
+            block_size=block_size,
+            n_scenarios=n_scenarios,
             **summary,
         )
 
@@ -301,8 +307,12 @@ class SolveReport:
         return np.repeat(self.iterations["index"], self.iterations["cuts_added"])
 
     def _member_sets(self) -> list[tuple[int, ...]]:
-        sets = [tuple(np.flatnonzero(np.unpackbits(row)).tolist()) for row in self.cut_members]
-        return [sets[i] for i in self.cut_member_of.tolist()]
+        block, n = self.block_size, self.n_scenarios
+        granules, starts = self.cut_granules.tolist(), self.cut_starts.tolist()
+        return [
+            tuple(s for g in granules[a:b] for s in range(g * block, min(n, g * block + block)))
+            for a, b in zip(starts, starts[1:])
+        ]
 
     @property
     def history(self) -> list[IterationRecord]:
@@ -620,8 +630,8 @@ class _Master:
 
 
 def _aggregate(
-    problem: TwoStageProblem, duals: np.ndarray, block: int, inner: AggregationScheme,
-    counts: list[int],
+    problem: TwoStageProblem, duals: np.ndarray, block: int,
+    inner: SelectClosest | Kmedoids | None, counts: list[int],
 ) -> tuple[np.ndarray, list[list[int]]]:
     """One iteration's aggregates: the scenario cuts at the stacked duals,
     summed over blocks of ``block`` scenarios (``granulate``) and placed by
@@ -636,8 +646,8 @@ def _seeded(scheme: AggregationScheme, seed: int) -> AggregationScheme:
     """The strategy with ``seed`` filled into a k-medoids rule that has none."""
     if isinstance(scheme, Granulated):
         return replace(scheme, inner=_seeded(scheme.inner, seed))
-    if isinstance(scheme, Cluster) and scheme.rule.seed is None:
-        return Cluster(replace(scheme.rule, seed=seed))
+    if isinstance(scheme, Kmedoids) and scheme.seed is None:
+        return replace(scheme, seed=seed)
     return scheme
 
 

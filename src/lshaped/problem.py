@@ -317,6 +317,12 @@ def validate_template(template: StochasticTemplate) -> list[str]:
         out.append(f"nominal T is {template.T.shape}, expected ({q_rows}, {n})")
     if len(template.h) != q_rows:
         out.append(f"nominal h has {len(template.h)} entries, expected {q_rows}")
+    first = template.first
+    for name, arr in (("c", first.c), ("A", first.A), ("b", first.b), ("W", template.W),
+                      ("nominal q", template.q), ("nominal T", template.T),
+                      ("nominal h", template.h)):
+        if arr.size and not np.isfinite(arr).all():
+            out.append(f"{name} contains non-finite entries")
     limits = {"q": (1, m), "T": (q_rows, n), "h": (q_rows, 1)}
     for i, entry in enumerate(template.entries):
         if entry.target not in limits:
@@ -334,8 +340,10 @@ def validate_template(template: StochasticTemplate) -> list[str]:
         total = sum(p for _, p in entry.outcomes)
         if abs(total - 1.0) > PROBABILITY_TOL:
             out.append(f"random entry {i} outcome probabilities sum to {total:g}")
-        if any(p <= 0.0 for _, p in entry.outcomes):
+        if not all(p > 0.0 for _, p in entry.outcomes):
             out.append(f"random entry {i} has a non-positive outcome probability")
+        if not all(math.isfinite(v) for v, _ in entry.outcomes):
+            out.append(f"random entry {i} has a non-finite outcome value")
     return out
 
 

@@ -474,6 +474,12 @@ def _as_vector(obj, path: str) -> np.ndarray:
     return np.asarray(obj, dtype=float)
 
 
+def _as_index(obj, path: str) -> int:
+    if not isinstance(obj, int):
+        raise _native_fail(path, "expected an integer")
+    return obj
+
+
 def _as_matrix(obj, path: str, width: int | None = None) -> np.ndarray:
     if not isinstance(obj, list):
         raise _native_fail(path, "expected an array of rows")
@@ -565,8 +571,11 @@ def parse_native(text: str) -> TwoStageProblem | StochasticTemplate:
     nominal = doc.get("nominal")
     if not isinstance(nominal, dict):
         raise _native_fail("$.nominal", "missing or not an object")
+    random = doc.get("random", [])
+    if not isinstance(random, list):
+        raise _native_fail("$.random", "expected an array")
     entries = []
-    for i, re_doc in enumerate(doc.get("random", [])):
+    for i, re_doc in enumerate(random):
         path = f"$.random[{i}]"
         if not isinstance(re_doc, dict):
             raise _native_fail(path, "expected an object")
@@ -578,8 +587,9 @@ def parse_native(text: str) -> TwoStageProblem | StochasticTemplate:
             raise _native_fail(f"{path}.outcomes", "must be a nonempty array")
         pairs = []
         for j, pair in enumerate(outcomes):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise _native_fail(f"{path}.outcomes[{j}]", "must be a [value, prob] pair")
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(v, (int, float)) for v in pair)):
+                raise _native_fail(f"{path}.outcomes[{j}]", "must be a [value, prob] pair of numbers")
             pairs.append((float(pair[0]), float(pair[1])))
         total = sum(p for _, p in pairs)
         if abs(total - 1.0) > PROBABILITY_TOL:
@@ -587,8 +597,8 @@ def parse_native(text: str) -> TwoStageProblem | StochasticTemplate:
         entries.append(
             RandomEntry(
                 target=target,
-                row=int(re_doc.get("row", 0)),
-                col=int(re_doc.get("col", 0)),
+                row=_as_index(re_doc.get("row", 0), f"{path}.row"),
+                col=_as_index(re_doc.get("col", 0), f"{path}.col"),
                 outcomes=tuple((v, p / total) for v, p in pairs),
             )
         )

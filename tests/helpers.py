@@ -14,12 +14,12 @@ import math
 import numpy as np
 
 from lshaped import (
-    Cluster,
-    Dynamic,
     FirstStage,
+    Kmedoids,
     OptimalityCut,
     RandomEntry,
     Scenario,
+    SelectClosest,
     StochasticTemplate,
     TwoStageProblem,
     XorShift64Star,
@@ -352,17 +352,16 @@ def reference_aggregate(problem, duals, block, inner, counts):
     granules = cuts if block == 1 else [
         summed_cut(cuts[g * block:(g + 1) * block]) for g in range(len(counts))
     ]
-    if isinstance(inner, Cluster):
-        rule = inner.rule
-        k = min(rule.clusters, len(granules))
-        assignment, _ = reference_kmedoids(granules, k, rule.measure, rule.seed)
+    if isinstance(inner, Kmedoids):
+        k = min(inner.clusters, len(granules))
+        assignment, _ = reference_kmedoids(granules, k, inner.measure, inner.seed)
         clusters = {}
         for cut, c in zip(granules, assignment):
             clusters.setdefault(c, []).append(cut)
         aggregates = sorted((summed_cut(group) for group in clusters.values()),
                             key=lambda c: c.members)
-    elif isinstance(inner, Dynamic):
-        aggregates = reference_select_closest(inner.rule, granules, len(granules))
+    elif isinstance(inner, SelectClosest):
+        aggregates = reference_select_closest(inner, granules, len(granules))
     else:
         aggregates = granules
     rows = np.array([cut_row(agg) for agg in aggregates])

@@ -1,26 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lshaped import (
-    Cluster,
     DistanceMeasure,
-    Dynamic,
     Granulated,
     Kmedoids,
     MultiCut,
     OptimalityCut,
     Partial,
-    PartitioningScheme,
     SelectClosest,
     SingleCut,
     kmedoids_cluster,
     parse_scheme,
     scheme_label,
-    scheme_stats,
-    uniform_partition,
-    validate_partitioning,
     validate_scheme,
 )
 from lshaped import aggregation
@@ -71,57 +66,6 @@ def kmedoids(cuts, k, measure, seed=0):
     return kmedoids_cluster(rows, counts, k, measure, seed)
 
 
-class TestPartitioning:
-    def test_valid(self):
-        s = PartitioningScheme(parts=({0, 1}, {2}), n_scenarios=3)
-        assert validate_partitioning(s) == []
-
-    def test_overlap(self):
-        s = PartitioningScheme(parts=({0, 1}, {1, 2}), n_scenarios=3)
-        assert any("overlap at [1]" in msg for msg in validate_partitioning(s))
-
-    def test_uncovered(self):
-        s = PartitioningScheme(parts=({0},), n_scenarios=2)
-        assert any("uncovered: [1]" in msg for msg in validate_partitioning(s))
-
-    def test_stats_extremes(self):
-        n = 7
-        multi = PartitioningScheme(parts=tuple({s} for s in range(n)), n_scenarios=n)
-        single = PartitioningScheme(parts=(set(range(n)),), n_scenarios=n)
-        assert scheme_stats(multi) == (n, 1)
-        assert scheme_stats(single) == (1, n)
-
-    def test_stats_mixed(self):
-        s = PartitioningScheme(parts=({0, 1}, {2}), n_scenarios=3)
-        assert scheme_stats(s) == (2, 2)
-
-    def test_stats_bounds_for_uniform_partitions(self):
-        for n in (1, 5, 9):
-            for size in range(1, n + 1):
-                a, level = scheme_stats(uniform_partition(n, size))
-                assert 1 <= a <= n and 1 <= level <= n
-
-
-class TestUniformPartition:
-    def test_even_blocks(self):
-        parts = uniform_partition(6, 2).parts
-        assert [sorted(p) for p in parts] == [[0, 1], [2, 3], [4, 5]]
-
-    def test_remainder_block_smaller(self):
-        parts = uniform_partition(5, 2).parts
-        assert [sorted(p) for p in parts] == [[0, 1], [2, 3], [4]]
-
-    def test_single_block(self):
-        parts = uniform_partition(4, 4).parts
-        assert [sorted(p) for p in parts] == [[0, 1, 2, 3]]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            uniform_partition(4, 5)
-        with pytest.raises(ValueError):
-            uniform_partition(4, 0)
-
-
 def aggregate(scheme, cuts, n_scenarios):
     """One iteration's aggregation of singleton cuts 0..n_scenarios-1 on
     stacked rows, as the engine takes it: the rows and the scenario sets."""
@@ -137,7 +81,7 @@ def aggregate(scheme, cuts, n_scenarios):
 class TestAggregateGranules:
     def test_multi_keeps_input(self):
         rows, _, counts = stacked(singletons(4))
-        sums, groups = aggregation.aggregate_granules(MultiCut(), rows, counts, 4)
+        sums, groups = aggregation.aggregate_granules(None, rows, counts, 4)
         assert sums is rows
         assert groups == [[0], [1], [2], [3]]
 
@@ -167,8 +111,7 @@ class TestAggregateGranules:
             if cost < best_cost:
                 best_cost, best_parts = cost, split
         assert best_parts == ((0, 1), (2,))
-        _, parts = aggregate(Cluster(Kmedoids(clusters=2, measure=DistanceMeasure.ANGULAR)),
-                             cuts, 3)
+        _, parts = aggregate(Kmedoids(clusters=2, measure=DistanceMeasure.ANGULAR), cuts, 3)
         assert sorted(parts) == [(0, 1), (2,)]
 
     def test_granulated_composition(self):
@@ -183,14 +126,14 @@ class TestAggregateGranules:
         assert parts == [(0, 1), (2, 3), (4, 5)]
 
     @pytest.mark.parametrize("text, block, inner", [
-        ("multi", 1, MultiCut()),
-        ("partial:T=3", 3, MultiCut()),
-        ("uniform:T=3", 3, MultiCut()),
-        ("single", 10, MultiCut()),
-        ("granulated:T0=2,inner=multi", 2, MultiCut()),
-        ("granulated:T0=2,inner=partial:T=2", 4, MultiCut()),
-        ("granulated:T0=4,inner=partial:T=3", 10, MultiCut()),
-        ("granulated:T0=3,inner=single", 10, MultiCut()),
+        ("multi", 1, None),
+        ("partial:T=3", 3, None),
+        ("uniform:T=3", 3, None),
+        ("single", 10, None),
+        ("granulated:T0=2,inner=multi", 2, None),
+        ("granulated:T0=2,inner=partial:T=2", 4, None),
+        ("granulated:T0=4,inner=partial:T=3", 10, None),
+        ("granulated:T0=3,inner=single", 10, None),
         ("closest:A=2", 1, parse_scheme("closest:A=2")),
         ("kmedoids:k=2", 1, parse_scheme("kmedoids:k=2")),
         ("granulated:T0=3,inner=kmedoids:k=2", 3, parse_scheme("kmedoids:k=2")),
@@ -208,9 +151,9 @@ class TestAggregateGranules:
         schemes = [
             MultiCut(), SingleCut(), Partial(size=3),
             Granulated(block_size=2, inner=Partial(size=2)),
-            Dynamic(SelectClosest(slots=3, tolerance=0.4)),
-            Cluster(Kmedoids(clusters=3)),
-            Granulated(block_size=2, inner=Dynamic(SelectClosest(slots=2, tolerance=0.3))),
+            SelectClosest(slots=3, tolerance=0.4),
+            Kmedoids(clusters=3),
+            Granulated(block_size=2, inner=SelectClosest(slots=2, tolerance=0.3)),
         ]
         cuts = singletons(10)
         for scheme in schemes:
@@ -219,14 +162,12 @@ class TestAggregateGranules:
             total = stacked(cuts)[0].sum(axis=0)
             assert np.allclose(sums[:, :-1].sum(axis=0), total[:-1], atol=1e-12)
             assert sums[:, -1].sum() == pytest.approx(total[-1], abs=1e-12)
-            as_partition = PartitioningScheme(parts=tuple(set(p) for p in parts), n_scenarios=10)
-            assert validate_partitioning(as_partition) == []
 
     def test_select_closest_groups_parallel_cuts(self):
         parallel = [singleton(s, grad=[1.0, 0.0], offset=float(s)) for s in range(3)]
         odd = [singleton(3, grad=[0.0, 1.0], offset=9.0)]
         _, parts = aggregate(
-            Dynamic(SelectClosest(slots=2, tolerance=0.1, measure=DistanceMeasure.ANGULAR)),
+            SelectClosest(slots=2, tolerance=0.1, measure=DistanceMeasure.ANGULAR),
             parallel + odd, 4,
         )
         parts = sorted(parts)
@@ -239,7 +180,7 @@ class TestAggregateGranules:
         rule = SelectClosest(slots=4, tolerance=0.6, measure=measure)
         rows, members, counts = stacked(cuts)
         calls = record_calls(monkeypatch, aggregation, "aggregation_distance")
-        sums, groups = aggregation.aggregate_granules(Dynamic(rule), rows, counts, 40)
+        sums, groups = aggregation.aggregate_granules(rule, rows, counts, 40)
         # one distance per arriving row and open slot, and one running sum
         # per slot opening, added to in place rather than re-summed
         assert len(calls) <= len(rows) * rule.slots
@@ -294,7 +235,7 @@ class TestClosestOnRows:
             rule = SelectClosest(slots=int(rng.integers(1, 9)), tolerance=tau, measure=measure)
             n_atoms = len(rows) + int(rng.integers(0, 3))
             sums, groups = aggregation.aggregate_granules(
-                Dynamic(rule), rows, [len(m) for m in members], n_atoms
+                rule, rows, [len(m) for m in members], n_atoms
             )
             expected = reference_select_closest(rule, cuts_of(rows, members), n_atoms)
             assert [tuple(s for g in group for s in members[g]) for group in groups] == [
@@ -306,9 +247,7 @@ class TestClosestOnRows:
         # one slot of -0.0 rows sums to +0.0, as the loop from zero does
         rows = np.full((3, 3), -0.0)
         rule = SelectClosest(slots=1, tolerance=0.3, measure=DistanceMeasure.ABSOLUTE)
-        sums, groups = aggregation.aggregate_granules(
-            Dynamic(rule), rows, [1, 1, 1], 3
-        )
+        sums, groups = aggregation.aggregate_granules(rule, rows, [1, 1, 1], 3)
         assert groups == [[0, 1, 2]]
         assert not np.signbit(sums).any()
 
@@ -368,8 +307,7 @@ class TestStackedSums:
             rows = scaled_rows(rng, n_granules, 5)
             rows[rng.integers(0, n_granules)] = -0.0
             members = [tuple(range(g * block, (g + 1) * block)) for g in range(n_granules)]
-            rule = Cluster(Kmedoids(clusters=int(rng.integers(1, n_granules)), measure=measure,
-                                    seed=trial))
+            rule = Kmedoids(clusters=int(rng.integers(1, n_granules)), measure=measure, seed=trial)
             sums, groups = aggregation.aggregate_granules(rule, rows, [block] * n_granules,
                                                           n_granules)
             assert sorted(g for group in groups for g in group) == list(range(n_granules))
@@ -534,10 +472,10 @@ class TestSchemeGrammar:
         # make them partial blocks, so the solve is the partial one
         assert parse_scheme("uniform:T=4") == Partial(4)
         closest = parse_scheme("closest:A=8,tau=0.3,measure=angular")
-        assert closest == Dynamic(SelectClosest(slots=8, tolerance=0.3, measure=DistanceMeasure.ANGULAR))
+        assert closest == SelectClosest(slots=8, tolerance=0.3, measure=DistanceMeasure.ANGULAR)
         km = parse_scheme("kmedoids:k=20,measure=absolute")
-        assert km == Cluster(Kmedoids(clusters=20, measure=DistanceMeasure.ABSOLUTE, seed=None))
-        assert parse_scheme("kmedoids:k=2,seed=0").rule.seed == 0
+        assert km == Kmedoids(clusters=20, measure=DistanceMeasure.ABSOLUTE, seed=None)
+        assert parse_scheme("kmedoids:k=2,seed=0").seed == 0
 
     def test_unset_seed_is_left_out_of_the_label(self):
         assert scheme_label(parse_scheme("kmedoids:k=2")) == "kmedoids:k=2,measure=angular"
@@ -548,6 +486,20 @@ class TestSchemeGrammar:
             parse_scheme("surprise:T=2")
         with pytest.raises(ValueError):
             parse_scheme("partial:T=2,bogus=1")
+
+    @pytest.mark.parametrize("text, message", [
+        ("partial:T=4,T=5", "repeated parameter 'T'"),
+        ("kmedoids:k=2,measure=absolute, k=3", "repeated parameter 'k'"),
+        ("partial:T=", "invalid literal for int() with base 10: ''"),
+        ("closest:A=2.5", "invalid literal for int() with base 10: '2.5'"),
+        ("closest:tau=x", "could not convert string to float: 'x'"),
+        ("kmedoids:seed=1e3", "invalid literal for int() with base 10: '1e3'"),
+        ("granulated:T0=,inner=single", "invalid literal for int() with base 10: ''"),
+        ("multi:T", "parameter 'T' has no value"),
+    ])
+    def test_malformed_text_names_the_strategy(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(f"malformed strategy {text!r}: {message}")):
+            parse_scheme(text)
 
     @pytest.mark.parametrize("text, name", [
         ("partial:T=2", "T"), ("closest:A=2", "A"), ("kmedoids:k=2", "k"),
@@ -560,7 +512,7 @@ class TestSchemeGrammar:
                 aggregation.with_parameter(scheme, name, value)
         assert f"{name}=3" in scheme_label(aggregation.with_parameter(scheme, name, 3.0))
         tau = aggregation.with_parameter(parse_scheme("closest"), "tau", 0.25)
-        assert tau.rule.tolerance == 0.25
+        assert tau.tolerance == 0.25
 
     @pytest.mark.parametrize("inner, name, value, want", [
         ("kmedoids:k=10", "k", 4, "kmedoids:k=4,measure=angular"),
@@ -580,13 +532,13 @@ class TestSchemeGrammar:
     def test_validate_scheme(self):
         assert validate_scheme(Partial(size=3), 10) == []
         assert validate_scheme(Partial(size=30), 10)
-        assert validate_scheme(Dynamic(SelectClosest(slots=2, tolerance=1.5)), 10)
+        assert validate_scheme(SelectClosest(slots=2, tolerance=1.5), 10)
         for measure in DistanceMeasure:
             for tau in (math.nan, -0.1):
                 rule = SelectClosest(slots=2, tolerance=tau, measure=measure)
-                assert validate_scheme(Dynamic(rule), 10), (measure, tau)
+                assert validate_scheme(rule, 10), (measure, tau)
             rule = SelectClosest(slots=2, tolerance=0.0, measure=measure)
-            assert validate_scheme(Dynamic(rule), 10) == []
+            assert validate_scheme(rule, 10) == []
         # ceil(10/3) = 4 granules: inner size 4 fits, size 5 does not
         assert validate_scheme(
             Granulated(block_size=3, inner=Partial(size=4)), 10

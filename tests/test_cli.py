@@ -380,6 +380,15 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--input", template_json)
         assert code == 0
 
+    def test_malformed_random_entry_is_a_parse_error(self, capsys, tmp_path):
+        doc = json.loads(write_native(random_template(2)))
+        doc["random"][0]["outcomes"][0][0] = "x"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert code == 1
+        assert "$.random[0].outcomes[0]" in err and "Traceback" not in out + err
+
     def test_smps_triple(self, capsys, p1_smps):
         code, out, _ = run(capsys, "validate", "--core", p1_smps["core"],
                            "--time", p1_smps["time"], "--stoch", p1_smps["stoch"])

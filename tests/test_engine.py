@@ -809,7 +809,7 @@ class TestScenarioEvaluator:
         for name, column in a.iterations.items():
             if not name.endswith("_s"):
                 assert np.array_equal(column, b.iterations[name]), name
-        for name in ("cut_grads", "cut_offsets", "cut_members", "cut_member_of"):
+        for name in ("cut_grads", "cut_offsets", "cut_granules", "cut_starts"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_sub_solves_count_every_cold_solve(self, monkeypatch):
@@ -933,8 +933,8 @@ class TestStackedCuts:
             assert a.status == b.status == SolveStatus.CONVERGED
             assert a.cut_rows.tobytes() == b.cut_rows.tobytes()
             assert np.array_equal(a.cut_row_of, b.cut_row_of)
-            assert np.array_equal(a.cut_members, b.cut_members)
-            assert np.array_equal(a.cut_member_of, b.cut_member_of)
+            assert np.array_equal(a.cut_granules, b.cut_granules)
+            assert np.array_equal(a.cut_starts, b.cut_starts)
             for name, column in a.iterations.items():
                 if not name.endswith("_s"):
                     assert np.array_equal(column, b.iterations[name]), name
@@ -992,17 +992,16 @@ class TestLeanReport:
         assert report.status == SolveStatus.CONVERGED
         assert retained <= limit_kib * 1024
 
-    def test_multi_cut_report_stores_each_member_set_once(self):
-        # a multi-cut run cuts for the same scenario in several iterations
+    def test_multi_cut_report_keeps_one_granule_per_cut(self):
+        # a multi-cut run cuts for the same scenario in several iterations;
+        # each cut keeps its one granule as an int32, not a scenario mask
         prob = sample_instance(trend_template(3), 200, 3)
         report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6))
         sets = report._member_sets()
         assert len(sets) == report.n_cuts > 2 * prob.n_scenarios
-        assert len(report.cut_members) == len(set(sets)) <= prob.n_scenarios
-        assert report.cut_member_of.dtype == np.int32
-        # 11.3 KB as one packed row per cut, 6.8 KB stored once
-        stored = report.cut_members.nbytes + report.cut_member_of.nbytes
-        assert stored <= 0.65 * report.n_cuts * report.cut_members.shape[1]
+        assert report.cut_granules.dtype == report.cut_starts.dtype == np.int32
+        assert report.cut_starts.tolist() == list(range(report.n_cuts + 1))
+        assert sets == [(g,) for g in report.cut_granules.tolist()]
 
     def test_history_reads_back_the_recorded_iterations(self, monkeypatch):
         from lshaped.engine import SolveReport
@@ -1035,8 +1034,11 @@ class TestLeanReport:
                 else:
                     assert getattr(got, name) == getattr(want, name), name
 
-    @pytest.mark.parametrize("label", ["multi", "single", "partial:T=5",
-                                       "granulated:T0=4,inner=kmedoids:k=3"])
+    @pytest.mark.parametrize("label", [
+        "multi", "single", "partial:T=5", "granulated:T0=4,inner=kmedoids:k=3",
+        # 60 scenarios in granules of 7 and 8: the last granule is short
+        "granulated:T0=7,inner=closest:A=3", "granulated:T0=8,inner=kmedoids:k=3",
+    ])
     def test_cuts_are_the_master_rows_added(self, label, monkeypatch):
         from lshaped.engine import _Master
 
@@ -1064,3 +1066,6 @@ class TestLeanReport:
             assert got.offset == row[-1]
             assert got.members == members
             assert got.iteration == iteration
+        assert [p for rec in report.history for p in rec.partition] == [
+            members for _, members, _ in added
+        ]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lshaped import (
     solve_lp,
     solve_lshaped,
     validate_problem,
+    validate_template,
     write_native,
 )
 from helpers import (
@@ -390,6 +392,29 @@ class TestEdges:
 
 
 class TestSample:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where, message", [
+        ("q", "nominal q contains non-finite entries"),
+        ("T", "nominal T contains non-finite entries"),
+        ("h", "nominal h contains non-finite entries"),
+        ("outcome", "random entry 0 has a non-finite outcome value"),
+    ])
+    def test_non_finite_template_data_is_rejected(self, where, bad, message):
+        nominal = {"q": [1.0, 0.0], "T": [[1.0]], "h": [2.0]}
+        if where in nominal:
+            nominal[where] = {"q": [bad, 0.0], "T": [[bad]], "h": [bad]}[where]
+        value = bad if where == "outcome" else 2.0
+        entry = RandomEntry("h", 0, 0, ((value, 0.5), (4.0, 0.5)))
+        template = StochasticTemplate(first=FirstStage(c=[1.0], A=np.zeros((0, 1)), b=[]),
+                                      W=[[1.0, -1.0]], entries=(entry,), **nominal)
+        assert validate_template(template) == [message]
+        with pytest.raises(ValueError, match="^invalid template: " + message):
+            sample_instance(template, 4, 1)
+        # JSON NaN and Infinity reach the same check through the parser
+        with pytest.raises(ParseError) as err:
+            parse_native(write_native(template))
+        assert [d.message for d in err.value.diagnostics] == [f"$: {message}"]
+
     def test_saa_weights(self):
         prob = sample_instance(simple_template(), 5, seed=9)
         assert prob.n_scenarios == 5

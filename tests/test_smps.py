@@ -203,6 +203,28 @@ class TestParseNative:
             parse_native(json.dumps(doc))
         assert any("sum to 0.9" in d.message for d in err.value.diagnostics)
 
+    PAIR = "must be a [value, prob] pair of numbers"
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("random",), 5, "$.random: expected an array"),
+        (("random", 0, "outcomes", 0, 0), "x", f"$.random[0].outcomes[0]: {PAIR}"),
+        (("random", 0, "outcomes", 0, 0), None, f"$.random[0].outcomes[0]: {PAIR}"),
+        (("random", 1, "outcomes", 0, 1), "0.5", f"$.random[1].outcomes[0]: {PAIR}"),
+        (("random", 0, "row"), "x", "$.random[0].row: expected an integer"),
+        (("random", 0, "row"), 0.7, "$.random[0].row: expected an integer"),
+        (("random", 1, "col"), 0.7, "$.random[1].col: expected an integer"),
+    ])
+    def test_malformed_random_data_rejected(self, path, value, message):
+        doc = json.loads(write_native(random_template(3)))
+        *keys, last = path
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ParseError) as err:
+            parse_native(json.dumps(doc))
+        assert [d.message for d in err.value.diagnostics] == [message]
+
     def test_template_document_round_trip(self):
         template = random_template(3)
         parsed = parse_native(write_native(template, name="t"))
