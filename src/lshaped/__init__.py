@@ -27,9 +27,8 @@ from .bounds import (
     stirling2,
 )
 from .cuts import (
-    FeasibilityCut,
     OptimalityCut,
-    make_feasibility_cut,
+    make_feasibility_cuts,
     make_optimality_cuts,
 )
 from .engine import (

@@ -10,10 +10,12 @@ coefficient-wise into an aggregate covering the union; that sum is the whole
 aggregation algebra (see ``aggregation``).
 
 On the solver's path one iteration's cuts are one stacked array of
-(grad, offset) rows, one row per scenario in scenario order
-(``make_optimality_cuts``), and every aggregate is the ascending sequential
-sum of such rows from zero.  numpy reduces a non-last axis one row at a
-time from +0.0, so a row-ordered ``sum(axis=0)`` is that sum bit for bit.
+(grad, offset) rows: one per scenario in scenario order for optimality cuts
+(``make_optimality_cuts``), or one per infeasible scenario for the
+theta-free feasibility cuts grad . x >= offset (``make_feasibility_cuts``).
+Every aggregate is the ascending sequential sum of optimality rows from
+zero.  numpy reduces a non-last axis one row at a time from +0.0, so a
+row-ordered ``sum(axis=0)`` is that sum bit for bit.
 ``OptimalityCut`` is the form in which ``SolveReport.cuts`` hands the
 master's cuts out.
 """
@@ -50,20 +52,6 @@ class OptimalityCut:
         object.__setattr__(self, "members", members)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class FeasibilityCut:
-    """Theta-free row grad . x >= offset excluding first-stage points with
-    infeasible recourse in the source scenario."""
-
-    grad: np.ndarray
-    offset: float
-    scenario: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "grad", _frozen_vector(self.grad))
-        object.__setattr__(self, "offset", float(self.offset))
-
-
 def make_optimality_cuts(duals: np.ndarray, problem: TwoStageProblem) -> np.ndarray:
     """The singleton cuts (pi * duals'T, pi * duals'h) of every scenario at
     once, from the stacked duals (one row per scenario), as one N x (n+1)
@@ -80,20 +68,26 @@ def make_optimality_cuts(duals: np.ndarray, problem: TwoStageProblem) -> np.ndar
     return rows
 
 
-def make_feasibility_cut(sigma: np.ndarray, problem: TwoStageProblem, s: int) -> FeasibilityCut:
-    """Cut (sigma'T_s) . x >= sigma'h_s from a recourse infeasibility
-    certificate of scenario s.
+def make_feasibility_cuts(
+    farkas: Mapping[int, np.ndarray], problem: TwoStageProblem
+) -> np.ndarray:
+    """The cuts (sigma'T_s) . x >= sigma'h_s from the recourse infeasibility
+    certificates sigma of the scenarios s in ``farkas``, as one stacked
+    array of (grad, offset) rows in ``farkas`` order.
 
-    sigma must satisfy sigma'W <= 0 componentwise; any x with feasible
-    recourse then satisfies the cut, while the offending x violates it.
+    Each sigma must satisfy sigma'W <= 0 componentwise; any x with feasible
+    recourse in s then satisfies its cut, while the offending x violates it.
     """
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    ray_check = sigma @ problem.W
-    if np.max(ray_check, initial=0.0) > FARKAS_TOL:
-        raise ValueError("sigma is not a valid certificate: sigma'W has positive entries")
-    grad = sigma @ problem.T[s]
-    offset = float(sigma @ problem.H[s])
-    return FeasibilityCut(grad=grad, offset=offset, scenario=s)
+    rows = np.empty((len(farkas), problem.T.shape[2] + 1))
+    for row, (s, sigma) in zip(rows, farkas.items()):
+        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+        if np.max(sigma @ problem.W, initial=0.0) > FARKAS_TOL:
+            raise ValueError(
+                f"sigma of scenario {s} is not a valid certificate: sigma'W has positive entries"
+            )
+        row[:-1] = sigma @ problem.T[s]
+        row[-1] = sigma @ problem.H[s]
+    return rows
 
 
 Theta = Mapping[int, float] | np.ndarray

@@ -45,34 +45,31 @@ at ``EngineConfig.violation_tol``; the test takes one aggregate at a time,
 as one dot product per row, because a stacked product rounds differently
 and would move the skip decisions.
 
-Without an inner rule every optimality row covers one theta column, and the
-master is solved on a GUB basis
-(Dantzig & Van Slyke 1967; Birge & Louveaux, section 5.1).  The rows of one
-theta column form a generalized upper bound set; each covered theta column
-stays basic, keyed to one tight row of its set, and the working matrix is
-at most n x n (``simplex._GubSimplex``).  ``_Master`` keeps its rows as
-appended arrays and hands ``solve_lp`` a ``GubProgram`` in place of a dense
-LP.  Each solve starts from the last optimal basis with the surplus columns
-of the new rows basic, and the dual simplex restores optimality.  A theta
-column covered for the first time starts basic instead, in its new row that
-is largest at the last x (ties to the lowest row): that start is primal
+The master has one form and two solve regimes.  Feasibility and
+optimality cuts alike are stacked (grad, offset) rows, a feasibility row
+covering no theta column, and ``_Master.program()`` lays every master out
+as [X | Theta | -S] in a ``simplex.GubMatrix``.  While each row covers at
+most one theta column (every strategy without an inner rule, and any
+master with only feasibility rows), the master is solved on a GUB basis
+(Dantzig & Van Slyke 1967; Birge & Louveaux, section 5.1).  The rows of
+one theta column form a generalized upper bound set; each covered theta
+column stays basic, keyed to one tight row of its set, and the working
+matrix is at most n x n (``simplex._GubSimplex``).  Each solve after the
+first starts from the last optimal basis with the surplus columns of the
+new rows basic, and the dual simplex restores optimality.  A theta column
+covered for the first time starts basic instead, in its new row that is
+largest at the last x (ties to the lowest row): that start is primal
 feasible, so the first fully covering master takes a pivot or two where it
 used to need a cold solve.  Any failure on the GUB path falls back to a
-dense cold solve of ``build()``.
+dense cold solve of ``program().dense()``.
 
-Every other master stays on the dense path.  Masters with only feasibility
-rows, and masters whose optimality rows each cover every theta column, are
-warm-started from the last basis in the same way, except that a master
-whose objective just gained a theta column is solved cold.  There the theta
-sum over each row's columns is the largest of those rows at x, so every
-optimal vertex gives the aggregate filter the same violations.  Rows over
-other sets of granules (closest, k-medoids) leave the split of theta
-between columns open, and a different optimal vertex would change which
-aggregates are added, so those masters are solved cold.  Warm-starting them
-was measured and rejected: on the 32 instances of the perfbench
-granulated_kmedoids workload for run seeds 1-8 it made solves faster, but
-the other vertices moved the filter and the mean iteration count rose from
-10.03 to 10.84.
+Every other master, with rows over several granules (closest, k-medoids),
+is solved cold.  Such rows leave the split of theta between columns open,
+and a different optimal vertex would change which aggregates the filter
+adds.  Warm-starting them was measured and rejected: on the 32 instances
+of the perfbench granulated_kmedoids workload for run seeds 1-8 it made
+solves faster, but the other vertices moved the filter and the mean
+iteration count rose from 10.03 to 10.84.
 
 The run terminates Converged when the relative gap
 (upper_best - lower) / max(1, |upper_best|) reaches the tolerance
@@ -111,8 +108,7 @@ from .aggregation import (
     validate_scheme,
 )
 from .cuts import (
-    VIOLATION_SCALE, FeasibilityCut, OptimalityCut, make_feasibility_cut, make_optimality_cuts,
-    row_is_violated,
+    VIOLATION_SCALE, OptimalityCut, make_feasibility_cuts, make_optimality_cuts, row_is_violated,
 )
 from .problem import LinearProgram, TwoStageProblem, validate_problem
 from .simplex import (
@@ -474,14 +470,18 @@ class _Master:
 
     Columns: x (n), theta (one per granule of the strategy's static block,
     so one per scenario for T0 = 1), then one surplus per cut row in
-    insertion order.  Theta columns
-    enter the objective only once covered by at least one row.  The rows
-    are kept as appended arrays: the first-stage rows, then every cut's
-    gradient and offset, and the theta column of each row that covers
-    exactly one (-1 for first-stage and feasibility rows, and for rows
-    over several columns, which only ``build()`` reads).  The optimality
-    cuts are those rows (``optimality``) and their theta columns; no cut
-    objects are kept.
+    insertion order (``simplex.GubMatrix``).  Theta columns enter the
+    objective only once covered by at least one row.  The rows are kept as
+    appended arrays: the first-stage rows, then every cut's gradient and
+    offset, with the theta columns each cut row covers (none for a
+    feasibility row).  The optimality cuts are those rows (``optimality``)
+    and their theta columns; no cut objects are kept.
+
+    Every master is ``program()``, and it is solved in one of two regimes.
+    While each row covers at most one theta column, each solve after the
+    first is warm-started on the key-row basis from the last optimal one,
+    with the surplus columns of the new rows basic and each fresh theta
+    column crashed in (``_crash``).  Every other master is solved cold.
     """
 
     def __init__(self, problem: TwoStageProblem, n_theta: int):
@@ -492,7 +492,6 @@ class _Master:
         self.n_rows = first.p
         self._grads = np.array(first.A, dtype=float).reshape(first.p, first.n)
         self._offsets = np.array(first.b, dtype=float)
-        self._theta = np.full(first.p, -1)
         self.theta_cols: list[tuple[int, ...]] = []
         # row index of each optimality cut, in insertion order
         self.optimality: list[int] = []
@@ -505,20 +504,18 @@ class _Master:
         self.solved_shape = (0, 0)
         self.x: np.ndarray | None = None
 
-    def _append(self, grads: np.ndarray, offsets: np.ndarray,
-                theta_cols: list[tuple[int, ...]]) -> None:
-        """Append rows with the given gradients, offsets and theta columns."""
+    def _append(self, rows: np.ndarray, theta_cols: list[tuple[int, ...]]) -> None:
+        """Append stacked (grad, offset) rows covering the given theta columns."""
         i, k = self.n_rows, len(theta_cols)
         if i + k > len(self._offsets):
             size = max(16, 2 * i, i + k)
-            for name in ("_grads", "_offsets", "_theta"):
+            for name in ("_grads", "_offsets"):
                 old = getattr(self, name)
                 grown = np.empty((size,) + old.shape[1:], dtype=old.dtype)
                 grown[:i] = old[:i]
                 setattr(self, name, grown)
-        self._grads[i : i + k] = grads
-        self._offsets[i : i + k] = offsets
-        self._theta[i : i + k] = [cols[0] if len(cols) == 1 else -1 for cols in theta_cols]
+        self._grads[i : i + k] = rows[:, :-1]
+        self._offsets[i : i + k] = rows[:, -1]
         self.theta_cols.extend(theta_cols)
         self.n_rows += k
 
@@ -530,10 +527,6 @@ class _Master:
     def offsets(self) -> np.ndarray:
         return self._offsets[: self.n_rows]
 
-    @property
-    def theta(self) -> np.ndarray:
-        return self._theta[: self.n_rows]
-
     def add_optimality(self, rows: np.ndarray, theta_cols: list[tuple[int, ...]]) -> None:
         """Append optimality cuts: stacked (grad, offset) rows, each covering
         its entry of theta_cols."""
@@ -542,7 +535,7 @@ class _Master:
         self.covered |= cols
         self.widths.update(map(len, theta_cols))
         self.optimality.extend(range(self.n_rows, self.n_rows + len(theta_cols)))
-        self._append(rows[:, :-1], rows[:, -1], theta_cols)
+        self._append(rows, theta_cols)
 
     def optimality_cuts(self) -> tuple[np.ndarray, list[tuple[int, ...]]]:
         """The (grad, offset) rows of the optimality cuts, copied out of the
@@ -550,76 +543,53 @@ class _Master:
         rows = np.column_stack([self._grads[self.optimality], self._offsets[self.optimality]])
         return rows, [self.theta_cols[i - self.p] for i in self.optimality]
 
-    def add_feasibility(self, cut: FeasibilityCut) -> None:
-        self._append(cut.grad, cut.offset, [()])
+    def add_feasibility(self, rows: np.ndarray) -> None:
+        """Append feasibility cuts: stacked (grad, offset) rows over no theta
+        column."""
+        self._append(rows, [()] * len(rows))
 
     @property
     def all_covered(self) -> bool:
         return len(self.covered) == self.n_theta
 
-    def _objective(self, n_cols: int) -> np.ndarray:
-        n = self.problem.first.n
+    def program(self) -> GubProgram:
+        """The master LP over [X | Theta | -S]; ``program().dense()`` is
+        the same LP with its matrix as an array."""
+        n, p = self.problem.first.n, self.p
+        rows, cols = _incidence(self.theta_cols)
+        A = GubMatrix(self.grads, p + rows, cols, self.n_theta, p)
+        n_cols = A.shape[1]
         c = np.zeros(n_cols)
         c[:n] = self.problem.first.c
         c[[n + t for t in self.covered]] = 1.0
-        return c
-
-    def _bounds(self, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-        n = self.problem.first.n
         lb = np.zeros(n_cols)
         lb[n : n + self.n_theta] = -np.inf
-        return lb, np.full(n_cols, np.inf)
-
-    def build(self) -> LinearProgram:
-        n, p, m = self.problem.first.n, self.p, self.n_rows
-        n_cols = n + self.n_theta + m - p
-        A = np.zeros((m, n_cols))
-        A[:, :n] = self.grads
-        rows, cols = _incidence(self.theta_cols)
-        A[p + rows, n + cols] = 1.0
-        cut_rows = np.arange(m - p)
-        A[p + cut_rows, n + self.n_theta + cut_rows] = -1.0  # surplus: row is >= offset
-        lb, ub = self._bounds(n_cols)
-        return LinearProgram(c=self._objective(n_cols), A=A, b=self.offsets, lb=lb, ub=ub,
-                             n_structural=n + self.n_theta)
-
-    def program(self) -> GubProgram:
-        """The master with its constraint matrix in GUB form, for masters
-        whose optimality rows each cover one theta column."""
-        n = self.problem.first.n
-        A = GubMatrix(self.grads, self.theta, self.n_theta, self.p)
-        n_cols = A.shape[1]
-        lb, ub = self._bounds(n_cols)
-        return GubProgram(c=self._objective(n_cols), A=A, b=self.offsets, lb=lb, ub=ub,
+        return GubProgram(c=c, A=A, b=self.offsets, lb=lb, ub=np.full(n_cols, np.inf),
                           n_structural=n + self.n_theta)
 
-    def _crash(self, start: np.ndarray) -> None:
+    def _crash(self, start: np.ndarray, A: GubMatrix) -> None:
         """Make each fresh theta column basic in place of the surplus of its
-        row that is largest at the last x, ties to the lowest row."""
+        row that is largest at the last x, ties to the lowest row.  A fresh
+        column's rows are all new since the last solve."""
         n = self.problem.first.n
-        rows = np.arange(self.solved_shape[0], self.n_rows)
-        theta = self.theta[rows]
-        fresh = np.zeros(self.n_theta + 1, dtype=bool)
+        fresh = np.zeros(self.n_theta, dtype=bool)
         fresh[self.fresh] = True
-        rows, theta = rows[fresh[theta]], theta[fresh[theta]]
+        new = fresh[A.theta_of_rows]
+        rows, theta = A.theta_rows[new], A.theta_of_rows[new]
         value = self.offsets[rows] - self.grads[rows] @ self.x
         order = np.lexsort((rows, -value, theta))
         cols, first = np.unique(theta[order], return_index=True)
         start[rows[order[first]]] = n + cols
 
     def solve(self) -> LpSolution:
-        """Build and solve the master, in GUB form when every optimality row
-        covers one theta column, warm-started from the last optimal basis
-        plus the surplus columns of the rows added since (fresh theta
-        columns crashed in) when the module docstring's conditions allow."""
-        gub = self.widths == {1}
-        lp = self.program() if gub else self.build()
+        """Solve the master: warm on the key-row basis while every row
+        covers at most one theta column, cold otherwise."""
+        lp = self.program()
         start = None
-        warm = gub or (not self.fresh and self.widths <= {self.n_theta})
-        if warm and self.basis is not None:
+        if self.widths <= {1} and self.basis is not None:
             start = np.concatenate([self.basis, np.arange(self.solved_shape[1], lp.A.shape[1])])
             if self.fresh:
-                self._crash(start)
+                self._crash(start, lp.A)
         sol = solve_lp(lp, basis=start)
         self.basis = sol.basis
         self.solved_shape = lp.A.shape
@@ -700,8 +670,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
         upper, gap, added, skipped, agg_s, filter_s = math.inf, math.inf, 0, 0, 0.0, 0.0
 
         if results.farkas:
-            for s, sigma in results.farkas.items():
-                master.add_feasibility(make_feasibility_cut(sigma, problem, s))
+            master.add_feasibility(make_feasibility_cuts(results.farkas, problem))
         else:
             upper = float(problem.first.c @ x + sum((problem.pi * results.values).tolist()))
             if upper < upper_best:

@@ -200,9 +200,8 @@ class StochasticTemplate:
 class LinearProgram:
     """Equality-form LP: min c'x s.t. A x = b, lb <= x <= ub.
 
-    Inequality rows are stored as equalities through slack columns appended
-    by ``with_rows``; ``n_structural`` remembers how many leading columns
-    belong to the caller.
+    ``n_structural`` counts the leading columns that belong to the caller;
+    the columns after them hold inequality rows as equalities.
     """
 
     c: np.ndarray
@@ -231,39 +230,6 @@ class LinearProgram:
         for name, arr in (("c", c), ("A", self.A), ("b", self.b)):
             if np.isnan(arr).any():
                 raise ValueError(f"{name} contains NaN")
-
-    @classmethod
-    def with_rows(cls, objective, rows, senses, rhs, lb=None, ub=None) -> "LinearProgram":
-        """Assemble an LP from rows with senses 'E', 'L' or 'G'.
-
-        'L' and 'G' rows each receive a fresh slack column (>= 0) so the
-        stored system is pure equalities.  Slack columns come after the
-        structural ones, in row order.
-        """
-        c = np.atleast_1d(np.asarray(objective, dtype=float))
-        n = len(c)
-        rows = [np.atleast_1d(np.asarray(r, dtype=float)) for r in rows]
-        rhs = [float(v) for v in rhs]
-        if not (len(rows) == len(senses) == len(rhs)):
-            raise ValueError("rows, senses and rhs must have equal length")
-        slack_rows = [i for i, s in enumerate(senses) if s in ("L", "G")]
-        n_slack = len(slack_rows)
-        m = len(rows)
-        A = np.zeros((m, n + n_slack))
-        for i, r in enumerate(rows):
-            if len(r) != n:
-                raise ValueError(f"row {i} has {len(r)} coefficients, expected {n}")
-            A[i, :n] = r
-        for k, i in enumerate(slack_rows):
-            A[i, n + k] = 1.0 if senses[i] == "L" else -1.0
-        lb_full = np.zeros(n + n_slack)
-        ub_full = np.full(n + n_slack, np.inf)
-        if lb is not None:
-            lb_full[:n] = np.asarray(lb, dtype=float)
-        if ub is not None:
-            ub_full[:n] = np.asarray(ub, dtype=float)
-        return cls(c=np.concatenate([c, np.zeros(n_slack)]), A=A, b=np.asarray(rhs),
-                   lb=lb_full, ub=ub_full, n_structural=n)
 
 
 def validate_problem(problem: TwoStageProblem) -> list[str]:

@@ -24,12 +24,13 @@ footing falls back to the cold two-phase solve, as does a row whose
 violation no column can reduce: that proves infeasibility, and the cold
 solve returns the Farkas certificate.
 
-GUB masters: a ``GubProgram`` is an LP whose rows each hold at most one
-free unit column, the epigraph column of an L-shaped master with one theta
-per row (Dantzig & Van Slyke 1967).  Its warm solves run the same
-``_Simplex`` iterations on a key-row basis (``_GubSimplex``): each basic
-theta column is keyed to one tight row of its set, and the rows left after
-substituting it out form a working matrix over the basic x columns only.
+GUB masters: a ``GubProgram`` is an L-shaped master, an LP over
+[X | Theta | -S] whose free unit theta columns are the epigraph columns
+(``GubMatrix``).  When each row holds at most one of them (Dantzig & Van
+Slyke 1967), its warm solves run the same ``_Simplex`` iterations on a
+key-row basis (``_GubSimplex``): each basic theta column is keyed to one
+tight row of its set, and the rows left after substituting it out form a
+working matrix over the basic x columns only.
 Every pivot that no theta column enters or leaves updates that factor in
 place (``_GubSimplex._update_factor``): a key swap, where a key row's
 surplus enters and the surplus of another row of its set leaves, changes
@@ -38,8 +39,9 @@ working row; an x column that enters or leaves adds or drops a column.
 The matrix is then inverted afresh from the entries a rebuild would
 gather, so the factor equals the rebuild bit for bit.  Refreshes and theta
 pivots rebuild it (``_factor``).  A pivot then costs O(rows * n) and no
-rows x rows inverse is held.  Its cold solve, and every fallback, runs the
-dense two-phase method on ``GubProgram.dense()``.
+rows x rows inverse is held.  Its cold solve, every fallback, and every
+solve of a master with a row over several theta columns run the dense
+method on ``GubProgram.dense()``.
 
 Pricing is Dantzig (largest reduced-cost violation); after 50 consecutive
 degenerate steps the solve switches to Bland's rule, which guarantees
@@ -125,33 +127,44 @@ class KktReport:
 
 
 class GubMatrix:
-    """Constraint matrix [X | Theta | -S] of a master whose rows each hold at
-    most one free unit column (Dantzig & Van Slyke 1967).
+    """Constraint matrix [X | Theta | -S] of an L-shaped master; the one
+    place that layout is written out.
 
-    X is dense, rows x n.  Row i has a 1 in column n + theta[i] when
-    theta[i] >= 0, so the rows of one theta column form its generalized
-    upper bound set.  Every row from p on has its own surplus column, -1,
-    in row order after the theta columns.  Products with vectors cost
-    O(rows * n); ``ndarray @ GubMatrix`` works as well as ``GubMatrix @ v``.
+    X is dense, rows x n.  Theta is 0/1 and given by its nonzero entries as
+    (row, theta column) pairs ``theta_rows``, ``theta_of_rows`` in ascending
+    row order: row i has a 1 in column n + t for each pair (i, t).  Every
+    row from p on has its own surplus column, -1, in row order after the
+    theta columns.  Products with vectors cost O(rows * n + pairs);
+    ``ndarray @ GubMatrix`` works as well as ``GubMatrix @ v``.
+    ``np.add.at`` adds each pair's term on its own, so a row that holds one
+    theta column gets the same bits as an indexed add.
+
+    When every row holds at most one theta column (``one_per_row``), the
+    rows of a theta column form its generalized upper bound set (Dantzig &
+    Van Slyke 1967), ``theta`` gives each row's column (-1 for none), and
+    ``solve_lp`` warm-solves on a key-row basis; otherwise it solves
+    ``toarray()``.
     """
 
     __array_ufunc__ = None  # make ndarray @ GubMatrix call __rmatmul__
 
-    def __init__(self, X: np.ndarray, theta: np.ndarray, n_theta: int, p: int):
+    def __init__(self, X: np.ndarray, theta_rows: np.ndarray, theta_of_rows: np.ndarray,
+                 n_theta: int, p: int):
         self.X = X
-        self.theta = theta
+        self.theta_rows = np.asarray(theta_rows, dtype=np.intp)
+        self.theta_of_rows = np.asarray(theta_of_rows, dtype=np.intp)
         self.n_theta = n_theta
         self.p = p
         m, n = X.shape
         self.shape = (m, n + n_theta + m - p)
-        #: the rows that hold a theta column, and that column
-        self.theta_rows = np.flatnonzero(theta >= 0)
-        self.theta_of_rows = theta[self.theta_rows]
+        self.one_per_row = bool(np.bincount(self.theta_rows, minlength=m).max(initial=0) <= 1)
+        self.theta = np.full(m, -1)
+        self.theta[self.theta_rows] = self.theta_of_rows
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         n = self.X.shape[1]
         out = self.X @ v[:n]
-        out[self.theta_rows] += v[n + self.theta_of_rows]
+        np.add.at(out, self.theta_rows, v[n + self.theta_of_rows])
         out[self.p:] -= v[n + self.n_theta:]
         return out
 
@@ -167,7 +180,7 @@ class GubMatrix:
             return self.X[:, j]
         col = np.zeros(self.shape[0])
         if j < n + self.n_theta:
-            col[self.theta == j - n] = 1.0
+            col[self.theta_rows[self.theta_of_rows == j - n]] = 1.0
         else:
             col[self.p + j - n - self.n_theta] = -1.0
         return col
@@ -186,8 +199,9 @@ class GubMatrix:
 class GubProgram:
     """An equality-form LP, as ``LinearProgram``, whose A is a ``GubMatrix``.
 
-    ``solve_lp`` solves it on a key-row basis of at most n columns (see
-    ``_GubSimplex``) and ``dense()`` gives the same LP with A as an array.
+    ``solve_lp`` warm-solves it on a key-row basis of at most n columns (see
+    ``_GubSimplex``) when each row holds at most one theta column, and
+    ``dense()`` gives the same LP with A as an array.
     """
 
     c: np.ndarray
@@ -851,9 +865,14 @@ def solve_lp(lp: LinearProgram | GubProgram, max_pivots: int | None = None,
     solve that loses numerical footing is retried once with an aggressive
     refactorization cadence before the error propagates.  ``pivots`` counts
     every pivot and bound flip of the call, a failed warm start included.
-    A ``GubProgram`` is warm-solved on its key-row basis; its cold solve,
-    and every fallback, runs on ``lp.dense()``.
+
+    A ``GubProgram`` has two regimes.  When its matrix shows that every row
+    holds at most one theta column (``GubMatrix.one_per_row``), a warm
+    start runs on the key-row basis.  Otherwise, and for its cold solve and
+    every fallback, the solve runs on ``lp.dense()``.
     """
+    if isinstance(lp, GubProgram) and not lp.A.one_per_row:
+        lp = lp.dense()
     m, n = lp.A.shape
     cap = max_pivots if max_pivots is not None else max(2000, 100 * (n + m))
     spent = 0

@@ -468,14 +468,19 @@ def _native_fail(path: str, message: str, line: int = 1) -> ParseError:
     return ParseError([ParseDiagnostic("native", line, f"{path}: {message}")])
 
 
+def _is_number(v) -> bool:
+    """A JSON number: ``true`` and ``false`` load as ``bool``, an ``int``."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _as_vector(obj, path: str) -> np.ndarray:
-    if not isinstance(obj, list) or not all(isinstance(v, (int, float)) for v in obj):
+    if not isinstance(obj, list) or not all(_is_number(v) for v in obj):
         raise _native_fail(path, "expected an array of numbers")
     return np.asarray(obj, dtype=float)
 
 
 def _as_index(obj, path: str) -> int:
-    if not isinstance(obj, int):
+    if not isinstance(obj, int) or isinstance(obj, bool):
         raise _native_fail(path, "expected an integer")
     return obj
 
@@ -507,7 +512,7 @@ def parse_native(text: str) -> TwoStageProblem | StochasticTemplate:
     if not isinstance(doc, dict):
         raise _native_fail("$", "document must be a JSON object")
     version = doc.get("version")
-    if version != NATIVE_VERSION:
+    if isinstance(version, bool) or version != NATIVE_VERSION:
         raise _native_fail("$.version", f"unsupported version {version!r}")
     for key in ("first_stage", "recourse"):
         if key not in doc or not isinstance(doc[key], dict):
@@ -518,7 +523,7 @@ def parse_native(text: str) -> TwoStageProblem | StochasticTemplate:
     b = _as_vector(fs.get("b", []), "$.first_stage.b")
     rec = doc["recourse"]
     m = rec.get("m")
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise _native_fail("$.recourse.m", "must be a positive integer")
     W = _as_matrix(rec.get("W", None), "$.recourse.W", width=m)
     if W.shape[1] != m:
@@ -544,7 +549,7 @@ def parse_native(text: str) -> TwoStageProblem | StochasticTemplate:
             for key in ("pi", "q", "T", "h"):
                 if key not in sc:
                     raise _native_fail(f"{path}.{key}", "missing")
-            if not isinstance(sc["pi"], (int, float)):
+            if not _is_number(sc["pi"]):
                 raise _native_fail(f"{path}.pi", "expected a number")
             scenarios.append(
                 Scenario(
@@ -588,7 +593,7 @@ def parse_native(text: str) -> TwoStageProblem | StochasticTemplate:
         pairs = []
         for j, pair in enumerate(outcomes):
             if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(v, (int, float)) for v in pair)):
+                    and all(_is_number(v) for v in pair)):
                 raise _native_fail(f"{path}.outcomes[{j}]", "must be a [value, prob] pair of numbers")
             pairs.append((float(pair[0]), float(pair[1])))
         total = sum(p for _, p in pairs)

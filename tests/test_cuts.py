@@ -10,7 +10,7 @@ from lshaped import (
     Scenario,
     TwoStageProblem,
     aggregation_distance,
-    make_feasibility_cut,
+    make_feasibility_cuts,
     make_optimality_cuts,
     sample_instance,
     solve_subproblem,
@@ -78,30 +78,52 @@ def one_row_problem():
     return TwoStageProblem.from_scenarios(first, [[1.0]], (Scenario(1.0, [1.0], [[1.0]], [2.0]),))
 
 
-class TestMakeFeasibilityCut:
+class TestMakeFeasibilityCuts:
     def test_one_row_farkas_by_hand(self):
         # infeasible at x=3, h=2; sigma = -1
-        c = make_feasibility_cut([-1.0], one_row_problem(), 0)
-        assert np.array_equal(c.grad, [-1.0])
-        assert c.offset == pytest.approx(-2.0)  # row -x >= -2, i.e. x <= 2
-        assert c.grad @ [3.0] < c.offset  # offending point cut off
-        assert c.scenario == 0
+        rows = make_feasibility_cuts({0: [-1.0]}, one_row_problem())
+        assert rows.shape == (1, 2)
+        grad, offset = rows[0, :-1], rows[0, -1]
+        assert np.array_equal(grad, [-1.0])
+        assert offset == pytest.approx(-2.0)  # row -x >= -2, i.e. x <= 2
+        assert grad @ [3.0] < offset  # offending point cut off
 
     def test_feasible_points_satisfy_cut(self):
-        c = make_feasibility_cut([-1.0], one_row_problem(), 0)
+        (row,) = make_feasibility_cuts({0: [-1.0]}, one_row_problem())
         for x in np.linspace(0.0, 2.0, 7):
-            assert c.grad @ [x] >= c.offset - 1e-12
+            assert row[:-1] @ [x] >= row[-1] - 1e-12
 
     def test_ray_homogeneity(self):
         prob = one_row_problem()
-        a = make_feasibility_cut([-1.0], prob, 0)
-        b = make_feasibility_cut([-2.0], prob, 0)
-        assert np.allclose(2.0 * a.grad, b.grad)
-        assert 2.0 * a.offset == pytest.approx(b.offset)
+        (a,) = make_feasibility_cuts({0: [-1.0]}, prob)
+        (b,) = make_feasibility_cuts({0: [-2.0]}, prob)
+        assert np.allclose(2.0 * a[:-1], b[:-1])
+        assert 2.0 * a[-1] == pytest.approx(b[-1])
 
     def test_invalid_certificate_rejected(self):
         with pytest.raises(ValueError, match="certificate"):
-            make_feasibility_cut([1.0], one_row_problem(), 0)
+            make_feasibility_cuts({0: [1.0]}, one_row_problem())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_are_the_per_scenario_products_bitwise(self, seed):
+        # one row per certificate, in the order given, each the vector-matrix
+        # products sigma @ T[s] and sigma @ H[s] bit for bit
+        rng = np.random.default_rng(seed)
+        first = FirstStage(c=rng.uniform(size=3), A=np.ones((1, 3)), b=[1.0])
+        W = rng.uniform(0.1, 1.0, (2, 4))  # sigma < 0 gives sigma'W < 0
+        prob = TwoStageProblem.from_scenarios(first, W, tuple(
+            Scenario(0.125, rng.uniform(size=4), rng.normal(size=(2, 3)), rng.normal(size=2))
+            for _ in range(8)
+        ))
+        farkas = {int(s): -rng.uniform(0.1, 3.0, 2) for s in rng.permutation(8)[:5]}
+        rows = make_feasibility_cuts(farkas, prob)
+        assert rows.shape == (5, 4)
+        for row, (s, sigma) in zip(rows, farkas.items()):
+            assert row[:-1].tobytes() == (sigma @ prob.T[s]).tobytes()
+            assert row[-1] == sigma @ prob.H[s]
+
+    def test_no_certificates_no_rows(self):
+        assert make_feasibility_cuts({}, one_row_problem()).shape == (0, 2)
 
 
 class TestAggregate:

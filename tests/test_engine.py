@@ -337,7 +337,7 @@ class TestWarmMaster:
             for cut in report.cuts:
                 if cut.iteration < rec.index:
                     master.add_optimality(np.append(cut.grad, cut.offset)[None], [cut.members])
-            lp = master.build()
+            lp = master.program().dense()
             sol = solve_lp(lp)
             assert rec.master_rows == lp.A.shape[0]
             if master.all_covered:
@@ -360,6 +360,21 @@ class TestWarmMaster:
         )
         cold = self.cold_master_pivots(prob, report)
         assert [rec.master_pivots for rec in report.history] == cold
+
+    @pytest.mark.parametrize("label", ["kmedoids:k=1", "closest:A=1"])
+    def test_masters_over_every_granule_are_solved_cold(self, label, monkeypatch):
+        # one aggregate over all scenarios each iteration: every row covers
+        # every theta column, and no master gets a start basis
+        import lshaped.engine as engine_mod
+        from lshaped.simplex import GubProgram
+
+        calls = record_calls(monkeypatch, engine_mod, "solve_lp")
+        prob = sample_instance(trend_template(3), 37, 3)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        assert (report.n_iterations, report.n_cuts) == (5, 4)
+        masters = [kwargs.get("basis") for (lp, *_), kwargs, _ in calls
+                   if isinstance(lp, GubProgram)]
+        assert len(masters) == 5 and all(basis is None for basis in masters)
 
     @pytest.mark.parametrize("label", ["single", "partial:T=5"])
     @pytest.mark.parametrize("kind", ["trend", "random"])
@@ -404,32 +419,46 @@ def mixed_feasibility_problem():
     )
 
 
+def per_row_master_matrix(master):
+    """The master's [X | Theta | -S] matrix written out row by row."""
+    n, p, m = master.problem.first.n, master.p, master.n_rows
+    want = np.zeros((m, n + master.n_theta + m - p))
+    want[:, :n] = master.grads
+    for i, cols in enumerate(master.theta_cols):
+        for t in cols:
+            want[p + i, n + t] = 1.0
+        want[p + i, n + master.n_theta + i] = -1.0
+    return want
+
+
 class TestMasterBuild:
     def test_theta_entries_match_a_per_row_loop(self, monkeypatch):
-        from lshaped import FeasibilityCut
         from lshaped.engine import _Master
 
         built = []
-        original = _Master.build
+        original = _Master.program
 
         def recording(self):
             built.append(self)
             return original(self)
 
-        monkeypatch.setattr(_Master, "build", recording)
+        monkeypatch.setattr(_Master, "program", recording)
         prob = sample_instance(trend_template(3), 60, 3)
         solve_lshaped(prob, EngineConfig(scheme=parse_scheme("kmedoids:k=5"), rel_tol=1e-6))
         master = built[-1]
-        master.add_feasibility(FeasibilityCut(grad=-np.ones(prob.n), offset=-50.0, scenario=0))
+        master.add_feasibility(np.append(-np.ones(prob.n), -50.0)[None])
         assert len({len(cols) for cols in master.theta_cols}) > 2  # 0 and mixed widths
-        n, p, m = prob.n, master.p, master.n_rows
-        want = np.zeros((m, n + master.n_theta + m - p))
-        want[:, :n] = master.grads
-        for i, cols in enumerate(master.theta_cols):
-            for t in cols:
-                want[p + i, n + t] = 1.0
-            want[p + i, n + master.n_theta + i] = -1.0
-        assert master.build().A.tobytes() == want.tobytes()
+        want = per_row_master_matrix(master)
+        lp = master.program()
+        assert not lp.A.one_per_row
+        assert lp.dense().A.tobytes() == want.tobytes()
+        # the products of the pair form agree with the array
+        rng = np.random.default_rng(0)
+        v, y = rng.normal(size=want.shape[1]), rng.normal(size=want.shape[0])
+        np.testing.assert_allclose(lp.A @ v, want @ v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y @ lp.A, y @ want, rtol=1e-12, atol=1e-12)
+        for j in range(want.shape[1]):
+            assert np.array_equal(lp.A.column(j), want[:, j]), j
 
 
 class TestFieldNames:
@@ -475,9 +504,10 @@ class TestFieldNames:
 
 
 class TestGubMaster:
-    """Masters whose optimality rows each cover one theta column are solved
-    on the key-row (GUB) basis; every master, GUB or dense, must agree with
-    a dense cold solve of ``_Master.build()`` and pass ``verify_kkt``."""
+    """Masters whose rows each cover at most one theta column are solved on
+    the key-row (GUB) basis; every master, warm or cold, must agree with a
+    dense cold solve of ``_Master.program().dense()`` and pass
+    ``verify_kkt``."""
 
     @staticmethod
     def install_check(monkeypatch):
@@ -491,24 +521,26 @@ class TestGubMaster:
         original = _Master.solve
 
         def solve(self):
-            gub = self.widths == {1}
+            gub = self.widths <= {1} and self.basis is not None
             cold_solves.clear()
             sol = original(self)
-            lp = self.build()
+            lp = self.program().dense()
             if gub:
                 records.append(dict(
                     fallbacks=len(cold_solves),
-                    feasibility_rows=int((self.theta[self.p:] < 0).sum()),
+                    feasibility_rows=sum(not cols for cols in self.theta_cols),
                 ))
-                dense_gub = self.program().dense()
-                assert np.array_equal(dense_gub.A, lp.A)
-                assert np.array_equal(dense_gub.b, lp.b) and np.array_equal(dense_gub.c, lp.c)
+                n = self.problem.first.n
+                c = [1.0 if j - n in self.covered else 0.0 for j in range(n, lp.A.shape[1])]
+                assert np.array_equal(lp.A, per_row_master_matrix(self))
+                assert np.array_equal(lp.b, self.offsets)
+                assert np.array_equal(lp.c, np.r_[self.problem.first.c, c])
             dense = solve_lp(lp)
             assert sol.status is dense.status
             if sol.status is LpStatus.OPTIMAL:
                 assert sol.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-12)
                 # the GUB program has the dense column layout, so its
-                # (x, duals) map onto build() one to one
+                # (x, duals) map onto its dense form one to one
                 assert sol.x.shape == (lp.A.shape[1],) and sol.duals.shape == lp.b.shape
                 rep = verify_kkt(lp, sol)
                 assert max(rep.primal, rep.dual, rep.complementarity) <= 1e-8
@@ -544,6 +576,34 @@ class TestGubMaster:
         assert report.status == SolveStatus.CONVERGED
         assert records and all(r["feasibility_rows"] == 1 for r in records)
         assert sum(r["fallbacks"] for r in records) == 0
+
+    def test_feasibility_only_master_is_warm_on_key_rows(self, monkeypatch):
+        import lshaped.engine as engine_mod
+        import lshaped.simplex as simplex_mod
+        from lshaped.simplex import GubProgram
+
+        cold_solves = record_calls(monkeypatch, simplex_mod, "_solve_two_phase")
+        original = engine_mod.solve_lp
+        masters = []  # (program, start basis, cold solves it made)
+
+        def solving(lp, **kwargs):
+            before = len(cold_solves)
+            sol = original(lp, **kwargs)
+            if isinstance(lp, GubProgram):
+                masters.append((lp, kwargs.get("basis"), len(cold_solves) - before))
+            return sol
+
+        monkeypatch.setattr(engine_mod, "solve_lp", solving)
+        report = solve_lshaped(
+            mixed_feasibility_problem(),
+            EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-6),
+        )
+        assert report.status == SolveStatus.CONVERGED
+        feasibility_only = [(basis, cold) for lp, basis, cold in masters
+                            if lp.A.shape[0] > lp.A.p and not len(lp.A.theta_rows)]
+        assert feasibility_only
+        assert all(basis is not None and cold == 0 for basis, cold in feasibility_only)
+        assert all(cold == 0 for _, basis, cold in masters if basis is not None)
 
     def test_fresh_theta_starts_in_its_largest_row(self, monkeypatch):
         import lshaped.engine as engine_mod
@@ -581,7 +641,6 @@ class TestGubMaster:
 
     def test_infeasible_gub_master_falls_back_to_farkas_ray(self, monkeypatch):
         import lshaped.engine as engine_mod
-        from lshaped import FeasibilityCut
         from lshaped.engine import _Master
         from lshaped.simplex import GubProgram
 
@@ -591,12 +650,12 @@ class TestGubMaster:
             master.add_optimality(np.array([[0.5, -0.25, 1.0 + t]]), [(t,)])
         assert master.solve().status is LpStatus.OPTIMAL
         # x1 >= 4 and x1 <= 1 together exclude every first-stage point
-        master.add_feasibility(FeasibilityCut([1.0, 0.0], 4.0, 0))
-        master.add_feasibility(FeasibilityCut([-1.0, 0.0], -1.0, 1))
+        master.add_feasibility(np.array([[1.0, 0.0, 4.0]]))
+        master.add_feasibility(np.array([[-1.0, 0.0, -1.0]]))
         sol = master.solve()
         assert isinstance(calls[-1][0][0], GubProgram)
         assert sol.status is LpStatus.INFEASIBLE
-        assert verify_farkas(master.build(), sol.farkas)
+        assert verify_farkas(master.program().dense(), sol.farkas)
         assert verify_farkas(master.program(), sol.farkas)
 
 

@@ -481,17 +481,6 @@ class TestGeneratorStream:
 
 
 class TestLinearProgram:
-    def test_with_rows_adds_slacks(self):
-        lp = LinearProgram.with_rows(
-            objective=[1.0, 2.0],
-            rows=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
-            senses=["E", "L", "G"],
-            rhs=[1.0, 2.0, 0.5],
-        )
-        assert lp.A.shape == (3, 4)
-        assert lp.n_structural == 2
-        assert lp.A[1, 2] == 1.0 and lp.A[2, 3] == -1.0
-
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             LinearProgram(c=[np.nan], A=np.zeros((0, 1)), b=[], lb=[0.0], ub=[1.0])

@@ -299,6 +299,12 @@ class TestWarmStart:
             assert a.objective == b.objective and a.pivots == b.pivots
 
 
+def gub_matrix(X, theta, N, p):
+    """The GubMatrix whose row i holds theta column theta[i], none when -1."""
+    rows = np.flatnonzero(theta >= 0)
+    return GubMatrix(X, rows, theta[rows], N, p)
+
+
 def random_gub_program(seed):
     """A master-shaped GubProgram: x on a simplex (one first-stage row),
     then cut rows over one of N theta columns, or over none, each with a
@@ -312,7 +318,7 @@ def random_gub_program(seed):
     x0 = np.full(n, 2.0 / n)
     # feasibility rows (theta -1) hold at x0, so the LP is feasible
     b = np.r_[2.0, np.where(theta[1:] < 0, X[1:] @ x0 - 0.5, rng.uniform(-2.0, 2.0, R))]
-    A = GubMatrix(X, theta, N, 1)
+    A = gub_matrix(X, theta, N, 1)
     m, cols = A.shape
     c = np.zeros(cols)
     c[:n] = rng.uniform(0.5, 2.0, n)
@@ -334,6 +340,61 @@ class TestGubProgram:
             np.testing.assert_allclose(y @ lp.A, y @ dense, rtol=1e-12, atol=1e-12)
             for j in range(cols):
                 assert np.array_equal(lp.A.column(j), dense[:, j]), (seed, j)
+
+    def test_rows_over_several_theta_columns(self):
+        # (row, theta column) pairs may repeat a row; the products, columns
+        # and array agree with the matrix written out pair by pair
+        rng = np.random.default_rng(3)
+        for seed in range(20):
+            m, n, N, p = 8, 3, 4, 2
+            X = rng.uniform(-1.0, 1.0, (m, n))
+            pairs = sorted({(int(i), int(t)) for i, t in zip(rng.integers(p, m, 12),
+                                                            rng.integers(0, N, 12))})
+            rows, cols = np.array(pairs).T
+            A = GubMatrix(X, rows, cols, N, p)
+            want = np.zeros((m, n + N + m - p))
+            want[:, :n] = X
+            for i, t in pairs:
+                want[i, n + t] = 1.0
+            for i in range(p, m):
+                want[i, n + N + i - p] = -1.0
+            assert A.one_per_row == (len(set(rows.tolist())) == len(rows))
+            assert A.toarray().tobytes() == want.tobytes()
+            v, y = rng.normal(size=want.shape[1]), rng.normal(size=m)
+            np.testing.assert_allclose(A @ v, want @ v, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(y @ A, y @ want, rtol=1e-12, atol=1e-12)
+            for j in range(want.shape[1]):
+                assert np.array_equal(A.column(j), want[:, j]), (seed, j)
+
+    def test_two_column_row_never_takes_the_key_row_path(self, monkeypatch):
+        # a start basis for a program with a row over two theta columns is
+        # used on the dense form, exactly as for lp.dense()
+        made = record_calls(monkeypatch, _GubSimplex, "__init__")
+        checked = 0
+        for seed in range(30):
+            lp = random_gub_program(seed)
+            A = lp.A
+            free = np.flatnonzero(A.theta[A.p:] < 0) + A.p
+            if not len(free) or A.n_theta < 2:
+                continue
+            # one row without a theta column gains two
+            pairs = sorted([*zip(A.theta_rows.tolist(), A.theta_of_rows.tolist()),
+                            (int(free[0]), 0), (int(free[0]), 1)])
+            rows, cols = np.array(pairs).T
+            wide = GubProgram(c=lp.c, A=GubMatrix(A.X, rows, cols, A.n_theta, A.p), b=lp.b,
+                              lb=lp.lb, ub=lp.ub, n_structural=lp.n_structural)
+            assert not wide.A.one_per_row
+            cold = solve_lp(wide.dense())
+            if cold.basis is None:
+                continue
+            rng = np.random.default_rng(seed)
+            moved = GubProgram(c=wide.c, A=wide.A, b=wide.b + rng.normal(0.0, 0.3, len(wide.b)),
+                               lb=wide.lb, ub=wide.ub, n_structural=wide.n_structural)
+            assert_same_solution(solve_lp(moved, basis=cold.basis),
+                                 solve_lp(moved.dense(), basis=cold.basis))
+            checked += 1
+        assert checked >= 5
+        assert not made
 
     def test_key_row_basis_matches_dense_inverse(self):
         rng = np.random.default_rng(1)
@@ -385,7 +446,7 @@ class TestGubProgram:
             n = X.shape[1]
             # each new row is violated by the old optimum by 0.5
             lhs = new_X @ sol.x[:n] + sol.x[n + new_theta]
-            A = GubMatrix(np.vstack([X, new_X]), np.r_[theta, new_theta], N, 1)
+            A = gub_matrix(np.vstack([X, new_X]), np.r_[theta, new_theta], N, 1)
             cols = A.shape[1]
             c = np.zeros(cols)
             c[: len(lp.c)] = lp.c
@@ -460,7 +521,7 @@ class TestGubProgram:
             # one feasibility row (theta -1) among the appended rows
             new_theta = np.r_[rng.choice(covered, k - 1), -1]
             lhs = new_X @ sol.x[:n] + np.where(new_theta >= 0, sol.x[n + new_theta], 0.0)
-            A = GubMatrix(np.vstack([X, new_X]), np.r_[theta, new_theta], N, 1)
+            A = gub_matrix(np.vstack([X, new_X]), np.r_[theta, new_theta], N, 1)
             cols = A.shape[1]
             c = np.zeros(cols)
             c[: len(lp.c)] = lp.c

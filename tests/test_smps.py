@@ -225,6 +225,33 @@ class TestParseNative:
             parse_native(json.dumps(doc))
         assert [d.message for d in err.value.diagnostics] == [message]
 
+    VECTOR = "expected an array of numbers"
+
+    @pytest.mark.parametrize("kind, path, value, message", [
+        ("problem", ("version",), True, "$.version: unsupported version True"),
+        ("problem", ("recourse", "m"), True, "$.recourse.m: must be a positive integer"),
+        ("problem", ("first_stage", "c", 0), True, f"$.first_stage.c: {VECTOR}"),
+        ("problem", ("recourse", "W", 0, 1), False, f"$.recourse.W[0]: {VECTOR}"),
+        ("problem", ("scenarios", 0, "pi"), True, "$.scenarios[0].pi: expected a number"),
+        ("problem", ("scenarios", 1, "q", 1), False, f"$.scenarios[1].q: {VECTOR}"),
+        ("template", ("nominal", "h", 0), True, f"$.nominal.h: {VECTOR}"),
+        ("template", ("random", 0, "row"), False, "$.random[0].row: expected an integer"),
+        ("template", ("random", 1, "col"), True, "$.random[1].col: expected an integer"),
+        ("template", ("random", 0, "outcomes", 0, 0), True, f"$.random[0].outcomes[0]: {PAIR}"),
+        ("template", ("random", 1, "outcomes", 1, 1), False, f"$.random[1].outcomes[1]: {PAIR}"),
+    ])
+    def test_json_booleans_are_not_numbers(self, p1, kind, path, value, message):
+        # true == 1 and false == 0 in Python, and bool is an int subclass
+        doc = json.loads(write_native(p1 if kind == "problem" else random_template(3)))
+        *keys, last = path
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ParseError) as err:
+            parse_native(json.dumps(doc))
+        assert [d.message for d in err.value.diagnostics] == [message]
+
     def test_template_document_round_trip(self):
         template = random_template(3)
         parsed = parse_native(write_native(template, name="t"))
