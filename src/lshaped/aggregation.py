@@ -55,7 +55,7 @@ class DistanceMeasure(Enum):
 class SelectClosest:
     """Place each cut into the nearest slot within tolerance, else into the
     next empty slot, else into the nearest slot outright.  A slot is full at
-    ceil(n_atoms / slots) members."""
+    ceil(granules / slots) members."""
 
     slots: int
     tolerance: float = 0.3
@@ -100,10 +100,10 @@ def validate_scheme(scheme: AggregationScheme, n_scenarios: int) -> list[str]:
     """Parameter violations of a strategy for a given scenario count."""
     out: list[str] = []
 
-    def check(s, n_atoms, granulated_ok=True):
+    def check(s, n, granulated_ok=True):
         if isinstance(s, Partial):
-            if not 1 <= s.size <= n_atoms:
-                out.append(f"partial block size {s.size} not in 1..{n_atoms}")
+            if not 1 <= s.size <= n:
+                out.append(f"partial block size {s.size} not in 1..{n}")
         elif isinstance(s, SelectClosest):
             if s.slots < 1:
                 out.append("closest rule needs at least one slot")
@@ -118,10 +118,10 @@ def validate_scheme(scheme: AggregationScheme, n_scenarios: int) -> list[str]:
             if not granulated_ok:
                 out.append("granulated strategies cannot be nested")
                 return
-            if not 1 <= s.block_size <= n_atoms:
-                out.append(f"granule size {s.block_size} not in 1..{n_atoms}")
+            if not 1 <= s.block_size <= n:
+                out.append(f"granule size {s.block_size} not in 1..{n}")
                 return
-            check(s.inner, math.ceil(n_atoms / s.block_size), granulated_ok=False)
+            check(s.inner, math.ceil(n / s.block_size), granulated_ok=False)
         elif not isinstance(s, (MultiCut, SingleCut)):
             out.append(f"unknown aggregation strategy {s!r}")
 
@@ -173,19 +173,19 @@ def aggregation_distance(
 
 
 def _select_closest(
-    rule: SelectClosest, rows: np.ndarray, counts: Sequence[int], n_atoms: int
-) -> tuple[np.ndarray, list[list[int]]]:
+    rule: SelectClosest, rows: np.ndarray, counts: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Place stacked rows, covering ``counts`` scenarios each, one at a time
-    into ``rule.slots`` slots; a slot flushes at ceil(n_atoms / slots) rows.
+    into ``rule.slots`` slots, each flushed at ceil(len(rows) / slots) rows.
 
     Each slot keeps its granule positions and a running row sum, started
     from zeros and added to in arrival order, so one placement costs one
     row addition.  Rows that arrive in ascending member order are therefore
     summed as ``granulate`` sums a block.  Returns the slot sums in the
     order the slots flushed, then the slots left open in slot order, with
-    the positions each one sums.
+    their coverage as in ``aggregate_granules``.
     """
-    full_at = max(1, math.ceil(n_atoms / rule.slots))
+    full_at = max(1, math.ceil(len(rows) / rule.slots))
     slots: list[list[int]] = [[] for _ in range(rule.slots)]
     sums: list[np.ndarray | None] = [None] * rule.slots
     sizes = [0] * rule.slots
@@ -218,7 +218,7 @@ def _select_closest(
         if slot:
             out_rows.append(total)
             groups.append(slot)
-    return np.array(out_rows), groups
+    return np.array(out_rows), np.concatenate(groups), np.cumsum([0, *map(len, groups)])
 
 
 # --- k-medoids ----------------------------------------------------------------
@@ -464,28 +464,25 @@ def granulate(rows: np.ndarray, block_size: int) -> np.ndarray:
 
 
 def aggregate_granules(
-    inner: SelectClosest | Kmedoids | None,
-    rows: np.ndarray,
-    counts: Sequence[int],
-    n_atoms: int,
-) -> tuple[np.ndarray, list[list[int]]]:
+    inner: SelectClosest | Kmedoids | None, rows: np.ndarray, counts: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply an inner rule (``None``, ``SelectClosest`` or ``Kmedoids``, see
     ``granulation``) to one iteration's granule cuts: stacked (grad, offset)
-    rows over disjoint member sets of the given sizes, in arrival order, out
-    of ``n_atoms`` granules in all.  Arrival order is ascending member
-    order.
+    rows over disjoint member sets of the given sizes, in arrival order,
+    which is ascending member order.
 
-    Returns the aggregate rows and, for each, the positions of the granules
-    it sums in ascending order.  A k-medoids cluster is summed as
+    Returns (sums, granules, starts): the aggregate rows, aggregate i
+    summing the rows at positions ``granules[starts[i]:starts[i + 1]]`` in
+    ascending order.  A k-medoids cluster is summed as
     ``rows[idx].sum(axis=0)`` over those positions, and the clusters come in
     ascending order of their first granule.  The closest rule places the
     granule rows one at a time, in arrival order (see ``_select_closest``),
     and returns its aggregates in the order their slots flushed.
     """
     if inner is None:
-        return rows, [[g] for g in range(len(rows))]
+        return rows, np.arange(len(rows)), np.arange(len(rows) + 1)
     if isinstance(inner, SelectClosest):
-        return _select_closest(inner, rows, counts, n_atoms)
+        return _select_closest(inner, rows, counts)
     if isinstance(inner, Kmedoids):
         k = min(inner.clusters, len(rows))
         assignment, _ = kmedoids_cluster(rows, counts, k, inner.measure, inner.seed or 0)
@@ -495,7 +492,8 @@ def aggregate_granules(
         for g, c in enumerate(assignment):
             clusters.setdefault(c, []).append(g)
         groups = list(clusters.values())
-        return np.array([rows[idx].sum(axis=0) for idx in groups]), groups
+        sums = np.array([rows[idx].sum(axis=0) for idx in groups])
+        return sums, np.concatenate(groups), np.cumsum([0, *map(len, groups)])
     raise ValueError(f"unknown inner rule {inner!r}")
 
 

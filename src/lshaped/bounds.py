@@ -9,7 +9,6 @@ integers; the values explode combinatorially fast, which is the point.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 
@@ -19,27 +18,27 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+def _stirling2_row(n: int, k: int) -> list[int]:
+    """S(n, 0..k), built row by row from S(0, 0) = 1 with
+    S(i, j) = j S(i-1, j) + S(i-1, j-1), in O(n k) steps and no recursion."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row
 
 
 def stirling2(n: int, k: int) -> int:
     """Partitions of n elements into exactly k nonempty subsets."""
     if not 0 <= k <= n:
         raise ValueError(f"stirling2 requires 0 <= k <= n, got ({n}, {k})")
-    return _stirling2(n, k)
+    return _stirling2_row(n, k)[k]
 
 
 def bell(n: int) -> int:
     """All partitions of n elements: sum of stirling2(n, k) over k."""
     if n < 0:
         raise ValueError("bell requires n >= 0")
-    return sum(_stirling2(n, k) for k in range(n + 1))
+    return sum(_stirling2_row(n, n))
 
 
 def _check_positive(**kwargs: int) -> None:
@@ -98,5 +97,5 @@ def bound_dynamic_restricted(
     facets = sum(
         binomial(n_scenarios, a) * (1 + a * (b - 1)) ** m for a in range(lo, hi + 1)
     )
-    partitions = sum(stirling2(n_scenarios, a) for a in range(lo, hi + 1))
+    partitions = sum(_stirling2_row(n_scenarios, hi)[lo:])
     return 2 + facets - partitions - initial_aggregates

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .aggregation import MultiCut, SingleCut, parse_scheme, scheme_label, with_parameter
+from .aggregation import (
+    MultiCut, SingleCut, parse_scheme, scheme_label, validate_scheme, with_parameter,
+)
 from .engine import EngineConfig, SolveReport, SolveStatus, compute_relative_complexities, solve_lshaped
 from .problem import (
     StochasticTemplate,
@@ -170,8 +172,11 @@ def _report_json(report: SolveReport) -> dict:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -273,6 +278,11 @@ def _cmd_bench(args) -> int:
             points.append(("", "", target))
     except ValueError as exc:
         raise CliError(str(exc))
+    # reject a point the instance cannot take before any baseline runs
+    for _, _, scheme in points:
+        issues = validate_scheme(scheme, problem.n_scenarios)
+        if issues:
+            raise CliError("invalid aggregation strategy: " + "; ".join(issues))
 
     try:
         multi = _median_run(problem, args, MultiCut())

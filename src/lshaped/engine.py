@@ -35,10 +35,10 @@ of (grad, offset) rows from the dual batch to the master, with no cut
 objects: ``make_optimality_cuts`` builds a row per scenario, ``granulate``
 sums them over contiguous blocks of T0 scenarios, and the inner rule places
 the granule rows (``aggregation.aggregate_granules``).  The master keeps one
-theta column per granule for the whole run, and a cut's coverage is its list
-of granules, which are its theta columns.  ``SolveReport`` keeps that list
-and expands it to scenarios only on read, granule g being scenarios g*T0 up
-to the next block.  A k-medoids rule with no seed of its own takes
+theta column per granule for the whole run.  Coverage has one form from the
+inner rule to ``SolveReport``: cut i covers the granules, which are theta
+columns, ``granules[starts[i]:starts[i + 1]]``.  The report expands them to
+scenarios only on read, granule g being scenarios g*T0 up to the next block.  A k-medoids rule with no seed of its own takes
 ``EngineConfig.seed``, and the report's ``scheme`` names the seed used.  An
 aggregate is skipped unless ``cuts.row_is_violated`` over its theta columns,
 at ``EngineConfig.violation_tol``; the test takes one aggregate at a time,
@@ -87,7 +87,6 @@ columns of ``SolveReport.iterations`` and the solve JSON, which calls
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import time
@@ -228,9 +227,9 @@ class SolveReport:
     bit, and ``cut_row_of`` the row of each cut.  Sampled instances repeat
     scenarios, so their cuts repeat too: a multi-cut solve of one of the
     benchmark's 200-scenario instances adds 409 cuts with 65 distinct rows.
-    A cut's coverage is the master's own: the granules it covers, which are
-    its theta columns, are ``cut_granules[cut_starts[i]:cut_starts[i + 1]]``
-    for cut i, in ascending order, and granule g is scenarios
+    A cut's coverage is the master's own, as int32: cut i covers the
+    granules ``cut_granules[cut_starts[i]:cut_starts[i + 1]]``, its theta
+    columns, in ascending order, and granule g is scenarios
     g * ``block_size`` up to the next block, the last one cut short at
     ``n_scenarios``.  An iteration's partition is the member sets of the
     cuts it added.  The ``_s`` columns and ``wall_seconds`` are
@@ -260,30 +259,26 @@ class SolveReport:
     n_scenarios: int
 
     @classmethod
-    def pack(cls, history: list[IterationRecord], rows: np.ndarray,
-             coverage: list[tuple[int, ...]], block_size: int, n_scenarios: int,
+    def pack(cls, history: list[IterationRecord], rows: np.ndarray, granules: np.ndarray,
+             starts: np.ndarray, block_size: int, n_scenarios: int,
              **summary) -> "SolveReport":
         """Pack a run from its iteration records and the optimality cuts it
         added: their stacked (grad, offset) rows, in the order added, as
-        one contiguous array, and the granules each covers."""
+        one contiguous array, and their coverage (granules, starts)."""
         iterations = {
             name: np.array([getattr(rec, name) for rec in history], dtype=kind)
             for name, kind in _COLUMNS.items()
         }
         iterations["x"] = iterations["x"].reshape(len(history), rows.shape[1] - 1)
         rows, row_of = _distinct_rows(rows)
-        starts = np.zeros(len(coverage) + 1, dtype=np.int32)
-        np.cumsum([len(cols) for cols in coverage], out=starts[1:])
-        granules = np.fromiter(itertools.chain.from_iterable(coverage), dtype=np.int32,
-                               count=int(starts[-1]))
         return cls(
             n_iterations=len(history),
-            n_cuts=len(coverage),
+            n_cuts=len(starts) - 1,
             iterations=iterations,
             cut_rows=rows,
             cut_row_of=row_of,
-            cut_granules=granules,
-            cut_starts=starts,
+            cut_granules=granules.astype(np.int32),
+            cut_starts=starts.astype(np.int32),
             block_size=block_size,
             n_scenarios=n_scenarios,
             **summary,
@@ -336,15 +331,6 @@ class SolveReport:
         ]
 
 
-def _incidence(theta_cols: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of every (row, theta column it covers) pair,
-    rows numbered in list order."""
-    widths = [len(cols) for cols in theta_cols]
-    cols = np.fromiter(itertools.chain.from_iterable(theta_cols), dtype=np.intp,
-                       count=sum(widths))
-    return np.repeat(np.arange(len(theta_cols)), widths), cols
-
-
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-d array, compared as raw bytes so that only
     bitwise-equal rows merge, and the int32 index of each row among them."""
@@ -378,7 +364,6 @@ def solve_subproblem(problem: TwoStageProblem, s: int, x: np.ndarray) -> Subprob
         b=problem.H[s] - problem.T[s] @ x,
         lb=np.zeros(problem.m),
         ub=np.full(problem.m, np.inf),
-        n_structural=problem.m,
     )
     sol = solve_lp(lp)
     if sol.status is LpStatus.OPTIMAL:
@@ -473,9 +458,9 @@ class _Master:
     insertion order (``simplex.GubMatrix``).  Theta columns enter the
     objective only once covered by at least one row.  The rows are kept as
     appended arrays: the first-stage rows, then every cut's gradient and
-    offset, with the theta columns each cut row covers (none for a
-    feasibility row).  The optimality cuts are those rows (``optimality``)
-    and their theta columns; no cut objects are kept.
+    offset; cut row i covers the theta columns
+    ``granules[starts[i]:starts[i + 1]]``.  A feasibility row covers none,
+    and the optimality cuts are the rows that cover some.
 
     Every master is ``program()``, and it is solved in one of two regimes.
     While each row covers at most one theta column, each solve after the
@@ -492,21 +477,19 @@ class _Master:
         self.n_rows = first.p
         self._grads = np.array(first.A, dtype=float).reshape(first.p, first.n)
         self._offsets = np.array(first.b, dtype=float)
-        self.theta_cols: list[tuple[int, ...]] = []
-        # row index of each optimality cut, in insertion order
-        self.optimality: list[int] = []
-        self.covered: set[int] = set()
-        # theta-column counts of the optimality rows so far
-        self.widths: set[int] = set()
+        self.granules = np.zeros(0, dtype=np.intp)
+        self.starts = np.zeros(1, dtype=np.intp)
+        self.covered = np.zeros(n_theta, dtype=bool)
         # theta columns covered since the last solve
-        self.fresh: list[int] = []
+        self.fresh = np.zeros(n_theta, dtype=bool)
         self.basis: np.ndarray | None = None
         self.solved_shape = (0, 0)
         self.x: np.ndarray | None = None
 
-    def _append(self, rows: np.ndarray, theta_cols: list[tuple[int, ...]]) -> None:
-        """Append stacked (grad, offset) rows covering the given theta columns."""
-        i, k = self.n_rows, len(theta_cols)
+    def _append(self, rows: np.ndarray, granules: np.ndarray, starts: np.ndarray) -> None:
+        """Append stacked (grad, offset) rows, row i covering the theta
+        columns ``granules[starts[i]:starts[i + 1]]``."""
+        i, k = self.n_rows, len(rows)
         if i + k > len(self._offsets):
             size = max(16, 2 * i, i + k)
             for name in ("_grads", "_offsets"):
@@ -516,7 +499,8 @@ class _Master:
                 setattr(self, name, grown)
         self._grads[i : i + k] = rows[:, :-1]
         self._offsets[i : i + k] = rows[:, -1]
-        self.theta_cols.extend(theta_cols)
+        self.granules = np.concatenate([self.granules, granules])
+        self.starts = np.concatenate([self.starts, self.starts[-1] + starts[1:]])
         self.n_rows += k
 
     @property
@@ -527,54 +511,50 @@ class _Master:
     def offsets(self) -> np.ndarray:
         return self._offsets[: self.n_rows]
 
-    def add_optimality(self, rows: np.ndarray, theta_cols: list[tuple[int, ...]]) -> None:
-        """Append optimality cuts: stacked (grad, offset) rows, each covering
-        its entry of theta_cols."""
-        cols = set(itertools.chain.from_iterable(theta_cols))
-        self.fresh.extend(cols - self.covered)
-        self.covered |= cols
-        self.widths.update(map(len, theta_cols))
-        self.optimality.extend(range(self.n_rows, self.n_rows + len(theta_cols)))
-        self._append(rows, theta_cols)
+    def add_optimality(self, rows: np.ndarray, granules: np.ndarray, starts: np.ndarray) -> None:
+        """Append optimality cuts: stacked (grad, offset) rows, row i
+        covering the theta columns ``granules[starts[i]:starts[i + 1]]``."""
+        self.fresh[granules] |= ~self.covered[granules]
+        self.covered[granules] = True
+        self._append(rows, granules, starts)
 
-    def optimality_cuts(self) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    def optimality_cuts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (grad, offset) rows of the optimality cuts, copied out of the
-        row arrays in insertion order, and the theta columns of each."""
-        rows = np.column_stack([self._grads[self.optimality], self._offsets[self.optimality]])
-        return rows, [self.theta_cols[i - self.p] for i in self.optimality]
+        row arrays in insertion order, and their (granules, starts)."""
+        cuts = np.flatnonzero(np.diff(self.starts))
+        rows = np.column_stack([self._grads[self.p + cuts], self._offsets[self.p + cuts]])
+        return rows, self.granules, np.append(self.starts[cuts], self.starts[-1])
 
     def add_feasibility(self, rows: np.ndarray) -> None:
         """Append feasibility cuts: stacked (grad, offset) rows over no theta
         column."""
-        self._append(rows, [()] * len(rows))
+        self._append(rows, self.granules[:0], np.zeros(len(rows) + 1, dtype=np.intp))
 
     @property
     def all_covered(self) -> bool:
-        return len(self.covered) == self.n_theta
+        return bool(self.covered.all())
 
     def program(self) -> GubProgram:
         """The master LP over [X | Theta | -S]; ``program().dense()`` is
         the same LP with its matrix as an array."""
         n, p = self.problem.first.n, self.p
-        rows, cols = _incidence(self.theta_cols)
-        A = GubMatrix(self.grads, p + rows, cols, self.n_theta, p)
+        widths = np.diff(self.starts)
+        rows = p + np.repeat(np.arange(len(widths)), widths)
+        A = GubMatrix(self.grads, rows, self.granules, self.n_theta, p)
         n_cols = A.shape[1]
         c = np.zeros(n_cols)
         c[:n] = self.problem.first.c
-        c[[n + t for t in self.covered]] = 1.0
+        c[n : n + self.n_theta] = self.covered
         lb = np.zeros(n_cols)
         lb[n : n + self.n_theta] = -np.inf
-        return GubProgram(c=c, A=A, b=self.offsets, lb=lb, ub=np.full(n_cols, np.inf),
-                          n_structural=n + self.n_theta)
+        return GubProgram(c=c, A=A, b=self.offsets, lb=lb, ub=np.full(n_cols, np.inf))
 
     def _crash(self, start: np.ndarray, A: GubMatrix) -> None:
         """Make each fresh theta column basic in place of the surplus of its
         row that is largest at the last x, ties to the lowest row.  A fresh
         column's rows are all new since the last solve."""
         n = self.problem.first.n
-        fresh = np.zeros(self.n_theta, dtype=bool)
-        fresh[self.fresh] = True
-        new = fresh[A.theta_of_rows]
+        new = self.fresh[A.theta_of_rows]
         rows, theta = A.theta_rows[new], A.theta_of_rows[new]
         value = self.offsets[rows] - self.grads[rows] @ self.x
         order = np.lexsort((rows, -value, theta))
@@ -586,14 +566,14 @@ class _Master:
         covers at most one theta column, cold otherwise."""
         lp = self.program()
         start = None
-        if self.widths <= {1} and self.basis is not None:
+        if lp.A.one_per_row and self.basis is not None:
             start = np.concatenate([self.basis, np.arange(self.solved_shape[1], lp.A.shape[1])])
-            if self.fresh:
+            if self.fresh.any():
                 self._crash(start, lp.A)
         sol = solve_lp(lp, basis=start)
         self.basis = sol.basis
         self.solved_shape = lp.A.shape
-        self.fresh = []
+        self.fresh[:] = False
         if sol.x is not None:
             self.x = sol.x[: self.problem.first.n]
         return sol
@@ -602,14 +582,14 @@ class _Master:
 def _aggregate(
     problem: TwoStageProblem, duals: np.ndarray, block: int,
     inner: SelectClosest | Kmedoids | None, counts: list[int],
-) -> tuple[np.ndarray, list[list[int]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One iteration's aggregates: the scenario cuts at the stacked duals,
     summed over blocks of ``block`` scenarios (``granulate``) and placed by
     the inner rule, given each granule's scenario count.  Returns the
-    aggregate rows and, for each, its granules, which are its theta
+    aggregate rows and their (granules, starts); the granules are theta
     columns."""
-    granules = granulate(make_optimality_cuts(duals, problem), block)
-    return aggregate_granules(inner, granules, counts, len(counts))
+    rows = granulate(make_optimality_cuts(duals, problem), block)
+    return aggregate_granules(inner, rows, counts)
 
 
 def _seeded(scheme: AggregationScheme, seed: int) -> AggregationScheme:
@@ -663,7 +643,8 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
             )
         x = sol.x[:n].copy()
         theta = sol.x[n : n + n_theta]
-        lower = sol.objective if master.all_covered else -math.inf
+        covered = master.all_covered
+        lower = sol.objective if covered else -math.inf
         started = time.perf_counter()
         results = evaluator.evaluate(x)
         sub_s = time.perf_counter() - started
@@ -681,24 +662,29 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                 status, termination = SolveStatus.CONVERGED, Termination.GAP
             else:
                 # every scenario participates in aggregation each iteration,
-                # so the new aggregates cover all theta columns; filtering
-                # happens only at the aggregate level (a satisfied aggregate
-                # is skipped).  The aggregates of one iteration are
-                # disjoint, so the coverage before any of them is added
-                # decides as well as adding them one by one would.
+                # so the new aggregates partition the theta columns;
+                # filtering happens only at the aggregate level (a satisfied
+                # aggregate is skipped).  The first aggregates all enter an
+                # uncovered master, and from then on every column is
+                # covered, so one coverage test decides for all of them.
                 started = time.perf_counter()
-                rows, groups = _aggregate(problem, results.duals, block, inner, counts)
+                rows, granules, starts = _aggregate(problem, results.duals, block, inner, counts)
                 aggregated = time.perf_counter()
                 agg_s = aggregated - started
+                cols, edges = granules.tolist(), starts.tolist()
                 keep = np.array([
-                    not master.covered.issuperset(cols)
-                    or row_is_violated(row, x, theta, config.violation_tol, cols)
-                    for row, cols in zip(rows, groups)
+                    not covered
+                    or row_is_violated(row, x, theta, config.violation_tol, cols[a:b])
+                    for row, a, b in zip(rows, edges, edges[1:])
                 ], dtype=bool)
-                kept = [tuple(cols) for cols, k in zip(groups, keep.tolist()) if k]
-                added, skipped = len(kept), len(groups) - len(kept)
-                if kept:
-                    master.add_optimality(rows[keep], kept)
+                added = int(keep.sum())
+                skipped = len(keep) - added
+                if skipped:
+                    widths = np.diff(starts)
+                    rows, granules = rows[keep], granules[np.repeat(keep, widths)]
+                    starts = np.concatenate([[0], np.cumsum(widths[keep])])
+                if added:
+                    master.add_optimality(rows, granules, starts)
                 filter_s = time.perf_counter() - aggregated
                 if added == 0:
                     status = SolveStatus.CONVERGED
@@ -719,7 +705,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
     wall = time.perf_counter() - start
     logger.debug(
         "finished: termination %s final_gap %.3g iterations %d cuts %d",
-        termination, final_gap, len(history), len(master.optimality),
+        termination, final_gap, len(history), sum(rec.cuts_added for rec in history),
     )
     converged = status == SolveStatus.CONVERGED
     objective = upper_best if (converged or math.isfinite(upper_best)) else None

@@ -198,18 +198,13 @@ class StochasticTemplate:
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Equality-form LP: min c'x s.t. A x = b, lb <= x <= ub.
-
-    ``n_structural`` counts the leading columns that belong to the caller;
-    the columns after them hold inequality rows as equalities.
-    """
+    """Equality-form LP: min c'x s.t. A x = b, lb <= x <= ub."""
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    n_structural: int = -1
 
     def __post_init__(self):
         c = _frozen_vector(self.c)
@@ -218,8 +213,6 @@ class LinearProgram:
         object.__setattr__(self, "b", _frozen_vector(self.b))
         object.__setattr__(self, "lb", _frozen_vector(self.lb))
         object.__setattr__(self, "ub", _frozen_vector(self.ub))
-        if self.n_structural < 0:
-            object.__setattr__(self, "n_structural", len(c))
         n = len(c)
         if self.A.shape != (len(self.b), n):
             raise ValueError(
@@ -415,6 +408,4 @@ def build_extensive_form(problem: TwoStageProblem) -> LinearProgram:
     b[p:] = problem.H.ravel()
     for s in range(N):
         A[p + s * q_rows : p + (s + 1) * q_rows, n + s * m : n + (s + 1) * m] = problem.W
-    return LinearProgram(
-        c=c, A=A, b=b, lb=np.zeros(n_cols), ub=np.full(n_cols, np.inf), n_structural=n_cols
-    )
+    return LinearProgram(c=c, A=A, b=b, lb=np.zeros(n_cols), ub=np.full(n_cols, np.inf))

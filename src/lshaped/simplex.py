@@ -209,11 +209,9 @@ class GubProgram:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    n_structural: int
 
     def dense(self) -> LinearProgram:
-        return LinearProgram(c=self.c, A=self.A.toarray(), b=self.b, lb=self.lb, ub=self.ub,
-                             n_structural=self.n_structural)
+        return LinearProgram(c=self.c, A=self.A.toarray(), b=self.b, lb=self.lb, ub=self.ub)
 
 
 def _drop(a: np.ndarray, i: int, axis: int = 0) -> np.ndarray:

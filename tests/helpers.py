@@ -315,10 +315,10 @@ def reference_kmedoids(points, k, measure, seed=0, visits=None):
     return [int(a) for a in assignment], [int(m) for m in medoids]
 
 
-def reference_select_closest(rule, cuts, n_atoms):
+def reference_select_closest(rule, cuts):
     """The closest selection rule over cuts as a plain loop that re-sums
     every slot from scratch for every incoming cut."""
-    full_at = max(1, math.ceil(n_atoms / rule.slots))
+    full_at = max(1, math.ceil(len(cuts) / rule.slots))
     slots = [[] for _ in range(rule.slots)]
     out = []
     for cut in cuts:
@@ -361,12 +361,18 @@ def reference_aggregate(problem, duals, block, inner, counts):
         aggregates = sorted((summed_cut(group) for group in clusters.values()),
                             key=lambda c: c.members)
     elif isinstance(inner, SelectClosest):
-        aggregates = reference_select_closest(inner, granules, len(granules))
+        aggregates = reference_select_closest(inner, granules)
     else:
         aggregates = granules
     rows = np.array([cut_row(agg) for agg in aggregates])
     groups = [sorted({s // block for s in agg.members}) for agg in aggregates]
-    return rows, groups
+    flat = np.array([g for group in groups for g in group])
+    return rows, flat, np.cumsum([0, *map(len, groups)])
+
+
+def groups_of(granules, starts):
+    """Each aggregate's granules, as a list, from its (granules, starts)."""
+    return [granules[a:b].tolist() for a, b in zip(starts, starts[1:])]
 
 
 # --- reference simplex pass ----------------------------------------------------

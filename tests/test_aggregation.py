@@ -20,8 +20,8 @@ from lshaped import (
 )
 from lshaped import aggregation
 from helpers import (
-    cut_distance, cut_row, cuts_of, record_calls, reference_kmedoids, reference_select_closest,
-    reference_sum,
+    cut_distance, cut_row, cuts_of, groups_of, record_calls, reference_kmedoids,
+    reference_select_closest, reference_sum,
 )
 
 
@@ -66,24 +66,31 @@ def kmedoids(cuts, k, measure, seed=0):
     return kmedoids_cluster(rows, counts, k, measure, seed)
 
 
-def aggregate(scheme, cuts, n_scenarios):
+def aggregate_triple(scheme, cuts, n_scenarios):
     """One iteration's aggregation of singleton cuts 0..n_scenarios-1 on
-    stacked rows, as the engine takes it: the rows and the scenario sets."""
+    stacked rows, as the engine takes it: the (sums, granules, starts) of
+    ``aggregate_granules`` and the granule member sets."""
     block, inner = aggregation.granulation(scheme, n_scenarios)
     rows = aggregation.granulate(stacked(cuts)[0], block)
     members = [tuple(range(g * block, min(n_scenarios, (g + 1) * block)))
                for g in range(len(rows))]
-    sums, groups = aggregation.aggregate_granules(inner, rows, [len(m) for m in members],
-                                                  len(rows))
-    return sums, [tuple(s for g in group for s in members[g]) for group in groups]
+    return aggregation.aggregate_granules(inner, rows, [len(m) for m in members]), members
+
+
+def aggregate(scheme, cuts, n_scenarios):
+    """The aggregate rows of ``aggregate_triple`` and their scenario sets."""
+    (sums, granules, starts), members = aggregate_triple(scheme, cuts, n_scenarios)
+    return sums, [tuple(s for g in group for s in members[g])
+                  for group in groups_of(granules, starts)]
 
 
 class TestAggregateGranules:
     def test_multi_keeps_input(self):
         rows, _, counts = stacked(singletons(4))
-        sums, groups = aggregation.aggregate_granules(None, rows, counts, 4)
+        sums, granules, starts = aggregation.aggregate_granules(None, rows, counts)
         assert sums is rows
-        assert groups == [[0], [1], [2], [3]]
+        assert granules.tolist() == [0, 1, 2, 3]
+        assert starts.tolist() == [0, 1, 2, 3, 4]
 
     def test_single_merges_all(self):
         sums, parts = aggregate(SingleCut(), singletons(4), 4)
@@ -157,8 +164,12 @@ class TestAggregateGranules:
         ]
         cuts = singletons(10)
         for scheme in schemes:
-            sums, parts = aggregate(scheme, cuts, 10)
-            assert sorted(s for part in parts for s in part) == list(range(10))
+            (sums, granules, starts), members = aggregate_triple(scheme, cuts, 10)
+            # the aggregates partition the granules, each in ascending order
+            assert starts[0] == 0 and starts[-1] == len(granules) == len(members)
+            assert len(sums) == len(starts) - 1 and (np.diff(starts) > 0).all()
+            assert sorted(granules.tolist()) == list(range(len(members)))
+            assert all(group == sorted(group) for group in groups_of(granules, starts))
             total = stacked(cuts)[0].sum(axis=0)
             assert np.allclose(sums[:, :-1].sum(axis=0), total[:-1], atol=1e-12)
             assert sums[:, -1].sum() == pytest.approx(total[-1], abs=1e-12)
@@ -180,12 +191,13 @@ class TestAggregateGranules:
         rule = SelectClosest(slots=4, tolerance=0.6, measure=measure)
         rows, members, counts = stacked(cuts)
         calls = record_calls(monkeypatch, aggregation, "aggregation_distance")
-        sums, groups = aggregation.aggregate_granules(rule, rows, counts, 40)
+        sums, granules, starts = aggregation.aggregate_granules(rule, rows, counts)
+        groups = groups_of(granules, starts)
         # one distance per arriving row and open slot, and one running sum
         # per slot opening, added to in place rather than re-summed
         assert len(calls) <= len(rows) * rule.slots
         assert len({id(args[2]) for args, _, _ in calls}) <= len(groups)
-        expected = reference_select_closest(rule, cuts, 40)
+        expected = reference_select_closest(rule, cuts)
         assert [[members[g][0] for g in group] for group in groups] == [
             list(c.members) for c in expected
         ]
@@ -233,11 +245,11 @@ class TestClosestOnRows:
             if measure is DistanceMeasure.ANGULAR:
                 tau = min(tau, 1.0)
             rule = SelectClosest(slots=int(rng.integers(1, 9)), tolerance=tau, measure=measure)
-            n_atoms = len(rows) + int(rng.integers(0, 3))
-            sums, groups = aggregation.aggregate_granules(
-                rule, rows, [len(m) for m in members], n_atoms
+            sums, granules, starts = aggregation.aggregate_granules(
+                rule, rows, [len(m) for m in members]
             )
-            expected = reference_select_closest(rule, cuts_of(rows, members), n_atoms)
+            groups = groups_of(granules, starts)
+            expected = reference_select_closest(rule, cuts_of(rows, members))
             assert [tuple(s for g in group for s in members[g]) for group in groups] == [
                 c.members for c in expected
             ], trial
@@ -247,8 +259,8 @@ class TestClosestOnRows:
         # one slot of -0.0 rows sums to +0.0, as the loop from zero does
         rows = np.full((3, 3), -0.0)
         rule = SelectClosest(slots=1, tolerance=0.3, measure=DistanceMeasure.ABSOLUTE)
-        sums, groups = aggregation.aggregate_granules(rule, rows, [1, 1, 1], 3)
-        assert groups == [[0, 1, 2]]
+        sums, granules, starts = aggregation.aggregate_granules(rule, rows, [1, 1, 1])
+        assert groups_of(granules, starts) == [[0, 1, 2]]
         assert not np.signbit(sums).any()
 
 
@@ -308,8 +320,10 @@ class TestStackedSums:
             rows[rng.integers(0, n_granules)] = -0.0
             members = [tuple(range(g * block, (g + 1) * block)) for g in range(n_granules)]
             rule = Kmedoids(clusters=int(rng.integers(1, n_granules)), measure=measure, seed=trial)
-            sums, groups = aggregation.aggregate_granules(rule, rows, [block] * n_granules,
-                                                          n_granules)
+            sums, granules, starts = aggregation.aggregate_granules(
+                rule, rows, [block] * n_granules
+            )
+            groups = groups_of(granules, starts)
             assert sorted(g for group in groups for g in group) == list(range(n_granules))
             cuts = cuts_of(rows, members)
             for got, group in zip(sums, groups):

@@ -38,6 +38,10 @@ class TestCombinatorics:
     def test_stirling_known_value(self):
         assert stirling2(4, 2) == 7
 
+    def test_stirling_closed_form_at_large_n(self):
+        # one recursion level per n would pass the interpreter's limit here
+        assert stirling2(1500, 3) == (3**1500 - 3 * 2**1500 + 3) // 6
+
     def test_bell_matches_enumeration(self):
         for n in range(1, 9):
             assert bell(n) == sum(1 for _ in enumerate_partitions(list(range(n))))

@@ -4,7 +4,9 @@ import pytest
 
 from lshaped import write_native
 from lshaped.cli import BENCH_HEADER, main, parse_bench_csv
-from helpers import P1_CORE, P1_OPTIMUM, P1_STOCH, P1_TIME, build_p1, random_template
+from helpers import (
+    P1_CORE, P1_OPTIMUM, P1_STOCH, P1_TIME, build_p1, random_template, record_calls,
+)
 
 
 @pytest.fixture
@@ -150,6 +152,12 @@ class TestSolve:
         from lshaped import EngineConfig, solve_lshaped
         report = solve_lshaped(build_p1(), EngineConfig(rel_tol=1e-6))
         assert doc["objective"] == report.objective
+
+    def test_unwritable_output_is_reported(self, capsys, p1_json, tmp_path):
+        out_path = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "solve", "--input", p1_json, "--output", str(out_path))
+        assert code == 1 and out == ""
+        assert f"cannot write {out_path}" in err
 
     def test_template_without_samples_enumerates(self, capsys, template_json):
         code, out, _ = run(capsys, "solve", "--input", template_json, "--tol", "1e-4")
@@ -308,6 +316,17 @@ class TestBench:
         assert message in err
         assert out == ""
 
+    def test_invalid_sweep_point_is_rejected_before_any_solve(self, capsys, p1_json,
+                                                              monkeypatch):
+        import lshaped.cli as cli_mod
+
+        solves = record_calls(monkeypatch, cli_mod, "solve_lshaped")
+        code, out, err = run(capsys, "bench", "--input", p1_json, "--scheme", "partial:T=1",
+                             "--sweep", "T=0:2:1", "--repeats", "3")
+        assert code == 1 and out == ""
+        assert "partial block size 0 not in 1..2" in err
+        assert solves == []
+
     def test_baseline_non_convergence_aborts(self, capsys, p1_json):
         code, _, err = run(capsys, "bench", "--input", p1_json, "--scheme", "single",
                            "--repeats", "1", "--tol", "1e-9", "--max-iters", "1")
@@ -326,6 +345,11 @@ class TestBounds:
                            "--m", "1", "--A0", "2")
         assert code == 0
         assert out.strip() == "5"
+
+    def test_dynamic_at_large_n(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--dynamic", "--N", "1200", "--b", "2", "--m", "1")
+        assert code == 0
+        assert out.strip().lstrip("-").isdigit()
 
     def test_multi_trivial(self, capsys):
         code, out, _ = run(capsys, "bounds", "--multi", "--N", "1", "--b", "1", "--m", "1")

@@ -27,7 +27,7 @@ from lshaped import (
 )
 from lshaped.aggregation import granulation
 from helpers import (
-    P1_OPTIMUM, ReferenceEvaluator, build_p1, random_instance, record_calls,
+    P1_OPTIMUM, ReferenceEvaluator, build_p1, groups_of, random_instance, record_calls,
     reference_aggregate, trend_template,
 )
 
@@ -336,7 +336,8 @@ class TestWarmMaster:
             master = _Master(prob, prob.n_scenarios)
             for cut in report.cuts:
                 if cut.iteration < rec.index:
-                    master.add_optimality(np.append(cut.grad, cut.offset)[None], [cut.members])
+                    master.add_optimality(np.append(cut.grad, cut.offset)[None],
+                                          np.array(cut.members), np.array([0, len(cut.members)]))
             lp = master.program().dense()
             sol = solve_lp(lp)
             assert rec.master_rows == lp.A.shape[0]
@@ -424,7 +425,7 @@ def per_row_master_matrix(master):
     n, p, m = master.problem.first.n, master.p, master.n_rows
     want = np.zeros((m, n + master.n_theta + m - p))
     want[:, :n] = master.grads
-    for i, cols in enumerate(master.theta_cols):
+    for i, cols in enumerate(groups_of(master.granules, master.starts)):
         for t in cols:
             want[p + i, n + t] = 1.0
         want[p + i, n + master.n_theta + i] = -1.0
@@ -447,7 +448,7 @@ class TestMasterBuild:
         solve_lshaped(prob, EngineConfig(scheme=parse_scheme("kmedoids:k=5"), rel_tol=1e-6))
         master = built[-1]
         master.add_feasibility(np.append(-np.ones(prob.n), -50.0)[None])
-        assert len({len(cols) for cols in master.theta_cols}) > 2  # 0 and mixed widths
+        assert len(set(np.diff(master.starts).tolist())) > 2  # 0 and mixed widths
         want = per_row_master_matrix(master)
         lp = master.program()
         assert not lp.A.one_per_row
@@ -459,6 +460,19 @@ class TestMasterBuild:
         np.testing.assert_allclose(y @ lp.A, y @ want, rtol=1e-12, atol=1e-12)
         for j in range(want.shape[1]):
             assert np.array_equal(lp.A.column(j), want[:, j]), j
+
+    def test_optimality_cuts_skip_feasibility_rows(self):
+        from lshaped.engine import _Master
+
+        master = _Master(mixed_feasibility_problem(), 2)
+        master.add_optimality(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]), np.array([1, 0]),
+                              np.array([0, 1, 2]))
+        master.add_feasibility(np.array([[1.0, 0.0, 4.0]]))
+        master.add_optimality(np.array([[0.5, 0.5, 3.0]]), np.array([0, 1]), np.array([0, 2]))
+        assert master.all_covered
+        rows, granules, starts = master.optimality_cuts()
+        assert rows.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 2.0], [0.5, 0.5, 3.0]]
+        assert groups_of(granules, starts) == [[1], [0], [0, 1]]
 
 
 class TestFieldNames:
@@ -521,17 +535,18 @@ class TestGubMaster:
         original = _Master.solve
 
         def solve(self):
-            gub = self.widths <= {1} and self.basis is not None
+            gub = np.diff(self.starts).max(initial=0) <= 1 and self.basis is not None
             cold_solves.clear()
             sol = original(self)
             lp = self.program().dense()
             if gub:
                 records.append(dict(
                     fallbacks=len(cold_solves),
-                    feasibility_rows=sum(not cols for cols in self.theta_cols),
+                    feasibility_rows=int((np.diff(self.starts) == 0).sum()),
                 ))
                 n = self.problem.first.n
-                c = [1.0 if j - n in self.covered else 0.0 for j in range(n, lp.A.shape[1])]
+                covered = set(self.granules.tolist())
+                c = [1.0 if j - n in covered else 0.0 for j in range(n, lp.A.shape[1])]
                 assert np.array_equal(lp.A, per_row_master_matrix(self))
                 assert np.array_equal(lp.b, self.offsets)
                 assert np.array_equal(lp.c, np.r_[self.problem.first.c, c])
@@ -617,7 +632,7 @@ class TestGubMaster:
         for grad, offset, t in (([1.0, 0.0], 1.0, 0), ([0.0, 1.0], 3.0, 0),
                                 ([0.2, 0.0], 2.0, 1), ([0.0, 0.0], 1.0, 1),
                                 ([1.0, 0.0], 0.0, 1)):
-            master.add_optimality(np.array([[*grad, offset]]), [(t,)])
+            master.add_optimality(np.array([[*grad, offset]]), np.array([t]), np.array([0, 1]))
         sol = master.solve()
         n, surplus = 2, 2 + 2
         # rows 1..5 hold cuts 0..4; cut i's surplus is column surplus + i
@@ -647,7 +662,8 @@ class TestGubMaster:
         calls = record_calls(monkeypatch, engine_mod, "solve_lp")
         master = _Master(mixed_feasibility_problem(), 2)
         for t in (0, 1):
-            master.add_optimality(np.array([[0.5, -0.25, 1.0 + t]]), [(t,)])
+            master.add_optimality(np.array([[0.5, -0.25, 1.0 + t]]), np.array([t]),
+                                  np.array([0, 1]))
         assert master.solve().status is LpStatus.OPTIMAL
         # x1 >= 4 and x1 <= 1 together exclude every first-stage point
         master.add_feasibility(np.array([[1.0, 0.0, 4.0]]))
@@ -1107,14 +1123,14 @@ class TestLeanReport:
         solves = record_calls(monkeypatch, _Master, "solve")
         original = _Master.add_optimality
 
-        def recording(self, rows, theta_cols):
+        def recording(self, rows, granules, starts):
             # each iteration starts with one master solve; theta column g
             # is the granule of scenarios g * block up to the next block
-            for row, cols in zip(rows, theta_cols):
+            for row, cols in zip(rows, groups_of(granules, starts)):
                 members = tuple(s for g in cols for s in
                                 range(g * block, min(prob.n_scenarios, (g + 1) * block)))
                 added.append((row.copy(), members, len(solves)))
-            return original(self, rows, theta_cols)
+            return original(self, rows, granules, starts)
 
         monkeypatch.setattr(_Master, "add_optimality", recording)
         report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))

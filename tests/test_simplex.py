@@ -325,7 +325,7 @@ def random_gub_program(seed):
     c[n + np.unique(theta[theta >= 0])] = 1.0
     lb = np.zeros(cols)
     lb[n : n + N] = -np.inf
-    return GubProgram(c=c, A=A, b=b, lb=lb, ub=np.full(cols, np.inf), n_structural=n + N)
+    return GubProgram(c=c, A=A, b=b, lb=lb, ub=np.full(cols, np.inf))
 
 
 class TestGubProgram:
@@ -382,14 +382,14 @@ class TestGubProgram:
                             (int(free[0]), 0), (int(free[0]), 1)])
             rows, cols = np.array(pairs).T
             wide = GubProgram(c=lp.c, A=GubMatrix(A.X, rows, cols, A.n_theta, A.p), b=lp.b,
-                              lb=lp.lb, ub=lp.ub, n_structural=lp.n_structural)
+                              lb=lp.lb, ub=lp.ub)
             assert not wide.A.one_per_row
             cold = solve_lp(wide.dense())
             if cold.basis is None:
                 continue
             rng = np.random.default_rng(seed)
             moved = GubProgram(c=wide.c, A=wide.A, b=wide.b + rng.normal(0.0, 0.3, len(wide.b)),
-                               lb=wide.lb, ub=wide.ub, n_structural=wide.n_structural)
+                               lb=wide.lb, ub=wide.ub)
             assert_same_solution(solve_lp(moved, basis=cold.basis),
                                  solve_lp(moved.dense(), basis=cold.basis))
             checked += 1
@@ -454,7 +454,7 @@ class TestGubProgram:
             lb = np.zeros(cols)
             lb[n : n + N] = -np.inf
             big = GubProgram(c=c, A=A, b=np.r_[lp.b, lhs + 0.5], lb=lb,
-                             ub=np.full(cols, np.inf), n_structural=n + N)
+                             ub=np.full(cols, np.inf))
             start = np.r_[sol.basis, np.arange(len(lp.c), cols)]
             cold_solves.clear()
             warm = solve_lp(big, basis=start)
@@ -528,7 +528,7 @@ class TestGubProgram:
             lb = np.zeros(cols)
             lb[n : n + N] = -np.inf
             big = GubProgram(c=c, A=A, b=np.r_[lp.b, lhs + 0.5], lb=lb,
-                             ub=np.full(cols, np.inf), n_structural=n + N)
+                             ub=np.full(cols, np.inf))
             solve_lp(big, basis=np.r_[sol.basis, np.arange(len(lp.c), cols)])
         random_pivots = len(checked)
         problem = sample_instance(trend_template(3), 60, 3)
@@ -740,7 +740,7 @@ class TestReferencePass:
                 continue
             rng = np.random.default_rng(seed)
             moved = GubProgram(c=lp.c, A=lp.A, b=lp.b + rng.normal(0.0, 0.3, len(lp.b)),
-                               lb=lp.lb, ub=lp.ub, n_structural=lp.n_structural)
+                               lb=lp.lb, ub=lp.ub)
             self.check(monkeypatch, moved, sol.basis)
             self.check(monkeypatch, lp.dense())
             checked += 1
