@@ -88,6 +88,12 @@ def bound_dynamic_restricted(
     [lo, hi]:
 
         2 + sum_{a=lo..hi} C(N,a) [1 + a(b-1)]^m - sum_{a=lo..hi} S(N,a) - A_0
+
+    Once the partition sum outgrows the facet sum (small b and m, larger
+    N: N=7, b=2, m=1 gives -301) the formula falls below one iteration,
+    which no solve can take.  Until the formula is checked against the
+    paper's theorem, such inputs raise ValueError, naming both sums, rather
+    than return a count that is not an iteration bound.
     """
     _check_positive(n_scenarios=n_scenarios, b=b, m=m)
     if not 1 <= initial_aggregates <= n_scenarios:
@@ -98,4 +104,20 @@ def bound_dynamic_restricted(
         binomial(n_scenarios, a) * (1 + a * (b - 1)) ** m for a in range(lo, hi + 1)
     )
     partitions = sum(_stirling2_row(n_scenarios, hi)[lo:])
-    return 2 + facets - partitions - initial_aggregates
+    value = 2 + facets - partitions - initial_aggregates
+    if value < 1:
+        raise ValueError(
+            f"the dynamic bound formula gives {_magnitude(value)} < 1 for N={n_scenarios}, "
+            f"b={b}, m={m}, A0={initial_aggregates}: facet sum {_magnitude(facets)}, "
+            f"partition sum {_magnitude(partitions)}"
+        )
+    return value
+
+
+def _magnitude(value: int) -> str:
+    """An exact integer in full up to 30 digits, else as about d.dd e+k."""
+    if abs(value) < 10**30:
+        return str(value)
+    exponent = math.log10(abs(value))
+    sign = "-" if value < 0 else ""
+    return f"about {sign}{10 ** (exponent % 1):.2f}e+{math.floor(exponent)}"

@@ -45,31 +45,38 @@ at ``EngineConfig.violation_tol``; the test takes one aggregate at a time,
 as one dot product per row, because a stacked product rounds differently
 and would move the skip decisions.
 
-The master has one form and two solve regimes.  Feasibility and
-optimality cuts alike are stacked (grad, offset) rows, a feasibility row
-covering no theta column, and ``_Master.program()`` lays every master out
-as [X | Theta | -S] in a ``simplex.GubMatrix``.  While each row covers at
-most one theta column (every strategy without an inner rule, and any
-master with only feasibility rows), the master is solved on a GUB basis
-(Dantzig & Van Slyke 1967; Birge & Louveaux, section 5.1).  The rows of
-one theta column form a generalized upper bound set; each covered theta
-column stays basic, keyed to one tight row of its set, and the working
-matrix is at most n x n (``simplex._GubSimplex``).  Each solve after the
-first starts from the last optimal basis with the surplus columns of the
-new rows basic, and the dual simplex restores optimality.  A theta column
-covered for the first time starts basic instead, in its new row that is
-largest at the last x (ties to the lowest row): that start is primal
-feasible, so the first fully covering master takes a pivot or two where it
-used to need a cold solve.  Any failure on the GUB path falls back to a
-dense cold solve of ``program().dense()``.
+The master has one form and one solve rule.  Feasibility and optimality
+cuts alike are stacked (grad, offset) rows, a feasibility row covering no
+theta column, and ``_Master.program()`` lays every master out as
+[X | Theta | -S] in a ``simplex.GubMatrix``.  Each solve after the first
+starts from the last optimal basis with the surplus columns of the new
+rows basic.  Rows appended that way leave the basis dual feasible, and the
+dual simplex restores optimality (Van Slyke & Wets 1969; Birge &
+Louveaux, ch. 5).  Any failure of a warm start falls back to a dense cold
+solve of ``program().dense()``, so statuses and Farkas rays are those of
+the cold solver.
 
-Every other master, with rows over several granules (closest, k-medoids),
-is solved cold.  Such rows leave the split of theta between columns open,
-and a different optimal vertex would change which aggregates the filter
-adds.  Warm-starting them was measured and rejected: on the 32 instances
-of the perfbench granulated_kmedoids workload for run seeds 1-8 it made
-solves faster, but the other vertices moved the filter and the mean
-iteration count rose from 10.03 to 10.84.
+While each row covers at most one theta column (every strategy without an
+inner rule, and any master with only feasibility rows), the solve runs on
+a GUB basis (Dantzig & Van Slyke 1967; Birge & Louveaux, section 5.1).
+The rows of one theta column form a generalized upper bound set; each
+covered theta column stays basic, keyed to one tight row of its set, and
+the working matrix is at most n x n (``simplex._GubSimplex``).  A theta
+column covered for the first time starts basic instead, in its new row
+that is largest at the last x (ties to the lowest row): that start is
+primal feasible, so the first fully covering master takes a pivot or two.
+
+A master with rows over several theta columns (closest, k-medoids) is
+warm-started on the dense simplex.  One aggregate row cannot key all the
+fresh columns it covers, so a master that covers some theta column for the
+first time is solved cold; in practice that is only the first covering
+master.  Such rows leave the split of theta between columns open, so a
+warm solve can end at another optimal vertex than a cold one, and the
+violation filter then admits other aggregates: the counts move, the
+optimum does not.  On the perfbench granulated_kmedoids instances of run
+seeds 1-4 (16 solves), warm starts took master pivots from 8118 to 966
+and master time from 0.57 to 0.16 s; iterations went from 163 to 176,
+cuts from 737 to 730, and objectives agreed within 3e-15 relative.
 
 The run terminates Converged when the relative gap
 (upper_best - lower) / max(1, |upper_best|) reaches the tolerance
@@ -462,11 +469,13 @@ class _Master:
     ``granules[starts[i]:starts[i + 1]]``.  A feasibility row covers none,
     and the optimality cuts are the rows that cover some.
 
-    Every master is ``program()``, and it is solved in one of two regimes.
-    While each row covers at most one theta column, each solve after the
-    first is warm-started on the key-row basis from the last optimal one,
-    with the surplus columns of the new rows basic and each fresh theta
-    column crashed in (``_crash``).  Every other master is solved cold.
+    Every master is ``program()``.  Each solve after the first starts from
+    the last optimal basis with the surplus columns of the new rows basic;
+    while each row covers at most one theta column that start is a key-row
+    basis, each fresh theta column crashed in (``_crash``).  A master whose
+    rows cover several theta columns and that covers some for the first
+    time is solved cold: one aggregate row cannot key all its fresh
+    columns, so that start would not be dual feasible.
     """
 
     def __init__(self, problem: TwoStageProblem, n_theta: int):
@@ -562,13 +571,16 @@ class _Master:
         start[rows[order[first]]] = n + cols
 
     def solve(self) -> LpSolution:
-        """Solve the master: warm on the key-row basis while every row
-        covers at most one theta column, cold otherwise."""
+        """Solve the master from the last optimal basis, the new rows'
+        surplus columns basic; cold when there is none, or when the master
+        has rows over several theta columns and covers some theta column for
+        the first time."""
         lp = self.program()
         start = None
-        if lp.A.one_per_row and self.basis is not None:
+        fresh = self.fresh.any()
+        if self.basis is not None and (lp.A.one_per_row or not fresh):
             start = np.concatenate([self.basis, np.arange(self.solved_shape[1], lp.A.shape[1])])
-            if self.fresh.any():
+            if fresh:
                 self._crash(start, lp.A)
         sol = solve_lp(lp, basis=start)
         self.basis = sol.basis

@@ -40,8 +40,8 @@ The matrix is then inverted afresh from the entries a rebuild would
 gather, so the factor equals the rebuild bit for bit.  Refreshes and theta
 pivots rebuild it (``_factor``).  A pivot then costs O(rows * n) and no
 rows x rows inverse is held.  Its cold solve, every fallback, and every
-solve of a master with a row over several theta columns run the dense
-method on ``GubProgram.dense()``.
+solve of a master with a row over several theta columns, warm or cold, run
+the dense method on ``GubProgram.dense()``.
 
 Pricing is Dantzig (largest reduced-cost violation); after 50 consecutive
 degenerate steps the solve switches to Bland's rule, which guarantees
@@ -143,7 +143,7 @@ class GubMatrix:
     rows of a theta column form its generalized upper bound set (Dantzig &
     Van Slyke 1967), ``theta`` gives each row's column (-1 for none), and
     ``solve_lp`` warm-solves on a key-row basis; otherwise it solves
-    ``toarray()``.
+    ``toarray()``, warm or cold.
     """
 
     __array_ufunc__ = None  # make ndarray @ GubMatrix call __rmatmul__
@@ -200,8 +200,8 @@ class GubProgram:
     """An equality-form LP, as ``LinearProgram``, whose A is a ``GubMatrix``.
 
     ``solve_lp`` warm-solves it on a key-row basis of at most n columns (see
-    ``_GubSimplex``) when each row holds at most one theta column, and
-    ``dense()`` gives the same LP with A as an array.
+    ``_GubSimplex``) when each row holds at most one theta column, and on
+    ``dense()``, the same LP with A as an array, otherwise.
     """
 
     c: np.ndarray
@@ -864,10 +864,10 @@ def solve_lp(lp: LinearProgram | GubProgram, max_pivots: int | None = None,
     refactorization cadence before the error propagates.  ``pivots`` counts
     every pivot and bound flip of the call, a failed warm start included.
 
-    A ``GubProgram`` has two regimes.  When its matrix shows that every row
-    holds at most one theta column (``GubMatrix.one_per_row``), a warm
-    start runs on the key-row basis.  Otherwise, and for its cold solve and
-    every fallback, the solve runs on ``lp.dense()``.
+    A ``GubProgram`` whose every row holds at most one theta column
+    (``GubMatrix.one_per_row``) is warm-started on the key-row basis; any
+    other is warm-started on ``lp.dense()``.  Cold solves and every
+    fallback run on ``lp.dense()``.
     """
     if isinstance(lp, GubProgram) and not lp.A.one_per_row:
         lp = lp.dense()

@@ -115,6 +115,46 @@ def trend_template(seed: int) -> StochasticTemplate:
     return StochasticTemplate(FirstStage(c, A, b), W, q, T, h, tuple(entries))
 
 
+def extensive_form_optimum(problem: TwoStageProblem) -> float:
+    """Optimal value of min c'x + sum_s pi_s q_s'y_s over the deterministic
+    equivalent, solved by HiGHS through scipy and never by the package's
+    own simplex; raises RuntimeError unless HiGHS reports optimal.
+
+    The extensive form is assembled here as a sparse matrix from the
+    stacked scenario arrays, independently of ``build_extensive_form``.
+    """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
+    first = problem.first
+    n, p = first.n, first.p
+    r, m = problem.W.shape
+    N = problem.n_scenarios
+    cost = np.concatenate([first.c, (problem.pi[:, None] * problem.Q).ravel()])
+    scen_rows = p + np.arange(N * r)
+    # T_s blocks: row p + s*r + i, column j < n
+    t_rows = np.repeat(scen_rows, n)
+    t_cols = np.tile(np.arange(n), N * r)
+    # W blocks: row p + s*r + i, column n + s*m + k
+    wi, wk = np.nonzero(problem.W)
+    w_rows = (p + np.arange(N)[:, None] * r + wi).ravel()
+    w_cols = (n + np.arange(N)[:, None] * m + wk).ravel()
+    w_vals = np.tile(problem.W[wi, wk], N)
+    f_rows, f_cols = np.nonzero(first.A)
+    A = sp.csr_matrix(
+        (
+            np.concatenate([first.A[f_rows, f_cols], problem.T.ravel(), w_vals]),
+            (np.concatenate([f_rows, t_rows, w_rows]), np.concatenate([f_cols, t_cols, w_cols])),
+        ),
+        shape=(p + N * r, n + N * m),
+    )
+    b = np.concatenate([first.b, problem.H.ravel()])
+    res = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS did not solve the extensive form: {res.message}")
+    return float(res.fun)
+
+
 def _reference_realize(template: StochasticTemplate, choices, pi: float) -> Scenario:
     """One scenario of a template: the nominal data with each entry's chosen
     outcome written in declaration order."""

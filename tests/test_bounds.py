@@ -160,6 +160,21 @@ class TestDynamicBounds:
         with pytest.raises(ValueError):
             bound_dynamic_restricted(5, 2, 2, 0, 1, 5)
 
+    @pytest.mark.parametrize("n, b, m, a0, lo, hi, value", [
+        (7, 2, 1, 1, 1, 7, -301),
+        (10, 2, 1, 1, 1, 10, -109831),
+        (4, 1, 1, 4, 1, 4, -2),  # equal sums; A0 tips it below one
+    ])
+    def test_below_one_iteration_raises(self, n, b, m, a0, lo, hi, value):
+        # the formula's value is named with N, b, m and both sums
+        with pytest.raises(ValueError, match=f"gives {value} < 1 for N={n}, b={b}, m={m}, "
+                                             f"A0={a0}: facet sum [0-9]+, partition sum"):
+            bound_dynamic_restricted(n, b, m, a0, lo, hi)
+
+    def test_huge_sums_are_named_by_magnitude(self):
+        with pytest.raises(ValueError, match=r"partition sum about 2\.04e\+2390$"):
+            bound_dynamic(1200, 2, 1, 1)
+
     def test_exactness_on_large_inputs(self):
         # values beyond float precision must stay exact integers
         value = bound_dynamic(25, 3, 12, 1)

@@ -347,9 +347,24 @@ class TestBounds:
         assert out.strip() == "5"
 
     def test_dynamic_at_large_n(self, capsys):
-        code, out, _ = run(capsys, "bounds", "--dynamic", "--N", "1200", "--b", "2", "--m", "1")
+        # m large enough that the facet sum outgrows the 2391-digit Bell(1200)
+        code, out, _ = run(capsys, "bounds", "--dynamic", "--N", "1200", "--b", "2",
+                           "--m", "800")
         assert code == 0
-        assert out.strip().lstrip("-").isdigit()
+        assert out.strip().isdigit() and len(out.strip()) > 2000
+
+    def test_dynamic_below_one_iteration_is_an_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "--dynamic", "--N", "7", "--b", "2", "--m", "1")
+        assert code == 1 and out == ""
+        assert "gives -301 < 1 for N=7, b=2, m=1" in err
+        assert "Traceback" not in err
+
+    def test_compare_with_a_dynamic_bound_below_one_is_an_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "--compare", "--N", "10", "--b", "2",
+                             "--m", "1")
+        assert code == 1 and out == ""
+        assert "gives -109831 < 1 for N=10, b=2, m=1" in err
+        assert "Traceback" not in err
 
     def test_multi_trivial(self, capsys):
         code, out, _ = run(capsys, "bounds", "--multi", "--N", "1", "--b", "1", "--m", "1")
