@@ -13,9 +13,12 @@ places the granule cuts (``aggregate_granules``).  Both work on stacked
 (grad, offset) rows, and every aggregate is the ascending sequential sum of
 its rows from zero: block and cluster sums are row-ordered ``sum(axis=0)``
 reductions, and the closest rule keeps a running row sum per slot.
-k-medoids builds its distance matrix from the rows; the closest rule ranks
-slots with the pairwise ``aggregation_distance``.  An aggregate is one row
-plus the granules it covers.
+k-medoids clusters the m distinct (row, member count) pairs, each weighted
+by its number of copies, so its distance matrix and swap table cost
+O(m^2 d) and O(k m^2) however many copies the rows hold, and a medoid is
+the first copy of its row; the closest rule ranks slots with the pairwise
+``aggregation_distance``.  An aggregate is one row plus the granules it
+covers.
 
     multi                          T0 = 1
     partial:T  (alias uniform:T)   T0 = T
@@ -224,6 +227,19 @@ def _select_closest(
 # --- k-medoids ----------------------------------------------------------------
 
 
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array, compared as raw bytes so that only
+    bitwise-equal rows merge: the index of each one's first occurrence, in
+    ascending order, and the index of each row among them."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
+    # np.unique orders by key; renumber in order of first occurrence
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[row_of.reshape(-1)]
+
+
 def _distance_matrix(
     rows: np.ndarray, counts: np.ndarray, measure: DistanceMeasure
 ) -> np.ndarray:
@@ -300,25 +316,37 @@ def kmedoids_cluster(
     measure: DistanceMeasure,
     seed: int = 0,
 ) -> tuple[list[int], list[int]]:
-    """Alternating (Voronoi) k-medoids with a single-swap polish.
-
-    Seeding is greedy: start from the point with minimum total distance and
-    repeatedly add the point farthest from its nearest chosen medoid; the
-    seed only breaks exact ties.  Alternating sweeps reassign points to
-    their nearest medoid (ties to the lowest medoid index) and re-center
-    each cluster; at a fixpoint, any cost-improving single-medoid swap is
-    applied and the sweeps resume.  Total cost never increases and the
-    procedure stops at a swap-optimal configuration or after
-    KMEDOIDS_MAX_SWEEPS rounds.
+    """Alternating (Voronoi) k-medoids with a single-swap polish, over the
+    distinct points, each weighted by its multiplicity.
 
     The points are stacked (grad, offset) rows, with ``counts`` the number
-    of scenarios each row covers.  The distance matrix is built once, as
-    array operations over the rows, in O(n^2 d).  The swap polish follows
-    FastPAM1 (Schubert & Rousseeuw 2019): from each point's nearest and
-    second-nearest medoid distance, one k x n table holds the cost of every
-    (medoid, candidate) swap, in O(k n^2) per swap round.  The swap rule is unchanged: pairs are
-    scanned medoid by medoid, candidates in index order, and a swap is taken
-    only when it beats the best cost so far by more than 1e-12.
+    of scenarios each row covers.  Points whose row and count are equal bit
+    for bit are one distinct point, whose weight is the number of its
+    copies; the m distinct points keep the order of their first occurrence.
+    Every cost is a weighted sum (Kaufman & Rousseeuw 1990), the total cost
+    of the input points, so clustering the distinct points optimizes the
+    same function as clustering all n, and copies never split between
+    clusters.  The distance matrix is built once, as array operations over
+    the distinct rows, in O(m^2 d), and no work is O(n^2).
+
+    Seeding is greedy: start from the point with minimum weighted total
+    distance and repeatedly add the point farthest from its nearest chosen
+    medoid; the seed only breaks exact ties between distinct points.
+    Alternating sweeps reassign points to their nearest medoid (ties to the
+    lowest medoid index) and re-center each cluster; at a fixpoint, any
+    cost-improving single-medoid swap is applied and the sweeps resume.
+    Total cost never increases and the procedure stops at a swap-optimal
+    configuration or after KMEDOIDS_MAX_SWEEPS rounds.
+
+    The swap polish follows FastPAM1 (Schubert & Rousseeuw 2019): from each
+    point's nearest and second-nearest medoid distance, one k x m table
+    holds the cost of every (medoid, candidate) swap, in O(k m^2) per swap
+    round.  The swap rule is unchanged: pairs are scanned medoid by medoid,
+    candidates in index order, and a swap is taken only when it beats the
+    best cost so far by more than 1e-12.  Each weighted sum multiplies
+    before it reduces, along the axis the unweighted sum would, so with
+    every weight 1 (all points distinct) every bit is that of the
+    unweighted algorithm.
 
     A cluster's new centre depends only on ``dist`` and its member set, so
     a sweep re-centres only the clusters whose members changed since their
@@ -326,16 +354,22 @@ def kmedoids_cluster(
     keep their medoid, as re-centring them would.  A sweep that moves no
     medoid leaves the assignment as it is and goes straight to the swap.
 
-    Returns (assignment, medoids): cluster index per point and the k medoid
-    point indices.
+    Returns (assignment, medoids): cluster index per input point and the
+    medoids as input point indices, each the first occurrence of its
+    distinct point.  There are min(k, m) medoids: k above the number of
+    distinct points gives each distinct point its own cluster.
     """
     n = len(rows)
     if not 1 <= k <= n:
         raise ValueError(f"cluster count {k} not in 1..{n}")
+    counts = np.asarray(counts, dtype=float)
+    distinct, point_of = distinct_rows(np.column_stack([rows, counts]))
+    weights = np.bincount(point_of).astype(float)
+    k = min(k, len(distinct))
     rng = XorShift64Star(seed)
-    dist = _distance_matrix(rows, counts, measure)
+    dist = _distance_matrix(rows[distinct], counts[distinct], measure)
 
-    totals = dist.sum(axis=1)
+    totals = (dist * weights).sum(axis=1)
     first = _tie_pick(np.flatnonzero(totals == totals.min()), rng)
     medoids = [first]
     while len(medoids) < k:
@@ -354,13 +388,13 @@ def kmedoids_cluster(
             cluster = np.flatnonzero(assignment == c)
             if len(cluster) == 0:
                 continue
-            best = _medoid_of(dist, cluster)
+            best = _medoid_of(dist, weights, cluster)
             if best != medoids[c]:
                 medoids[c] = best
                 changed = True
         if not changed:
             # unchanged medoids give the same assignment: a fixpoint
-            swap = _best_swap(dist, medoids, assignment)
+            swap = _best_swap(dist, weights, medoids, assignment)
             if swap is None:
                 break
             medoids[swap[0]] = swap[1]
@@ -370,27 +404,29 @@ def kmedoids_cluster(
         stale[assignment[moved]] = True
         stale[new_assignment[moved]] = True
         assignment = new_assignment
-    return [int(a) for a in assignment], [int(mi) for mi in medoids]
+    return assignment[point_of].tolist(), distinct[medoids].tolist()
 
 
-def _medoid_of(dist: np.ndarray, cluster: np.ndarray) -> int:
+def _medoid_of(dist: np.ndarray, weights: np.ndarray, cluster: np.ndarray) -> int:
     """The member of a cluster (ascending point indices) with the least
-    total distance to the others, ties to the first."""
-    inner = dist[np.ix_(cluster, cluster)].sum(axis=1)
+    weighted total distance to the others, ties to the first."""
+    inner = dist[cluster[:, None], cluster]
+    inner = np.multiply(inner, weights[cluster], out=inner).sum(axis=1)
     return int(cluster[np.flatnonzero(inner == inner.min())[0]])
 
 
 def _best_swap(
-    dist: np.ndarray, medoids: list[int], assignment: np.ndarray
+    dist: np.ndarray, weights: np.ndarray, medoids: list[int], assignment: np.ndarray
 ) -> tuple[int, int] | None:
     """The single-medoid swap the sequential scan accepts, or None.
 
-    Row c of the cost table is the total cost with medoid slot c replaced by
-    each candidate: a point keeps the nearer of the candidate and the best
-    remaining medoid, which is its second-nearest medoid when slot c is its
-    nearest and its nearest otherwise.  Sums run down the columns in point
-    order, so the current cost (slot 0 replaced by itself) and every trial
-    cost are summed exactly as a point-by-point loop would sum them.
+    Row c of the cost table is the weighted total cost with medoid slot c
+    replaced by each candidate: a point keeps the nearer of the candidate
+    and the best remaining medoid, which is its second-nearest medoid when
+    slot c is its nearest and its nearest otherwise, and counts that
+    distance times its weight.  Sums run down the columns in point order,
+    so the current cost (slot 0 replaced by itself) and every trial cost
+    are summed exactly as a point-by-point loop would sum them.
     """
     n, k = len(dist), len(medoids)
     cols = dist[:, medoids]
@@ -403,9 +439,16 @@ def _best_swap(
         second = np.full(n, np.inf)
     table = np.empty((k, n))
     buf = np.empty((n, n))
+    # a weight of 1 multiplies exactly, so only the rows from the first to
+    # the last other weight are scaled: none when every point is distinct
+    heavy = np.flatnonzero(weights != 1.0)
+    lo, hi = (heavy[0], heavy[-1] + 1) if len(heavy) else (0, 0)
+    scale = weights[lo:hi, None]
     for c in range(k):
         others = np.where(assignment == c, second, first)
-        table[c] = np.minimum(dist, others[:, None], out=buf).sum(axis=0)
+        np.minimum(dist, others[:, None], out=buf)
+        buf[lo:hi] *= scale
+        table[c] = buf.sum(axis=0)
     cost = table[0, medoids[0]]
     table[:, medoids] = np.inf
 
@@ -486,14 +529,15 @@ def aggregate_granules(
     if isinstance(inner, Kmedoids):
         k = min(inner.clusters, len(rows))
         assignment, _ = kmedoids_cluster(rows, counts, k, inner.measure, inner.seed or 0)
-        # granules are visited in ascending order, so each cluster lists its
-        # granules in ascending order and the clusters open in that order
-        clusters: dict[int, list[int]] = {}
-        for g, c in enumerate(assignment):
-            clusters.setdefault(c, []).append(g)
-        groups = list(clusters.values())
-        sums = np.array([rows[idx].sum(axis=0) for idx in groups])
-        return sums, np.concatenate(groups), np.cumsum([0, *map(len, groups)])
+        # keyed by its cluster's first granule, a stable sort lists the
+        # clusters in the order they open, each in ascending granule order
+        _, opened, cluster_of = np.unique(assignment, return_index=True, return_inverse=True)
+        key = opened[cluster_of.reshape(-1)]
+        granules = np.argsort(key, kind="stable")
+        starts = np.flatnonzero(np.diff(key[granules], prepend=-1, append=len(rows)))
+        bounds = starts.tolist()
+        sums = np.array([rows[granules[a:b]].sum(axis=0) for a, b in zip(bounds, bounds[1:])])
+        return sums, granules, starts
     raise ValueError(f"unknown inner rule {inner!r}")
 
 

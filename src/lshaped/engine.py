@@ -108,6 +108,7 @@ from .aggregation import (
     SelectClosest,
     SingleCut,
     aggregate_granules,
+    distinct_rows,
     granulate,
     granulation,
     scheme_label,
@@ -231,7 +232,8 @@ class SolveReport:
     one array, row i for iteration i + 1 (``x`` is one row per iteration).
     Cuts are kept in the order they were added, iteration by iteration:
     ``cut_rows`` holds each distinct (gradient, offset) pair once, bit for
-    bit, and ``cut_row_of`` the row of each cut.  Sampled instances repeat
+    bit, in the order of first occurrence, and ``cut_row_of`` the row of
+    each cut.  Sampled instances repeat
     scenarios, so their cuts repeat too: a multi-cut solve of one of the
     benchmark's 200-scenario instances adds 409 cuts with 65 distinct rows.
     A cut's coverage is the master's own, as int32: cut i covers the
@@ -277,13 +279,13 @@ class SolveReport:
             for name, kind in _COLUMNS.items()
         }
         iterations["x"] = iterations["x"].reshape(len(history), rows.shape[1] - 1)
-        rows, row_of = _distinct_rows(rows)
+        first, row_of = distinct_rows(rows)
         return cls(
             n_iterations=len(history),
             n_cuts=len(starts) - 1,
             iterations=iterations,
-            cut_rows=rows,
-            cut_row_of=row_of,
+            cut_rows=rows[first],
+            cut_row_of=row_of.astype(np.int32),
             cut_granules=granules.astype(np.int32),
             cut_starts=starts.astype(np.int32),
             block_size=block_size,
@@ -336,14 +338,6 @@ class SolveReport:
                 self.cut_iterations.tolist(),
             )
         ]
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-d array, compared as raw bytes so that only
-    bitwise-equal rows merge, and the int32 index of each row among them."""
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], row_of.reshape(-1).astype(np.int32)
 
 
 @dataclass(eq=False)

@@ -284,15 +284,18 @@ def cut_distance(a, b, measure) -> float:
     return aggregation_distance(cut_row(a), len(a.members), cut_row(b), len(b.members), measure)
 
 
-def reference_kmedoids(points, k, measure, seed=0, visits=None):
+def reference_kmedoids(points, k, measure, seed=0, visits=None, weights=None):
     """k-medoids over cuts as a plain loop: the distance matrix from pairwise
     aggregation_distance calls, every cluster re-centred in every sweep, and
     a swap polish that re-assigns and re-sums the full cost for every
     (medoid, candidate) pair.  Same seeding, sweeps, tie rules and swap rule
-    as lshaped.kmedoids_cluster.  ``visits``, when given, receives
-    (slot, member tuple) for every cluster a sweep visits, and (slot, None)
-    for every swap."""
+    as lshaped.kmedoids_cluster.  ``weights`` (default all 1) multiply each
+    point's distance in every cost: the totals that pick the first medoid,
+    the sums that re-centre a cluster and the swap costs.  ``visits``, when
+    given, receives (slot, member tuple) for every cluster a sweep visits,
+    and (slot, None) for every swap."""
     n = len(points)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     rng = XorShift64Star(seed)
     dist = np.zeros((n, n))
     for i in range(n):
@@ -308,9 +311,9 @@ def reference_kmedoids(points, k, measure, seed=0, visits=None):
         return np.argmin(dist[:, medoids], axis=1)
 
     def total_cost(medoids, assignment):
-        return float(sum(dist[i, medoids[assignment[i]]] for i in range(len(assignment))))
+        return float(sum(dist[i, medoids[assignment[i]]] * w[i] for i in range(len(assignment))))
 
-    totals = dist.sum(axis=1)
+    totals = (dist * w).sum(axis=1)
     medoids = [tie_pick(np.flatnonzero(totals == totals.min()))]
     while len(medoids) < k:
         nearest = dist[:, medoids].min(axis=1)
@@ -326,7 +329,7 @@ def reference_kmedoids(points, k, measure, seed=0, visits=None):
                 visits.append((c, tuple(cluster.tolist())))
             if len(cluster) == 0:
                 continue
-            inner = dist[np.ix_(cluster, cluster)].sum(axis=1)
+            inner = (dist[np.ix_(cluster, cluster)] * w[cluster]).sum(axis=1)
             best = cluster[np.flatnonzero(inner == inner.min())[0]]
             if best != medoids[c]:
                 medoids[c] = int(best)
@@ -353,6 +356,33 @@ def reference_kmedoids(points, k, measure, seed=0, visits=None):
             visits.append((swap[0], None))
         assignment = assign(medoids)
     return [int(a) for a in assignment], [int(m) for m in medoids]
+
+
+def distinct_cuts(points):
+    """The distinct cuts of a list as a plain loop, a cut being its stacked
+    row and member count compared as bytes: the index of each one's first
+    occurrence, in order, and the index of each cut among them."""
+    first, point_of, seen = [], [], {}
+    for i, cut in enumerate(points):
+        key = (cut_row(cut).tobytes(), len(cut.members))
+        if key not in seen:
+            seen[key] = len(first)
+            first.append(i)
+        point_of.append(seen[key])
+    return first, point_of
+
+
+def reference_kmedoids_distinct(points, k, measure, seed=0, visits=None):
+    """``reference_kmedoids`` over the distinct cuts, each weighted by its
+    number of copies, with min(k, distinct count) clusters, expanded back:
+    the cluster of every cut and each medoid as its first occurrence.
+    ``visits`` lists members as distinct-cut indices."""
+    first, point_of = distinct_cuts(points)
+    assignment, medoids = reference_kmedoids(
+        [points[i] for i in first], min(k, len(first)), measure, seed, visits,
+        weights=np.bincount(point_of),
+    )
+    return [assignment[p] for p in point_of], [first[m] for m in medoids]
 
 
 def reference_select_closest(rule, cuts):
@@ -387,14 +417,14 @@ def reference_aggregate(problem, duals, block, inner, counts):
     scenario, ``reference_sum`` per block of ``block`` scenarios (none for
     a block of one), then the inner rule on the granule cuts: the
     plain-loop closest rule, or ``reference_sum`` per cluster of the
-    plain-loop k-medoids."""
+    plain-loop weighted k-medoids over the distinct granule cuts."""
     cuts = [make_optimality_cut(s, duals[s], scen) for s, scen in enumerate(problem.scenarios)]
     granules = cuts if block == 1 else [
         summed_cut(cuts[g * block:(g + 1) * block]) for g in range(len(counts))
     ]
     if isinstance(inner, Kmedoids):
         k = min(inner.clusters, len(granules))
-        assignment, _ = reference_kmedoids(granules, k, inner.measure, inner.seed)
+        assignment, _ = reference_kmedoids_distinct(granules, k, inner.measure, inner.seed)
         clusters = {}
         for cut, c in zip(granules, assignment):
             clusters.setdefault(c, []).append(cut)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from lshaped import (
 )
 from lshaped import aggregation
 from helpers import (
-    cut_distance, cut_row, cuts_of, groups_of, record_calls, reference_kmedoids,
-    reference_select_closest, reference_sum,
+    cut_distance, cut_row, cuts_of, distinct_cuts, groups_of, record_calls, reference_kmedoids,
+    reference_kmedoids_distinct, reference_select_closest, reference_sum,
 )
 
 
@@ -49,6 +50,21 @@ def multi_member_cuts(seed, n, flat=0):
         if flat and i % flat == 0:
             grad = np.zeros(4)
         cuts.append(OptimalityCut(grad=grad, offset=rng.uniform(-2, 2),
+                                  members=tuple(range(start, start + size))))
+        start += size
+    return cuts
+
+
+def duplicate_heavy_cuts(seed, n, distinct):
+    """``n`` cuts drawn from ``distinct`` base cuts (every fourth one with a
+    zero gradient), each copy keeping its base's row and member count over
+    fresh scenarios."""
+    rng = np.random.default_rng(seed)
+    base = multi_member_cuts(seed, distinct, flat=4)
+    cuts, start = [], 0
+    for b in rng.integers(0, distinct, n):
+        size = len(base[b].members)
+        cuts.append(OptimalityCut(grad=base[b].grad, offset=base[b].offset,
                                   members=tuple(range(start, start + size))))
         start += size
     return cuts
@@ -330,6 +346,28 @@ class TestStackedSums:
                 assert group == sorted(group)
                 self.assert_sum_bits(got, [cuts[g] for g in group])
 
+    def test_cluster_groups_in_opening_order(self, monkeypatch):
+        # any assignment, cluster labels skipped or out of order: clusters
+        # come in the order of their first granule, as a dict loop opens them
+        rng = np.random.default_rng(12)
+        for trial in range(30):
+            n_granules = int(rng.integers(1, 30))
+            labels = int(rng.integers(1, n_granules + 3))
+            assignment = rng.integers(0, labels, n_granules).tolist()
+            monkeypatch.setattr(aggregation, "kmedoids_cluster",
+                                lambda *args: (assignment, []))
+            rows = scaled_rows(rng, n_granules, 4)
+            sums, granules, starts = aggregation.aggregate_granules(
+                Kmedoids(clusters=labels), rows, [1] * n_granules
+            )
+            clusters = {}
+            for g, c in enumerate(assignment):
+                clusters.setdefault(c, []).append(g)
+            assert groups_of(granules, starts) == list(clusters.values())
+            cuts = cuts_of(rows, [(g,) for g in range(n_granules)])
+            for got, group in zip(sums, clusters.values()):
+                self.assert_sum_bits(got, [cuts[g] for g in group])
+
 
 class TestKmedoids:
     def test_every_point_its_own_medoid(self):
@@ -402,6 +440,8 @@ class TestKmedoids:
         # many exact duplicates: distances and cluster sums tie exactly.  A
         # cluster is re-centred only when its member set differs from the
         # one it had at its last visit, or a swap replaced its medoid.
+        # Copies merge into one weighted point, so members are indices of
+        # the distinct cuts on both sides.
         calls = record_calls(monkeypatch, aggregation, "_medoid_of")
         swaps = recentred = visited = 0
         for seed in range(6):
@@ -415,7 +455,8 @@ class TestKmedoids:
                 calls.clear()
                 visits = []
                 got = kmedoids(cuts, k, measure, seed=seed)
-                assert got == reference_kmedoids(cuts, k, measure, seed=seed, visits=visits)
+                assert got == reference_kmedoids_distinct(cuts, k, measure, seed=seed,
+                                                          visits=visits)
                 expected, last = [], {}
                 for c, members in visits:
                     if members is None:
@@ -425,10 +466,87 @@ class TestKmedoids:
                     if members and members != last.get(c):
                         expected.append(members)
                     last[c] = members
-                assert [tuple(args[1].tolist()) for args, _, _ in calls] == expected
+                assert [tuple(args[2].tolist()) for args, _, _ in calls] == expected
                 recentred += len(expected)
                 visited += sum(members is not None for _, members in visits)
         assert swaps > 0 and recentred < visited
+
+    @pytest.mark.parametrize("measure", list(DistanceMeasure))
+    def test_duplicates_match_weighted_reference(self, measure):
+        # copies merge into one point weighted by their number; k above the
+        # distinct count clusters every distinct cut on its own
+        for seed in range(4):
+            cuts = duplicate_heavy_cuts(seed, 24, 7)
+            first, _ = distinct_cuts(cuts)
+            assert len(first) < len(cuts)
+            for k in (1, 2, 4, len(first), len(first) + 3):
+                assignment, medoids = kmedoids(cuts, k, measure, seed=seed)
+                assert (assignment, medoids) == reference_kmedoids_distinct(
+                    cuts, k, measure, seed=seed
+                )
+                assert len(medoids) == min(k, len(first)) and set(medoids) <= set(first)
+
+    def test_k_above_distinct_count(self):
+        cuts = duplicate_heavy_cuts(3, 12, 4)
+        first, point_of = distinct_cuts(cuts)
+        assignment, medoids = kmedoids(cuts, 9, DistanceMeasure.ABSOLUTE)
+        assert sorted(medoids) == first
+        assert [medoids[c] for c in assignment] == [first[p] for p in point_of]
+
+    def test_equal_rows_with_different_counts_stay_distinct(self, monkeypatch):
+        calls = record_calls(monkeypatch, aggregation, "_distance_matrix")
+        rows = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [-1.0, 0.5, 2.0]])
+        counts = [1, 2, 1, 1]
+        assignment, medoids = kmedoids_cluster(rows, counts, 3, DistanceMeasure.ABSOLUTE)
+        [(args, _, _)] = calls
+        assert np.array_equal(args[0], rows[[0, 1, 3]]) and args[1].tolist() == [1, 2, 1]
+        assert assignment[0] == assignment[2] != assignment[1]
+        assert sorted(medoids) == [0, 1, 3]
+        members = [(0,), (1, 2), (3,), (4,)]
+        assert (assignment, medoids) == reference_kmedoids_distinct(
+            cuts_of(rows, members), 3, DistanceMeasure.ABSOLUTE
+        )
+
+    def test_medoid_is_the_first_copy(self):
+        # the central row sits at 3, 5 and 7; with one cluster it is the medoid
+        centre = np.array([0.0, 0.0, 1.0])
+        rng = np.random.default_rng(4)
+        rows = centre + rng.uniform(-0.3, 0.3, (8, 3))
+        rows[[3, 5, 7]] = centre
+        assignment, medoids = kmedoids_cluster(rows, [1] * 8, 1, DistanceMeasure.ABSOLUTE)
+        assert medoids == [3] and assignment == [0] * 8
+        cuts = cuts_of(rows, [(s,) for s in range(8)])
+        for k in (1, 2, 3):
+            got = kmedoids_cluster(rows, [1] * 8, k, DistanceMeasure.ABSOLUTE)
+            assert got == reference_kmedoids_distinct(cuts, k, DistanceMeasure.ABSOLUTE)
+            assert not {5, 7} & set(got[1])
+
+    def test_distance_matrix_over_distinct_rows_only(self, monkeypatch):
+        # 5000 rows, at most 150 distinct: a 5000 x 5000 distance matrix
+        # alone would take 200 MB
+        rng = np.random.default_rng(0)
+        rows = rng.uniform(-1, 1, (150, 6))[rng.integers(0, 150, 5000)]
+        counts = np.ones(5000, dtype=int)
+        calls = record_calls(monkeypatch, aggregation, "_distance_matrix")
+        tracemalloc.start()
+        try:
+            assignment, medoids = kmedoids_cluster(rows, counts, 10, DistanceMeasure.ANGULAR)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        distinct = len(np.unique(rows, axis=0))
+        [(args, _, _)] = calls
+        assert len(args[0]) == distinct <= 150
+        assert peak < 20 * 2**20
+        assert len(assignment) == 5000 and len(medoids) == 10
+        first, point_of = aggregation.distinct_rows(rows)
+        assert np.array_equal(np.array(assignment)[first][point_of], assignment)
+
+    def test_distinct_rows_by_bytes_in_first_occurrence_order(self):
+        rows = np.array([[2.0, 1.0], [0.0, 1.0], [2.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        first, row_of = aggregation.distinct_rows(rows)
+        assert first.tolist() == [0, 1, 3]
+        assert row_of.tolist() == [0, 1, 0, 2, 1]
 
 
 def distance_matrix(cuts, measure):
