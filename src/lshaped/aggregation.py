@@ -71,8 +71,8 @@ class Kmedoids:
 
     clusters: int
     measure: DistanceMeasure = DistanceMeasure.ANGULAR
-    #: breaks exact ties; None takes the seed of the solve (EngineConfig.seed)
-    seed: int | None = None
+    #: breaks exact ties between distinct cuts
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -528,7 +528,7 @@ def aggregate_granules(
         return _select_closest(inner, rows, counts)
     if isinstance(inner, Kmedoids):
         k = min(inner.clusters, len(rows))
-        assignment, _ = kmedoids_cluster(rows, counts, k, inner.measure, inner.seed or 0)
+        assignment, _ = kmedoids_cluster(rows, counts, k, inner.measure, inner.seed)
         # keyed by its cluster's first granule, a stable sort lists the
         # clusters in the order they open, each in ascending granule order
         _, opened, cluster_of = np.unique(assignment, return_index=True, return_inverse=True)
@@ -609,7 +609,7 @@ def parse_scheme(text: str) -> AggregationScheme:
     if name == "kmedoids":
         measure = _measure_param(params)
         return done(Kmedoids(
-            clusters=number("k", int, 20), measure=measure, seed=number("seed", int, None)
+            clusters=number("k", int, 20), measure=measure, seed=number("seed", int, 0)
         ))
     if name == "granulated":
         inner = parse_scheme(params.pop("inner", "closest"))
@@ -631,8 +631,7 @@ def scheme_label(scheme: AggregationScheme) -> str:
         tau = float(scheme.tolerance)  # repr: the shortest text that parses back
         return f"closest:A={scheme.slots},tau={tau!r},measure={scheme.measure.value}"
     if isinstance(scheme, Kmedoids):
-        seed = "" if scheme.seed is None else f",seed={scheme.seed}"
-        return f"kmedoids:k={scheme.clusters},measure={scheme.measure.value}{seed}"
+        return f"kmedoids:k={scheme.clusters},measure={scheme.measure.value},seed={scheme.seed}"
     if isinstance(scheme, Granulated):
         return f"granulated:T0={scheme.block_size},inner={scheme_label(scheme.inner)}"
     raise ValueError(f"unknown aggregation strategy {scheme!r}")

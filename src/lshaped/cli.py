@@ -70,26 +70,6 @@ class BenchRow:
         ]
 
 
-def parse_bench_csv(text: str) -> list[BenchRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != BENCH_HEADER:
-        raise ValueError(f"unexpected CSV header {header}")
-    rows = []
-    for rec in reader:
-        rows.append(
-            BenchRow(
-                scheme=rec[0], param=rec[1], value=rec[2], status=rec[3],
-                n_iterations=int(rec[4]), n_cuts=int(rec[5]),
-                time_seconds=float(rec[6]),
-                rel_cut=float(rec[7]) if rec[7] else None,
-                rel_iter=float(rec[8]) if rec[8] else None,
-                rel_time=float(rec[9]) if rec[9] else None,
-            )
-        )
-    return rows
-
-
 def _read_file(path: str) -> str:
     try:
         with open(path, "r") as handle:
@@ -184,13 +164,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _solve_once(problem: TwoStageProblem, args, scheme) -> SolveReport:
-    config = EngineConfig(
-        scheme=scheme,
-        rel_tol=args.tol,
-        max_iterations=args.max_iters,
-        workers=args.workers,
-        seed=args.seed,
-    )
+    config = EngineConfig(scheme=scheme, rel_tol=args.tol, max_iterations=args.max_iters)
     return solve_lshaped(problem, config)
 
 
@@ -412,9 +386,6 @@ def _add_solve_args(parser: argparse.ArgumentParser) -> None:
                              "granulated:T0=5,inner=kmedoids:k=20")
     parser.add_argument("--tol", type=float, default=1e-2, help="relative gap tolerance")
     parser.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; has no effect (scenarios "
-                             "are evaluated as one batch)")
     parser.add_argument("--output", help="write the result to a file instead of stdout")
     parser.add_argument("--format", choices=["json", "csv"], default=None)
 

@@ -5,9 +5,9 @@ scenario subproblem at x.  If any subproblem is infeasible, the iteration
 adds only feasibility cuts and repeats.  Otherwise the scenario cuts are
 partitioned by the configured strategy over the full scenario set, and each
 aggregate enters the master unless the current iterate already satisfies it.
-Filtering at the aggregate level keeps every new iteration's rows covering
-all theta columns, which is what rules out objective-neutral theta
-redistribution between scenarios.
+The aggregates of one iteration cover every theta column, but the rows that
+enter need not: a skipped aggregate's columns get no new row, and the
+master may then shift theta among them at no objective cost.
 
 Scenario subproblems are evaluated by bunching (Wets 1988; Birge &
 Louveaux, section 5.4).  W is shared, so an optimal basis B of W for one
@@ -38,12 +38,11 @@ the granule rows (``aggregation.aggregate_granules``).  The master keeps one
 theta column per granule for the whole run.  Coverage has one form from the
 inner rule to ``SolveReport``: cut i covers the granules, which are theta
 columns, ``granules[starts[i]:starts[i + 1]]``.  The report expands them to
-scenarios only on read, granule g being scenarios g*T0 up to the next block.  A k-medoids rule with no seed of its own takes
-``EngineConfig.seed``, and the report's ``scheme`` names the seed used.  An
-aggregate is skipped unless ``cuts.row_is_violated`` over its theta columns,
-at ``EngineConfig.violation_tol``; the test takes one aggregate at a time,
-as one dot product per row, because a stacked product rounds differently
-and would move the skip decisions.
+scenarios only on read, granule g being scenarios g*T0 up to the next
+block.  An aggregate is skipped unless ``cuts.row_is_violated`` over its
+theta columns, at ``cuts.VIOLATION_SCALE``; the test takes one aggregate at
+a time, as one dot product per row, because a stacked product rounds
+differently and would move the skip decisions.
 
 The master has one form and one solve rule.  Feasibility and optimality
 cuts alike are stacked (grad, offset) rows, a feasibility row covering no
@@ -97,13 +96,12 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .aggregation import (
     AggregationScheme,
-    Granulated,
     Kmedoids,
     SelectClosest,
     SingleCut,
@@ -131,18 +129,15 @@ if not logger.hasHandlers():
 class EngineConfig:
     scheme: AggregationScheme = field(default_factory=SingleCut)
     rel_tol: float = 1e-2
-    violation_tol: float = VIOLATION_SCALE
     max_iterations: int = 5000
-    #: accepted and validated for compatibility; has no effect, because
-    #: scenarios are evaluated as one batch (see the module docstring)
+    #: has no effect, because scenarios are evaluated as one batch (see the
+    #: module docstring); kept only because the benchmark harness
+    #: (``perfbench/run.py``) passes ``workers=1``
     workers: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if not 0 <= self.violation_tol < math.inf:
-            raise ValueError("violation_tol must be finite and nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.max_iterations < 1:
@@ -212,7 +207,13 @@ class SolveStatus:
 
 class Termination:
     """Why a run stopped; ``GAP`` and ``NO_VIOLATED_AGGREGATE`` are both
-    reported with status converged."""
+    reported with status converged, and the other two values are their own
+    ``SolveStatus``.
+
+    ``NO_VIOLATED_AGGREGATE`` ends a run whose iteration added no cut: no
+    aggregate was violated at ``cuts.VIOLATION_SCALE`` while the gap was
+    still above ``rel_tol``.
+    """
 
     GAP = "gap"
     NO_VIOLATED_AGGREGATE = "no_violated_aggregate"
@@ -246,8 +247,7 @@ class SolveReport:
     field.
     """
 
-    status: str
-    #: a ``Termination`` value
+    #: a ``Termination`` value; ``status`` is read from it
     termination: str
     #: relative gap (upper_best - lower) / max(1, |upper_best|) at the last
     #: iteration that computed one; inf when none did
@@ -292,6 +292,14 @@ class SolveReport:
             n_scenarios=n_scenarios,
             **summary,
         )
+
+    @property
+    def status(self) -> str:
+        """The ``SolveStatus``: converged for both converged terminations,
+        else the termination itself."""
+        if self.termination in (Termination.GAP, Termination.NO_VIOLATED_AGGREGATE):
+            return SolveStatus.CONVERGED
+        return self.termination
 
     @property
     def cut_grads(self) -> np.ndarray:
@@ -598,15 +606,6 @@ def _aggregate(
     return aggregate_granules(inner, rows, counts)
 
 
-def _seeded(scheme: AggregationScheme, seed: int) -> AggregationScheme:
-    """The strategy with ``seed`` filled into a k-medoids rule that has none."""
-    if isinstance(scheme, Granulated):
-        return replace(scheme, inner=_seeded(scheme.inner, seed))
-    if isinstance(scheme, Kmedoids) and scheme.seed is None:
-        return replace(scheme, seed=seed)
-    return scheme
-
-
 def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport:
     """Run the decomposition until convergence, iteration cap, or an
     infeasible master."""
@@ -620,8 +619,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
     start = time.perf_counter()
     n = problem.n
     N = problem.n_scenarios
-    scheme = _seeded(config.scheme, config.seed)
-    block, inner = granulation(scheme, N)
+    block, inner = granulation(config.scheme, N)
     n_theta = math.ceil(N / block)
     counts = [min(block, N - g * block) for g in range(n_theta)]
 
@@ -630,7 +628,6 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
     history: list[IterationRecord] = []
     upper_best = math.inf
     x_star: np.ndarray | None = None
-    status = SolveStatus.ITERATION_LIMIT
     termination = Termination.ITERATION_LIMIT
     final_gap = math.inf
 
@@ -639,7 +636,6 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
         sol = master.solve()
         master_s = time.perf_counter() - started
         if sol.status is LpStatus.INFEASIBLE:
-            status = SolveStatus.MASTER_INFEASIBLE
             termination = Termination.MASTER_INFEASIBLE
             break
         if sol.status is LpStatus.UNBOUNDED:
@@ -665,7 +661,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                 x_star = x
             final_gap = gap = (upper_best - lower) / max(1.0, abs(upper_best))
             if math.isfinite(lower) and final_gap <= config.rel_tol:
-                status, termination = SolveStatus.CONVERGED, Termination.GAP
+                termination = Termination.GAP
             else:
                 # every scenario participates in aggregation each iteration,
                 # so the new aggregates partition the theta columns;
@@ -680,7 +676,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                 cols, edges = granules.tolist(), starts.tolist()
                 keep = np.array([
                     not covered
-                    or row_is_violated(row, x, theta, config.violation_tol, cols[a:b])
+                    or row_is_violated(row, x, theta, VIOLATION_SCALE, cols[a:b])
                     for row, a, b in zip(rows, edges, edges[1:])
                 ], dtype=bool)
                 added = int(keep.sum())
@@ -693,7 +689,6 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                     master.add_optimality(rows, granules, starts)
                 filter_s = time.perf_counter() - aggregated
                 if added == 0:
-                    status = SolveStatus.CONVERGED
                     termination = Termination.NO_VIOLATED_AGGREGATE
 
         record = IterationRecord(
@@ -705,7 +700,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
         history.append(record)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(_debug_line(record))
-        if status == SolveStatus.CONVERGED:
+        if termination != Termination.ITERATION_LIMIT:  # gap or no violated aggregate
             break
 
     wall = time.perf_counter() - start
@@ -713,17 +708,14 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
         "finished: termination %s final_gap %.3g iterations %d cuts %d",
         termination, final_gap, len(history), sum(rec.cuts_added for rec in history),
     )
-    converged = status == SolveStatus.CONVERGED
-    objective = upper_best if (converged or math.isfinite(upper_best)) else None
     return SolveReport.pack(
         history, *master.optimality_cuts(), block, N,
-        status=status,
         termination=termination,
         final_gap=final_gap,
         x=x_star,
-        objective=objective,
+        objective=upper_best if math.isfinite(upper_best) else None,
         wall_seconds=wall,
-        scheme=scheme_label(scheme),
+        scheme=scheme_label(config.scheme),
         rel_tol=config.rel_tol,
     )
 

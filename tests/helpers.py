@@ -115,6 +115,76 @@ def trend_template(seed: int) -> StochasticTemplate:
     return StochasticTemplate(FirstStage(c, A, b), W, q, T, h, tuple(entries))
 
 
+def wide_template(seed: int) -> StochasticTemplate:
+    """All-distinct sample instance: the benchmark's template shape (6
+    first-stage variables on a simplex, W = [I | -I] over 3 recourse rows,
+    recourse costs scaled by 5) with 3 random h entries and 6 random T
+    entries of 8 outcomes each, a support of 8**9 scenarios, so a sample of
+    a few thousand repeats none in practice."""
+    rng = np.random.default_rng(seed)
+    n, q_rows = 6, 3
+    m = 2 * q_rows
+    c = rng.uniform(0.5, 2.0, n)
+    A = np.ones((1, n))
+    b = [2.0]
+    W = np.hstack([np.eye(q_rows), -np.eye(q_rows)])
+    q = 5.0 * rng.uniform(0.2, 2.0, m)
+    T = rng.uniform(-1.0, 1.0, (q_rows, n))
+    h = rng.uniform(-2.0, 2.0, q_rows)
+
+    def outcomes(low, high):
+        values = rng.uniform(low, high, 8)
+        probs = rng.uniform(0.1, 1.0, 8)
+        return tuple(zip(values, probs / probs.sum()))
+
+    entries = [RandomEntry("h", row, 0, outcomes(-2.0, 2.0)) for row in range(q_rows)]
+    for _ in range(6):
+        row, col = int(rng.integers(0, q_rows)), int(rng.integers(0, n))
+        entries.append(RandomEntry("T", row, col, outcomes(-1.5, 1.5)))
+    return StochasticTemplate(FirstStage(c, A, b), W, q, T, h, tuple(entries))
+
+
+def with_recourse(problem, W, q_of):
+    """The problem with recourse matrix W and each scenario's costs q_of(q)."""
+    scenarios = tuple(
+        Scenario(scen.pi, q_of(scen.q), scen.T, scen.h) for scen in problem.scenarios
+    )
+    return TwoStageProblem.from_scenarios(first=problem.first, W=W, scenarios=scenarios)
+
+
+def evaluator_instances():
+    """(name, problem) pairs: plain complete recourse, duplicate columns of
+    W, scenario-dependent dual feasibility, W scaled by 1e6 and 1e-6, and a
+    recourse that is infeasible for part of the first-stage region."""
+    out = [(f"random {seed}", random_instance(seed, 30)) for seed in range(4)]
+    base = random_instance(15, 30)  # mixed-sign residuals at most points
+    W = base.W
+    out.append((
+        "duplicate columns",
+        with_recourse(base, np.hstack([W, W[:, :1], W]), lambda q: np.concatenate([q, q[:1], q])),
+    ))
+    half = W.shape[1] // 2  # W = [I | -I]
+    rng = np.random.default_rng(0)
+    # a second, doubled copy of I whose costs vary by scenario, so a basis
+    # that is optimal for one scenario is dual infeasible for others
+    out.append((
+        "scenario-dependent dual feasibility",
+        with_recourse(base, np.hstack([W, 2.0 * W[:, :half]]),
+                      lambda q: np.concatenate([q, rng.uniform(0.4, 4.0, half)])),
+    ))
+    scale = np.where(np.arange(W.shape[1]) % 2 == 0, 1e6, 1e-6)
+    out.append(("scaled columns", with_recourse(base, W * scale, lambda q: q)))
+    out.append(("scaled rows", TwoStageProblem.from_scenarios(
+        first=base.first, W=W * 1e6,
+        scenarios=tuple(
+            Scenario(s.pi, s.q, s.T * 1e6, s.h * 1e6) for s in base.scenarios
+        ),
+    )))
+    # keeping only I forces y = h - T x >= 0
+    out.append(("infeasible recourse", with_recourse(base, W[:, :half], lambda q: q[:half])))
+    return out
+
+
 def extensive_form_optimum(problem: TwoStageProblem) -> float:
     """Optimal value of min c'x + sum_s pi_s q_s'y_s over the deterministic
     equivalent, solved by HiGHS through scipy and never by the package's

@@ -606,12 +606,12 @@ class TestSchemeGrammar:
         closest = parse_scheme("closest:A=8,tau=0.3,measure=angular")
         assert closest == SelectClosest(slots=8, tolerance=0.3, measure=DistanceMeasure.ANGULAR)
         km = parse_scheme("kmedoids:k=20,measure=absolute")
-        assert km == Kmedoids(clusters=20, measure=DistanceMeasure.ABSOLUTE, seed=None)
-        assert parse_scheme("kmedoids:k=2,seed=0").seed == 0
+        assert km == Kmedoids(clusters=20, measure=DistanceMeasure.ABSOLUTE, seed=0)
+        assert parse_scheme("kmedoids:k=2,seed=5").seed == 5
 
-    def test_unset_seed_is_left_out_of_the_label(self):
-        assert scheme_label(parse_scheme("kmedoids:k=2")) == "kmedoids:k=2,measure=angular"
-        assert scheme_label(parse_scheme("kmedoids:k=2,seed=0")).endswith(",seed=0")
+    def test_label_always_names_the_seed(self):
+        assert scheme_label(parse_scheme("kmedoids:k=2")) == "kmedoids:k=2,measure=angular,seed=0"
+        assert parse_scheme("kmedoids:k=2") == parse_scheme("kmedoids:k=2,seed=0")
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):

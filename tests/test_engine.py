@@ -27,8 +27,8 @@ from lshaped import (
 )
 from lshaped.aggregation import granulation
 from helpers import (
-    P1_OPTIMUM, ReferenceEvaluator, build_p1, groups_of, random_instance, record_calls,
-    reference_aggregate, trend_template,
+    P1_OPTIMUM, ReferenceEvaluator, build_p1, evaluator_instances, groups_of, random_instance,
+    record_calls, reference_aggregate, trend_template,
 )
 
 SCHEME_LABELS = (
@@ -176,27 +176,28 @@ class TestSolve:
             assert members == set().union(*touched)
 
     @pytest.mark.parametrize("label, used", [
-        ("kmedoids:k=3", 7), ("kmedoids:k=3,seed=0", 0), ("kmedoids:k=3,seed=5", 5),
-        ("granulated:T0=2,inner=kmedoids:k=3", 7),
+        ("kmedoids:k=3", 0), ("kmedoids:k=3,seed=0", 0), ("kmedoids:k=3,seed=5", 5),
+        ("granulated:T0=2,inner=kmedoids:k=3", 0),
+        ("granulated:T0=2,inner=kmedoids:k=3,seed=5", 5),
     ])
-    def test_kmedoids_seed_defaults_to_the_engine_seed(self, label, used, monkeypatch):
+    def test_kmedoids_seed_is_the_rules_own(self, label, used, monkeypatch):
         import lshaped.aggregation as aggregation_mod
 
         calls = record_calls(monkeypatch, aggregation_mod, "kmedoids_cluster")
         solve_lshaped(random_instance(9, 30),
-                      EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6, seed=7))
+                      EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
         assert calls and {args[4] for args, _, _ in calls} == {used}
 
     @pytest.mark.parametrize("label, want", [
-        ("kmedoids:k=3", "kmedoids:k=3,measure=angular,seed=7"),
+        ("kmedoids:k=3", "kmedoids:k=3,measure=angular,seed=0"),
         ("kmedoids:k=3,seed=5", "kmedoids:k=3,measure=angular,seed=5"),
         ("granulated:T0=2,inner=kmedoids:k=3",
-         "granulated:T0=2,inner=kmedoids:k=3,measure=angular,seed=7"),
+         "granulated:T0=2,inner=kmedoids:k=3,measure=angular,seed=0"),
         ("multi", "multi"),
     ])
     def test_report_names_the_kmedoids_seed_used(self, label, want):
         report = solve_lshaped(random_instance(9, 30),
-                               EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6, seed=7))
+                               EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
         assert report.scheme == want
 
     def test_unbounded_master_is_reported(self):
@@ -223,14 +224,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("field, value", [
         ("rel_tol", math.nan), ("rel_tol", 0.0), ("rel_tol", -1e-3),
-        ("violation_tol", math.nan), ("violation_tol", -1e-6), ("violation_tol", math.inf),
     ])
     def test_invalid_tolerances_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             EngineConfig(**{field: value})
-
-    def test_zero_violation_tol_accepted(self):
-        assert EngineConfig(violation_tol=0.0).violation_tol == 0.0
 
     def test_iteration_limit_status(self, p1):
         report = solve_lshaped(p1, EngineConfig(rel_tol=1e-9, max_iterations=1))
@@ -740,18 +737,17 @@ class TestTermination:
         assert 0.0 <= report.final_gap <= 1e-6
 
     def test_no_violated_aggregate(self):
-        # a loose violation tolerance skips every aggregate before the gap closes
+        # a gap tolerance below rounding is never reached: the run stops
+        # when the iterate violates no aggregate
         prob = sample_instance(trend_template(3), 20, 3)
-        report = solve_lshaped(prob, EngineConfig(
-            scheme=parse_scheme("multi"), rel_tol=1e-9, violation_tol=0.1,
-        ))
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-300))
         assert report.status == SolveStatus.CONVERGED
         assert report.termination == Termination.NO_VIOLATED_AGGREGATE
         history = report.history
         assert history[-1].cuts_added == 0
         upper_best = min(rec.upper for rec in history)
         gap = (upper_best - history[-1].lower) / max(1.0, abs(upper_best))
-        assert report.final_gap == gap > 1e-9
+        assert report.final_gap == gap > report.rel_tol
 
     def test_iteration_limit(self, p1):
         report = solve_lshaped(p1, EngineConfig(rel_tol=1e-9, max_iterations=1))
@@ -768,55 +764,14 @@ class TestTermination:
     def test_final_debug_line(self, caplog):
         prob = sample_instance(trend_template(3), 20, 3)
         with caplog.at_level("DEBUG", logger="lshaped.engine"):
-            report = solve_lshaped(prob, EngineConfig(
-                scheme=parse_scheme("multi"), rel_tol=1e-9, violation_tol=0.1,
-            ))
+            report = solve_lshaped(
+                prob, EngineConfig(scheme=parse_scheme("multi"), rel_tol=1e-300)
+            )
         last = caplog.records[-1].getMessage()
         assert last == (
             f"finished: termination no_violated_aggregate final_gap {report.final_gap:.3g} "
             f"iterations {report.n_iterations} cuts {report.n_cuts}"
         )
-
-
-def with_recourse(problem, W, q_of):
-    """The problem with recourse matrix W and each scenario's costs q_of(q)."""
-    scenarios = tuple(
-        Scenario(scen.pi, q_of(scen.q), scen.T, scen.h) for scen in problem.scenarios
-    )
-    return TwoStageProblem.from_scenarios(first=problem.first, W=W, scenarios=scenarios)
-
-
-def evaluator_instances():
-    """(name, problem) pairs: plain complete recourse, duplicate columns of
-    W, scenario-dependent dual feasibility, W scaled by 1e6 and 1e-6, and a
-    recourse that is infeasible for part of the first-stage region."""
-    out = [(f"random {seed}", random_instance(seed, 30)) for seed in range(4)]
-    base = random_instance(15, 30)  # mixed-sign residuals at most points
-    W = base.W
-    out.append((
-        "duplicate columns",
-        with_recourse(base, np.hstack([W, W[:, :1], W]), lambda q: np.concatenate([q, q[:1], q])),
-    ))
-    half = W.shape[1] // 2  # W = [I | -I]
-    rng = np.random.default_rng(0)
-    # a second, doubled copy of I whose costs vary by scenario, so a basis
-    # that is optimal for one scenario is dual infeasible for others
-    out.append((
-        "scenario-dependent dual feasibility",
-        with_recourse(base, np.hstack([W, 2.0 * W[:, :half]]),
-                      lambda q: np.concatenate([q, rng.uniform(0.4, 4.0, half)])),
-    ))
-    scale = np.where(np.arange(W.shape[1]) % 2 == 0, 1e6, 1e-6)
-    out.append(("scaled columns", with_recourse(base, W * scale, lambda q: q)))
-    out.append(("scaled rows", TwoStageProblem.from_scenarios(
-        first=base.first, W=W * 1e6,
-        scenarios=tuple(
-            Scenario(s.pi, s.q, s.T * 1e6, s.h * 1e6) for s in base.scenarios
-        ),
-    )))
-    # keeping only I forces y = h - T x >= 0
-    out.append(("infeasible recourse", with_recourse(base, W[:, :half], lambda q: q[:half])))
-    return out
 
 
 def first_stage_points(problem, count, seed):

@@ -1,15 +1,22 @@
 """README examples run as written and print what their comments say."""
 
+import argparse
 import re
 from pathlib import Path
+
+from lshaped.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def python_block(section: str) -> str:
+def section_text(section: str) -> str:
+    """The README section under ``## section``, up to the next ``## ``."""
     text = README.read_text()
-    body = text[text.index(f"## {section}\n"):]
-    return re.search(r"```python\n(.*?)```", body, re.S).group(1)
+    return text[text.index(f"## {section}\n"):].split("\n## ")[0]
+
+
+def python_block(section: str) -> str:
+    return re.search(r"```python\n(.*?)```", section_text(section), re.S).group(1)
 
 
 def test_python_api_example_prints_its_comments(capsys):
@@ -19,3 +26,19 @@ def test_python_api_example_prints_its_comments(capsys):
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
     assert len(expected) == 3
+
+
+def test_command_line_section_names_only_existing_flags():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        option
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+    }
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section_text("Command line")))
+    assert {"--input", "--scheme", "--seed", "--sweep"} <= flags
+    assert flags - options == set()
