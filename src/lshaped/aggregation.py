@@ -40,8 +40,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .rng import XorShift64Star
-
 KMEDOIDS_MAX_SWEEPS = 100
 
 
@@ -71,8 +69,6 @@ class Kmedoids:
 
     clusters: int
     measure: DistanceMeasure = DistanceMeasure.ANGULAR
-    #: breaks exact ties between distinct cuts
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -303,18 +299,11 @@ def _assign(dist: np.ndarray, medoids: list[int]) -> np.ndarray:
     return np.argmin(cols, axis=1)
 
 
-def _tie_pick(candidates: np.ndarray, rng: XorShift64Star) -> int:
-    if len(candidates) == 1:
-        return int(candidates[0])
-    return int(candidates[rng.next_uint64() % len(candidates)])
-
-
 def kmedoids_cluster(
     rows: np.ndarray,
     counts: Sequence[int],
     k: int,
     measure: DistanceMeasure,
-    seed: int = 0,
 ) -> tuple[list[int], list[int]]:
     """Alternating (Voronoi) k-medoids with a single-swap polish, over the
     distinct points, each weighted by its multiplicity.
@@ -331,7 +320,7 @@ def kmedoids_cluster(
 
     Seeding is greedy: start from the point with minimum weighted total
     distance and repeatedly add the point farthest from its nearest chosen
-    medoid; the seed only breaks exact ties between distinct points.
+    medoid; like every tie below, a tie goes to the lowest point index.
     Alternating sweeps reassign points to their nearest medoid (ties to the
     lowest medoid index) and re-center each cluster; at a fixpoint, any
     cost-improving single-medoid swap is applied and the sweeps resume.
@@ -366,17 +355,14 @@ def kmedoids_cluster(
     distinct, point_of = distinct_rows(np.column_stack([rows, counts]))
     weights = np.bincount(point_of).astype(float)
     k = min(k, len(distinct))
-    rng = XorShift64Star(seed)
     dist = _distance_matrix(rows[distinct], counts[distinct], measure)
 
     totals = (dist * weights).sum(axis=1)
-    first = _tie_pick(np.flatnonzero(totals == totals.min()), rng)
-    medoids = [first]
+    medoids = [int(np.argmin(totals))]
     while len(medoids) < k:
         nearest = dist[:, medoids].min(axis=1)
         nearest[medoids] = -1.0
-        far = _tie_pick(np.flatnonzero(nearest == nearest.max()), rng)
-        medoids.append(far)
+        medoids.append(int(np.argmax(nearest)))
 
     assignment = _assign(dist, medoids)
     # slots whose member set changed since their last re-centring
@@ -528,7 +514,7 @@ def aggregate_granules(
         return _select_closest(inner, rows, counts)
     if isinstance(inner, Kmedoids):
         k = min(inner.clusters, len(rows))
-        assignment, _ = kmedoids_cluster(rows, counts, k, inner.measure, inner.seed)
+        assignment, _ = kmedoids_cluster(rows, counts, k, inner.measure)
         # keyed by its cluster's first granule, a stable sort lists the
         # clusters in the order they open, each in ascending granule order
         _, opened, cluster_of = np.unique(assignment, return_index=True, return_inverse=True)
@@ -549,7 +535,7 @@ _MEASURES = {m.value: m for m in DistanceMeasure}
 def _parse_params(text: str) -> dict[str, str]:
     params: dict[str, str] = {}
     rest = text
-    while rest:
+    while rest := rest.lstrip():
         if rest.startswith("inner="):
             params["inner"] = rest[len("inner="):]
             break
@@ -574,7 +560,8 @@ def _measure_param(params: dict[str, str]) -> DistanceMeasure:
 def parse_scheme(text: str) -> AggregationScheme:
     """Parse a strategy description like ``partial:T=16`` or
     ``granulated:T0=5,inner=kmedoids:k=20``."""
-    name, _, param_text = text.strip().partition(":")
+    name, _, param_text = text.partition(":")
+    name = name.strip()
     try:
         params = _parse_params(param_text) if param_text else {}
     except ValueError as exc:
@@ -608,9 +595,7 @@ def parse_scheme(text: str) -> AggregationScheme:
         ))
     if name == "kmedoids":
         measure = _measure_param(params)
-        return done(Kmedoids(
-            clusters=number("k", int, 20), measure=measure, seed=number("seed", int, 0)
-        ))
+        return done(Kmedoids(clusters=number("k", int, 20), measure=measure))
     if name == "granulated":
         inner = parse_scheme(params.pop("inner", "closest"))
         if isinstance(inner, Granulated):
@@ -631,7 +616,7 @@ def scheme_label(scheme: AggregationScheme) -> str:
         tau = float(scheme.tolerance)  # repr: the shortest text that parses back
         return f"closest:A={scheme.slots},tau={tau!r},measure={scheme.measure.value}"
     if isinstance(scheme, Kmedoids):
-        return f"kmedoids:k={scheme.clusters},measure={scheme.measure.value},seed={scheme.seed}"
+        return f"kmedoids:k={scheme.clusters},measure={scheme.measure.value}"
     if isinstance(scheme, Granulated):
         return f"granulated:T0={scheme.block_size},inner={scheme_label(scheme.inner)}"
     raise ValueError(f"unknown aggregation strategy {scheme!r}")
@@ -641,7 +626,7 @@ def with_parameter(scheme: AggregationScheme, name: str, value: float) -> Aggreg
     """Return a copy of the strategy with one named parameter replaced.
 
     Used by the benchmark sweep; the parameter names match the textual
-    grammar (T, A, tau, k, T0, seed).  Every parameter but tau is an
+    grammar (T, A, tau, k, T0).  Every parameter but tau is an
     integer, and a value that is not one is rejected.  A granulated
     strategy owns T0 and passes every other name to its inner strategy.
     """
@@ -657,11 +642,8 @@ def with_parameter(scheme: AggregationScheme, name: str, value: float) -> Aggreg
             return replace(scheme, tolerance=float(value))
         if name == "A":
             return replace(scheme, slots=integer())
-    if isinstance(scheme, Kmedoids):
-        if name == "k":
-            return replace(scheme, clusters=integer())
-        if name == "seed":
-            return replace(scheme, seed=integer())
+    if isinstance(scheme, Kmedoids) and name == "k":
+        return replace(scheme, clusters=integer())
     if isinstance(scheme, Granulated):
         if name == "T0":
             return replace(scheme, block_size=integer())

@@ -90,26 +90,21 @@ def make_feasibility_cuts(
     return rows
 
 
-Theta = Mapping[int, float] | np.ndarray
-
-
 def row_violation(
-    row: np.ndarray, x: np.ndarray, theta: Theta, columns: Sequence[int]
+    row: np.ndarray, x: np.ndarray, theta: np.ndarray, columns: Sequence[int]
 ) -> float:
-    """offset - grad.x - the sum of theta over the given theta columns, for a
-    stacked (grad, offset) row.  Positive means the master iterate fails to
-    support the cut."""
+    """offset - grad.x - the sum of the master's theta over the given theta
+    columns, for a stacked (grad, offset) row.  Positive means the master
+    iterate fails to support the cut."""
     total = 0.0
     for t in columns:
-        try:
-            total += theta[t]
-        except (KeyError, IndexError):
-            raise ValueError(f"theta value missing for column {t}") from None
+        total += theta[t]
     return float(row[-1] - row[:-1] @ np.asarray(x, dtype=float) - total)
 
 
 def row_is_violated(
-    row: np.ndarray, x: np.ndarray, theta: Theta, scale: float, columns: Sequence[int]
+    row: np.ndarray, x: np.ndarray, theta: np.ndarray, columns: Sequence[int]
 ) -> bool:
-    """The violation test of the solver's filter, on a stacked row."""
-    return row_violation(row, x, theta, columns) > scale * (1.0 + abs(row[-1]))
+    """The violation test of the solver's filter, on a stacked row: a
+    violation above VIOLATION_SCALE * (1 + |offset|)."""
+    return row_violation(row, x, theta, columns) > VIOLATION_SCALE * (1.0 + abs(row[-1]))

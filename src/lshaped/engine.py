@@ -61,9 +61,10 @@ a GUB basis (Dantzig & Van Slyke 1967; Birge & Louveaux, section 5.1).
 The rows of one theta column form a generalized upper bound set; each
 covered theta column stays basic, keyed to one tight row of its set, and
 the working matrix is at most n x n (``simplex._GubSimplex``).  A theta
-column covered for the first time starts basic instead, in its new row
-that is largest at the last x (ties to the lowest row): that start is
-primal feasible, so the first fully covering master takes a pivot or two.
+column covered for the first time starts basic instead, in its one row:
+the loop adds one partition per master solve, so a fresh column has
+exactly one row.  That start is primal feasible, so the first fully
+covering master takes a pivot or two.
 
 A master with rows over several theta columns (closest, k-medoids) is
 warm-started on the dense simplex.  One aggregate row cannot key all the
@@ -112,9 +113,7 @@ from .aggregation import (
     scheme_label,
     validate_scheme,
 )
-from .cuts import (
-    VIOLATION_SCALE, OptimalityCut, make_feasibility_cuts, make_optimality_cuts, row_is_violated,
-)
+from .cuts import OptimalityCut, make_feasibility_cuts, make_optimality_cuts, row_is_violated
 from .problem import LinearProgram, TwoStageProblem, validate_problem
 from .simplex import (
     FEASIBILITY_TOL, OPTIMALITY_TOL, GubMatrix, GubProgram, LpSolution, LpStatus, solve_lp,
@@ -495,7 +494,6 @@ class _Master:
         self.fresh = np.zeros(n_theta, dtype=bool)
         self.basis: np.ndarray | None = None
         self.solved_shape = (0, 0)
-        self.x: np.ndarray | None = None
 
     def _append(self, rows: np.ndarray, granules: np.ndarray, starts: np.ndarray) -> None:
         """Append stacked (grad, offset) rows, row i covering the theta
@@ -562,15 +560,11 @@ class _Master:
 
     def _crash(self, start: np.ndarray, A: GubMatrix) -> None:
         """Make each fresh theta column basic in place of the surplus of its
-        row that is largest at the last x, ties to the lowest row.  A fresh
-        column's rows are all new since the last solve."""
-        n = self.problem.first.n
+        one row.  The rows that cover a fresh column are all new since the
+        last solve, and the loop adds one partition per solve, so there is
+        exactly one."""
         new = self.fresh[A.theta_of_rows]
-        rows, theta = A.theta_rows[new], A.theta_of_rows[new]
-        value = self.offsets[rows] - self.grads[rows] @ self.x
-        order = np.lexsort((rows, -value, theta))
-        cols, first = np.unique(theta[order], return_index=True)
-        start[rows[order[first]]] = n + cols
+        start[A.theta_rows[new]] = self.problem.first.n + A.theta_of_rows[new]
 
     def solve(self) -> LpSolution:
         """Solve the master from the last optimal basis, the new rows'
@@ -588,8 +582,6 @@ class _Master:
         self.basis = sol.basis
         self.solved_shape = lp.A.shape
         self.fresh[:] = False
-        if sol.x is not None:
-            self.x = sol.x[: self.problem.first.n]
         return sol
 
 
@@ -676,7 +668,7 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                 cols, edges = granules.tolist(), starts.tolist()
                 keep = np.array([
                     not covered
-                    or row_is_violated(row, x, theta, VIOLATION_SCALE, cols[a:b])
+                    or row_is_violated(row, x, theta, cols[a:b])
                     for row, a, b in zip(rows, edges, edges[1:])
                 ], dtype=bool)
                 added = int(keep.sum())

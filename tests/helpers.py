@@ -354,7 +354,7 @@ def cut_distance(a, b, measure) -> float:
     return aggregation_distance(cut_row(a), len(a.members), cut_row(b), len(b.members), measure)
 
 
-def reference_kmedoids(points, k, measure, seed=0, visits=None, weights=None):
+def reference_kmedoids(points, k, measure, visits=None, weights=None):
     """k-medoids over cuts as a plain loop: the distance matrix from pairwise
     aggregation_distance calls, every cluster re-centred in every sweep, and
     a swap polish that re-assigns and re-sums the full cost for every
@@ -366,16 +366,10 @@ def reference_kmedoids(points, k, measure, seed=0, visits=None, weights=None):
     and (slot, None) for every swap."""
     n = len(points)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    rng = XorShift64Star(seed)
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             dist[i, j] = dist[j, i] = cut_distance(points[i], points[j], measure)
-
-    def tie_pick(candidates):
-        if len(candidates) == 1:
-            return int(candidates[0])
-        return int(candidates[rng.next_uint64() % len(candidates)])
 
     def assign(medoids):
         return np.argmin(dist[:, medoids], axis=1)
@@ -384,11 +378,11 @@ def reference_kmedoids(points, k, measure, seed=0, visits=None, weights=None):
         return float(sum(dist[i, medoids[assignment[i]]] * w[i] for i in range(len(assignment))))
 
     totals = (dist * w).sum(axis=1)
-    medoids = [tie_pick(np.flatnonzero(totals == totals.min()))]
+    medoids = [int(np.flatnonzero(totals == totals.min())[0])]
     while len(medoids) < k:
         nearest = dist[:, medoids].min(axis=1)
         nearest[medoids] = -1.0
-        medoids.append(tie_pick(np.flatnonzero(nearest == nearest.max())))
+        medoids.append(int(np.flatnonzero(nearest == nearest.max())[0]))
 
     assignment = assign(medoids)
     for _ in range(100):
@@ -442,14 +436,14 @@ def distinct_cuts(points):
     return first, point_of
 
 
-def reference_kmedoids_distinct(points, k, measure, seed=0, visits=None):
+def reference_kmedoids_distinct(points, k, measure, visits=None):
     """``reference_kmedoids`` over the distinct cuts, each weighted by its
     number of copies, with min(k, distinct count) clusters, expanded back:
     the cluster of every cut and each medoid as its first occurrence.
     ``visits`` lists members as distinct-cut indices."""
     first, point_of = distinct_cuts(points)
     assignment, medoids = reference_kmedoids(
-        [points[i] for i in first], min(k, len(first)), measure, seed, visits,
+        [points[i] for i in first], min(k, len(first)), measure, visits,
         weights=np.bincount(point_of),
     )
     return [assignment[p] for p in point_of], [first[m] for m in medoids]
@@ -494,7 +488,7 @@ def reference_aggregate(problem, duals, block, inner, counts):
     ]
     if isinstance(inner, Kmedoids):
         k = min(inner.clusters, len(granules))
-        assignment, _ = reference_kmedoids_distinct(granules, k, inner.measure, inner.seed)
+        assignment, _ = reference_kmedoids_distinct(granules, k, inner.measure)
         clusters = {}
         for cut, c in zip(granules, assignment):
             clusters.setdefault(c, []).append(cut)

@@ -77,9 +77,9 @@ def stacked(cuts):
     return np.array([cut_row(c) for c in cuts]), members, [len(m) for m in members]
 
 
-def kmedoids(cuts, k, measure, seed=0):
+def kmedoids(cuts, k, measure):
     rows, _, counts = stacked(cuts)
-    return kmedoids_cluster(rows, counts, k, measure, seed)
+    return kmedoids_cluster(rows, counts, k, measure)
 
 
 def aggregate_triple(scheme, cuts, n_scenarios):
@@ -335,7 +335,7 @@ class TestStackedSums:
             rows = scaled_rows(rng, n_granules, 5)
             rows[rng.integers(0, n_granules)] = -0.0
             members = [tuple(range(g * block, (g + 1) * block)) for g in range(n_granules)]
-            rule = Kmedoids(clusters=int(rng.integers(1, n_granules)), measure=measure, seed=trial)
+            rule = Kmedoids(clusters=int(rng.integers(1, n_granules)), measure=measure)
             sums, granules, starts = aggregation.aggregate_granules(
                 rule, rows, [block] * n_granules
             )
@@ -405,7 +405,7 @@ class TestKmedoids:
             dist = np.array(
                 [[cut_distance(a, b, DistanceMeasure.ABSOLUTE) for b in cuts] for a in cuts]
             )
-            assignment, medoids = kmedoids(cuts, k, DistanceMeasure.ABSOLUTE, seed=seed)
+            assignment, medoids = kmedoids(cuts, k, DistanceMeasure.ABSOLUTE)
             cost = sum(dist[i, medoids[c]] for i, c in enumerate(assignment))
             for c in range(k):
                 for cand in range(9):
@@ -416,11 +416,13 @@ class TestKmedoids:
                     trial_cost = sum(min(dist[i, m] for m in trial) for i in range(9))
                     assert cost <= trial_cost + 1e-9
 
-    def test_deterministic_given_seed(self):
-        cuts = singletons(8)
-        a = kmedoids(cuts, 3, DistanceMeasure.ANGULAR, seed=5)
-        b = kmedoids(cuts, 3, DistanceMeasure.ANGULAR, seed=5)
-        assert a == b
+    def test_exact_ties_go_to_the_lowest_index(self):
+        # the corners of a square: every point has the same total distance,
+        # and two are farthest from the first medoid
+        rows = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [1.0, -1.0, 0.0]])
+        for _ in range(2):
+            assignment, medoids = kmedoids_cluster(rows, [1] * 4, 2, DistanceMeasure.ABSOLUTE)
+            assert (medoids, assignment) == ([0, 2], [0, 0, 1, 0])
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -431,9 +433,7 @@ class TestKmedoids:
         for seed in range(4):
             cuts = multi_member_cuts(seed, 12)
             for k in (1, 2, 5, len(cuts)):
-                assert kmedoids(cuts, k, measure, seed=seed) == reference_kmedoids(
-                    cuts, k, measure, seed=seed
-                )
+                assert kmedoids(cuts, k, measure) == reference_kmedoids(cuts, k, measure)
 
     @pytest.mark.parametrize("measure", list(DistanceMeasure))
     def test_recentring_follows_membership(self, measure, monkeypatch):
@@ -454,9 +454,8 @@ class TestKmedoids:
             for k in (2, 3, 5):
                 calls.clear()
                 visits = []
-                got = kmedoids(cuts, k, measure, seed=seed)
-                assert got == reference_kmedoids_distinct(cuts, k, measure, seed=seed,
-                                                          visits=visits)
+                got = kmedoids(cuts, k, measure)
+                assert got == reference_kmedoids_distinct(cuts, k, measure, visits=visits)
                 expected, last = [], {}
                 for c, members in visits:
                     if members is None:
@@ -480,10 +479,8 @@ class TestKmedoids:
             first, _ = distinct_cuts(cuts)
             assert len(first) < len(cuts)
             for k in (1, 2, 4, len(first), len(first) + 3):
-                assignment, medoids = kmedoids(cuts, k, measure, seed=seed)
-                assert (assignment, medoids) == reference_kmedoids_distinct(
-                    cuts, k, measure, seed=seed
-                )
+                assignment, medoids = kmedoids(cuts, k, measure)
+                assert (assignment, medoids) == reference_kmedoids_distinct(cuts, k, measure)
                 assert len(medoids) == min(k, len(first)) and set(medoids) <= set(first)
 
     def test_k_above_distinct_count(self):
@@ -589,9 +586,9 @@ class TestSchemeGrammar:
             "closest:A=8,tau=0.3,measure=angular",
             "closest:A=4,tau=0.1234567,measure=absolute",
             "closest:A=4,tau=1e-17,measure=spatioangular",
-            "kmedoids:k=20,measure=angular,seed=0",
+            "kmedoids:k=20,measure=angular",
             "granulated:T0=5,inner=kmedoids:k=20",
-            "granulated:T0=5,inner=kmedoids:k=20,measure=spatioangular,seed=3",
+            "granulated:T0=5,inner=kmedoids:k=20,measure=spatioangular",
         ],
     )
     def test_label_round_trip(self, text):
@@ -606,12 +603,20 @@ class TestSchemeGrammar:
         closest = parse_scheme("closest:A=8,tau=0.3,measure=angular")
         assert closest == SelectClosest(slots=8, tolerance=0.3, measure=DistanceMeasure.ANGULAR)
         km = parse_scheme("kmedoids:k=20,measure=absolute")
-        assert km == Kmedoids(clusters=20, measure=DistanceMeasure.ABSOLUTE, seed=0)
-        assert parse_scheme("kmedoids:k=2,seed=5").seed == 5
+        assert km == Kmedoids(clusters=20, measure=DistanceMeasure.ABSOLUTE)
 
-    def test_label_always_names_the_seed(self):
-        assert scheme_label(parse_scheme("kmedoids:k=2")) == "kmedoids:k=2,measure=angular,seed=0"
-        assert parse_scheme("kmedoids:k=2") == parse_scheme("kmedoids:k=2,seed=0")
+    def test_blanks_around_names_and_before_inner(self):
+        # the blank before inner= must not move the inner rule's parameters
+        # onto the outer strategy
+        assert parse_scheme("granulated:T0=3, inner=kmedoids:k=2,measure=absolute") == Granulated(
+            block_size=3, inner=Kmedoids(clusters=2, measure=DistanceMeasure.ABSOLUTE)
+        )
+        assert parse_scheme(" granulated : T0=3") == parse_scheme("granulated:T0=3")
+
+    def test_kmedoids_has_no_seed(self):
+        assert scheme_label(parse_scheme("kmedoids:k=2")) == "kmedoids:k=2,measure=angular"
+        with pytest.raises(ValueError, match=re.escape("unexpected parameters for 'kmedoids'")):
+            parse_scheme("kmedoids:k=2,seed=1")
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
@@ -625,7 +630,7 @@ class TestSchemeGrammar:
         ("partial:T=", "invalid literal for int() with base 10: ''"),
         ("closest:A=2.5", "invalid literal for int() with base 10: '2.5'"),
         ("closest:tau=x", "could not convert string to float: 'x'"),
-        ("kmedoids:seed=1e3", "invalid literal for int() with base 10: '1e3'"),
+        ("kmedoids:k=1e3", "invalid literal for int() with base 10: '1e3'"),
         ("granulated:T0=,inner=single", "invalid literal for int() with base 10: ''"),
         ("multi:T", "parameter 'T' has no value"),
     ])
@@ -635,7 +640,7 @@ class TestSchemeGrammar:
 
     @pytest.mark.parametrize("text, name", [
         ("partial:T=2", "T"), ("closest:A=2", "A"), ("kmedoids:k=2", "k"),
-        ("kmedoids:k=2", "seed"), ("granulated:T0=2,inner=single", "T0"),
+        ("granulated:T0=2,inner=single", "T0"),
     ])
     def test_with_parameter_takes_only_integers_for_integer_parameters(self, text, name):
         scheme = parse_scheme(text)
@@ -648,7 +653,6 @@ class TestSchemeGrammar:
 
     @pytest.mark.parametrize("inner, name, value, want", [
         ("kmedoids:k=10", "k", 4, "kmedoids:k=4,measure=angular"),
-        ("kmedoids:k=10", "seed", 7, "kmedoids:k=10,measure=angular,seed=7"),
         ("closest:A=2,tau=0.5", "A", 6, "closest:A=6,tau=0.5,measure=angular"),
         ("closest:A=2,tau=0.5", "tau", 0.25, "closest:A=2,tau=0.25,measure=angular"),
         ("partial:T=2", "T", 3, "partial:T=3"),

@@ -202,14 +202,14 @@ class TestBench:
     def test_sweep_reaches_the_inner_rule_of_a_granulated_strategy(self, capsys, template_json):
         code, out, _ = run(
             capsys, "bench", "--input", template_json, "--samples", "20", "--seed", "5",
-            "--scheme", "granulated:T0=2,inner=kmedoids:k=3,seed=1", "--sweep", "k=2,4",
+            "--scheme", "granulated:T0=2,inner=kmedoids:k=3", "--sweep", "k=2,4",
             "--repeats", "1", "--tol", "1e-6",
         )
         assert code == 0
         rows = bench_rows(out)
         assert [(r["param"], r["value"]) for r in rows] == [("k", "2"), ("k", "4")]
         assert [r["scheme"] for r in rows] == [
-            f"granulated:T0=2,inner=kmedoids:k={k},measure=angular,seed=1" for k in (2, 4)
+            f"granulated:T0=2,inner=kmedoids:k={k},measure=angular" for k in (2, 4)
         ]
         assert all(r["status"] == "converged" for r in rows)
 
@@ -284,7 +284,8 @@ class TestBench:
 
     @pytest.mark.parametrize("scheme, sweep", [
         ("kmedoids:k=2", "k=1:3:0.5"), ("partial", "T=1,1.5"), ("closest", "A=2.5"),
-        ("granulated:T0=2,inner=single", "T0=1e-3"), ("kmedoids", "seed=0.5"),
+        ("granulated:T0=2,inner=single", "T0=1e-3"),
+        ("granulated:T0=2,inner=kmedoids:k=2", "k=2.5"),
     ])
     def test_non_integral_sweep_value_rejected(self, capsys, p1_json, scheme, sweep):
         code, out, err = run(capsys, "bench", "--input", p1_json, "--scheme", scheme,
@@ -297,6 +298,12 @@ class TestBench:
                              "--sweep", "k=1,2", "--repeats", "1")
         assert code == 1 and out == ""
         assert "has no parameter 'k'" in err
+
+    def test_kmedoids_seed_sweep_rejected(self, capsys, p1_json):
+        code, out, err = run(capsys, "bench", "--input", p1_json, "--scheme", "kmedoids:k=2",
+                             "--sweep", "seed=1,2", "--repeats", "1")
+        assert code == 1 and out == ""
+        assert "has no parameter 'seed'" in err
 
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_repeats_must_be_positive(self, capsys, p1_json, repeats):

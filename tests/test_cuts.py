@@ -154,25 +154,21 @@ class TestAggregate:
 class TestViolation:
     def test_arithmetic(self):
         row = cut_row(cut([0.5], 1.0, (0,)))
-        assert row_violation(row, [0.0], {0: -10.0}, (0,)) == pytest.approx(11.0)
+        assert row_violation(row, [0.0], np.array([-10.0]), (0,)) == pytest.approx(11.0)
 
     def test_boundary_satisfied(self):
         row = cut_row(cut([0.5], 1.0, (0,)))
-        assert row_violation(row, [2.0], {0: 0.0}, (0,)) == pytest.approx(0.0)
+        assert row_violation(row, [2.0], np.array([0.0]), (0,)) == pytest.approx(0.0)
 
     def test_aggregated_p1(self):
         row = cut_row(cut([1.0], 3.0, (0, 1)))
-        assert row_violation(row, [0.0], {0: 1.5, 1: 1.5}, (0, 1)) == pytest.approx(0.0)
-
-    def test_missing_theta(self):
-        row = cut_row(cut([1.0], 3.0, (0, 1)))
-        with pytest.raises(ValueError, match="missing"):
-            row_violation(row, [0.0], {0: 1.5}, (0, 1))
+        assert row_violation(row, [0.0], np.array([1.5, 1.5]), (0, 1)) == pytest.approx(0.0)
 
     def test_is_violated_relative_scale(self):
         row = cut_row(cut([0.0], 100.0, (0,)))
-        assert not row_is_violated(row, [0.0], {0: 100.0 - 1e-5}, VIOLATION_SCALE, (0,))
-        assert row_is_violated(row, [0.0], {0: 100.0 - 1e-3}, VIOLATION_SCALE, (0,))
+        # violated above VIOLATION_SCALE * (1 + 100)
+        assert not row_is_violated(row, [0.0], np.array([100.0 - 50 * VIOLATION_SCALE]), (0,))
+        assert row_is_violated(row, [0.0], np.array([100.0 - 150 * VIOLATION_SCALE]), (0,))
 
 
 class TestDistance:

@@ -175,27 +175,13 @@ class TestSolve:
             touched = [b for b in blocks if b & members]
             assert members == set().union(*touched)
 
-    @pytest.mark.parametrize("label, used", [
-        ("kmedoids:k=3", 0), ("kmedoids:k=3,seed=0", 0), ("kmedoids:k=3,seed=5", 5),
-        ("granulated:T0=2,inner=kmedoids:k=3", 0),
-        ("granulated:T0=2,inner=kmedoids:k=3,seed=5", 5),
-    ])
-    def test_kmedoids_seed_is_the_rules_own(self, label, used, monkeypatch):
-        import lshaped.aggregation as aggregation_mod
-
-        calls = record_calls(monkeypatch, aggregation_mod, "kmedoids_cluster")
-        solve_lshaped(random_instance(9, 30),
-                      EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
-        assert calls and {args[4] for args, _, _ in calls} == {used}
-
     @pytest.mark.parametrize("label, want", [
-        ("kmedoids:k=3", "kmedoids:k=3,measure=angular,seed=0"),
-        ("kmedoids:k=3,seed=5", "kmedoids:k=3,measure=angular,seed=5"),
+        ("kmedoids:k=3", "kmedoids:k=3,measure=angular"),
         ("granulated:T0=2,inner=kmedoids:k=3",
-         "granulated:T0=2,inner=kmedoids:k=3,measure=angular,seed=0"),
+         "granulated:T0=2,inner=kmedoids:k=3,measure=angular"),
         ("multi", "multi"),
     ])
-    def test_report_names_the_kmedoids_seed_used(self, label, want):
+    def test_report_names_the_scheme(self, label, want):
         report = solve_lshaped(random_instance(9, 30),
                                EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
         assert report.scheme == want
@@ -641,24 +627,42 @@ class TestGubMaster:
         assert all(basis is not None and cold == 0 for basis, cold in feasibility_only)
         assert all(cold == 0 for _, basis, cold in masters if basis is not None)
 
-    def test_fresh_theta_starts_in_its_largest_row(self, monkeypatch):
+    @pytest.mark.parametrize("label", ["multi", "partial:T=5", "granulated:T0=3,inner=multi"])
+    @pytest.mark.parametrize("kind, seed", [("trend", 3), ("trend", 5), ("random", 1)])
+    def test_fresh_theta_has_one_row(self, label, kind, seed, monkeypatch):
+        # the loop adds one partition per master solve, so each theta column
+        # covered for the first time is in exactly one row when it is crashed
+        from lshaped.engine import _Master
+
+        rows_per_fresh = []
+        original = _Master._crash
+
+        def crash(self, start, A):
+            theta = A.theta_of_rows[self.fresh[A.theta_of_rows]]
+            rows_per_fresh.extend(np.bincount(theta)[theta].tolist())
+            return original(self, start, A)
+
+        monkeypatch.setattr(_Master, "_crash", crash)
+        if kind == "trend":
+            prob = sample_instance(trend_template(seed), 60, seed)
+        else:
+            prob = random_instance(seed, 40)
+        solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        assert rows_per_fresh and set(rows_per_fresh) == {1}
+
+    def test_crashed_start_is_optimal(self, monkeypatch):
         import lshaped.engine as engine_mod
         from lshaped.engine import _Master
 
         calls = record_calls(monkeypatch, engine_mod, "solve_lp")
         master = _Master(mixed_feasibility_problem(), 2)
         master.solve()  # first-stage row only: x = (5, 0)
-        # offset - grad . x per row: theta 0 gets -4 and 3, theta 1 a tie
-        # at 1 (rows 3 and 4) and -5
-        for grad, offset, t in (([1.0, 0.0], 1.0, 0), ([0.0, 1.0], 3.0, 0),
-                                ([0.2, 0.0], 2.0, 1), ([0.0, 0.0], 1.0, 1),
-                                ([1.0, 0.0], 0.0, 1)):
-            master.add_optimality(np.array([[*grad, offset]]), np.array([t]), np.array([0, 1]))
+        # one row per theta column: x2 + theta0 >= 3 and 0.2 x1 + theta1 >= 2
+        master.add_optimality(np.array([[0.0, 1.0, 3.0], [0.2, 0.0, 2.0]]), np.array([0, 1]),
+                              np.array([0, 1, 2]))
         sol = master.solve()
-        n, surplus = 2, 2 + 2
-        # rows 1..5 hold cuts 0..4; cut i's surplus is column surplus + i
-        start = calls[-1][1]["basis"]
-        assert start.tolist() == [0, surplus + 0, n + 0, n + 1, surplus + 3, surplus + 4]
+        n = 2
+        assert calls[-1][1]["basis"].tolist() == [0, n + 0, n + 1]
         assert sol.status is LpStatus.OPTIMAL
         assert sol.pivots == 0  # the crashed start is already optimal here
 

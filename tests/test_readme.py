@@ -4,6 +4,7 @@ import argparse
 import re
 from pathlib import Path
 
+from lshaped.aggregation import parse_scheme, scheme_label
 from lshaped.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -42,3 +43,13 @@ def test_command_line_section_names_only_existing_flags():
     flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section_text("Command line")))
     assert {"--input", "--scheme", "--seed", "--sweep"} <= flags
     assert flags - options == set()
+
+
+def test_strategy_grammar_table_parses_and_round_trips():
+    text = README.read_text()
+    table = text[text.index("### Strategy grammar\n"):].split("\n\n")[1]
+    strategies = re.findall(r"^\| `([^`]+)`", table, re.M)
+    assert len(strategies) == 7
+    for text in strategies:
+        scheme = parse_scheme(text)
+        assert parse_scheme(scheme_label(scheme)) == scheme, text
