@@ -597,7 +597,14 @@ def parse_scheme(text: str) -> AggregationScheme:
         measure = _measure_param(params)
         return done(Kmedoids(clusters=number("k", int, 20), measure=measure))
     if name == "granulated":
-        inner = parse_scheme(params.pop("inner", "closest"))
+        inner_text = params.pop("inner", "closest")
+        try:
+            inner = parse_scheme(inner_text)
+        except ValueError as exc:
+            raise ValueError(
+                f"malformed strategy {text!r}: inner rule {inner_text!r}: {exc}; everything "
+                "after 'inner=' belongs to the inner rule, so inner= must be the last parameter"
+            ) from exc
         if isinstance(inner, Granulated):
             raise ValueError("granulated strategies cannot be nested")
         return done(Granulated(block_size=number("T0", int, 5), inner=inner))

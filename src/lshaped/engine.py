@@ -4,10 +4,18 @@ Each iteration solves the master for (x, theta) and evaluates every
 scenario subproblem at x.  If any subproblem is infeasible, the iteration
 adds only feasibility cuts and repeats.  Otherwise the scenario cuts are
 partitioned by the configured strategy over the full scenario set, and each
-aggregate enters the master unless the current iterate already satisfies it.
-The aggregates of one iteration cover every theta column, but the rows that
-enter need not: a skipped aggregate's columns get no new row, and the
-master may then shift theta among them at no objective cost.
+aggregate that the current iterate violates enters the master as its own
+row.  The others are handled by the strategy.  Without an inner rule the
+partition is the same in every iteration, so a satisfied aggregate already
+has rows over its theta columns, and it is dropped.  Under an inner rule
+(closest, k-medoids) the partition changes between iterations, and two or
+more satisfied aggregates enter as one extra row: their rows summed in
+aggregate order, over the union of their theta columns.  A single one
+enters as itself.  A sum of valid cuts is valid (Van Slyke & Wets 1969;
+Birge & Louveaux 1988), and each iteration's new rows then cover every
+theta column exactly once, so together they imply that iteration's single
+cut and the master cannot shift theta between granules at no cost.  An
+iteration that violates no aggregate adds no row and ends the run.
 
 Scenario subproblems are evaluated by bunching (Wets 1988; Birge &
 Louveaux, section 5.4).  W is shared, so an optimal basis B of W for one
@@ -39,10 +47,10 @@ theta column per granule for the whole run.  Coverage has one form from the
 inner rule to ``SolveReport``: cut i covers the granules, which are theta
 columns, ``granules[starts[i]:starts[i + 1]]``.  The report expands them to
 scenarios only on read, granule g being scenarios g*T0 up to the next
-block.  An aggregate is skipped unless ``cuts.row_is_violated`` over its
+block.  An aggregate is violated when ``cuts.row_is_violated`` over its
 theta columns, at ``cuts.VIOLATION_SCALE``; the test takes one aggregate at
 a time, as one dot product per row, because a stacked product rounds
-differently and would move the skip decisions.
+differently and would move the decisions.
 
 The master has one form and one solve rule.  Feasibility and optimality
 cuts alike are stacked (grad, offset) rows, a feasibility row covering no
@@ -72,11 +80,13 @@ fresh columns it covers, so a master that covers some theta column for the
 first time is solved cold; in practice that is only the first covering
 master.  Such rows leave the split of theta between columns open, so a
 warm solve can end at another optimal vertex than a cold one, and the
-violation filter then admits other aggregates: the counts move, the
+violation filter then finds other aggregates violated, which changes the
+rows that enter on their own and the summed row: the counts move, the
 optimum does not.  On the perfbench granulated_kmedoids instances of run
-seeds 1-4 (16 solves), warm starts took master pivots from 8118 to 966
-and master time from 0.57 to 0.16 s; iterations went from 163 to 176,
-cuts from 737 to 730, and objectives agreed within 3e-15 relative.
+seeds 1-4 (16 solves), measured while the filter still dropped every
+satisfied aggregate, warm starts took master pivots from 8118 to 966 and
+master time from 0.57 to 0.16 s; iterations went from 163 to 176, cuts
+from 737 to 730, and objectives agreed within 3e-15 relative.
 
 The run terminates Converged when the relative gap
 (upper_best - lower) / max(1, |upper_best|) reaches the tolerance
@@ -94,6 +104,7 @@ columns of ``SolveReport.iterations`` and the solve JSON, which calls
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -152,11 +163,16 @@ class IterationRecord:
     #: relative gap (upper_best - lower) / max(1, |upper_best|) after this
     #: iteration; inf when it added feasibility cuts or had no lower bound
     gap: float
+    #: optimality rows added to the master, the summed row included
     cuts_added: int
+    #: aggregates that entered no row of their own: folded into the summed
+    #: row under an inner rule, dropped without one, and every aggregate of
+    #: an iteration that violated none
     cuts_skipped: int
     feasibility_cuts: int
-    #: member sets of the cuts added, in scenario terms; ``SolveReport``
-    #: reads them back from its cut granules, and the loop leaves them empty
+    #: member sets of the cuts added, in scenario terms, the summed row's
+    #: members as one set; ``SolveReport`` reads them back from its cut
+    #: granules, and the loop leaves them empty
     partition: tuple[tuple[int, ...], ...]
     #: cold subproblem solves, i.e. scenarios no cached basis fitted
     sub_solves: int
@@ -176,12 +192,22 @@ class IterationRecord:
     master_rows: int
 
 
-#: IterationRecord's per-iteration values by element type, the columns of
+#: IterationRecord's per-iteration values by element type, the fields of
 #: ``SolveReport.iterations``; ``partition`` is kept as the cut granules
 _COLUMNS = {
     f.name: "float" if f.name == "x" else f.type
     for f in fields(IterationRecord) if f.name != "partition"
 }
+
+
+@functools.lru_cache(maxsize=16)
+def _record_type(n: int) -> np.dtype:
+    """The record type of ``SolveReport.iterations`` for n first-stage
+    variables.  Every report of one n shares it: a structured dtype takes
+    about 1.8 KB, more than the records of a short run."""
+    return np.dtype([
+        (name, kind, (n,)) if name == "x" else (name, kind) for name, kind in _COLUMNS.items()
+    ])
 
 
 def _debug_line(rec: IterationRecord) -> str:
@@ -211,7 +237,9 @@ class Termination:
 
     ``NO_VIOLATED_AGGREGATE`` ends a run whose iteration added no cut: no
     aggregate was violated at ``cuts.VIOLATION_SCALE`` while the gap was
-    still above ``rel_tol``.
+    still above ``rel_tol``.  It can end a run of any strategy: under an
+    inner rule the satisfied aggregates enter as a summed row only beside
+    a violated one.
     """
 
     GAP = "gap"
@@ -228,8 +256,10 @@ class SolveReport:
     kept as arrays, so a report that callers retain stays small; ``history``
     and ``cuts`` build them as objects on each read.  ``pack`` copies the
     cut rows out of the master's row arrays, not its grown buffers.
-    ``iterations`` maps each ``IterationRecord`` field but ``partition`` to
-    one array, row i for iteration i + 1 (``x`` is one row per iteration).
+    ``iterations`` is one structured array with a record per iteration,
+    record i for iteration i + 1, and a field per ``IterationRecord`` field
+    but ``partition``: ``iterations[name]`` is that field's column, and
+    ``iterations["x"]`` is iterations x n.
     Cuts are kept in the order they were added, iteration by iteration:
     ``cut_rows`` holds each distinct (gradient, offset) pair once, bit for
     bit, in the order of first occurrence, and ``cut_row_of`` the row of
@@ -258,7 +288,7 @@ class SolveReport:
     wall_seconds: float
     scheme: str
     rel_tol: float
-    iterations: dict[str, np.ndarray]
+    iterations: np.ndarray
     cut_rows: np.ndarray
     cut_row_of: np.ndarray
     cut_granules: np.ndarray
@@ -273,11 +303,10 @@ class SolveReport:
         """Pack a run from its iteration records and the optimality cuts it
         added: their stacked (grad, offset) rows, in the order added, as
         one contiguous array, and their coverage (granules, starts)."""
-        iterations = {
-            name: np.array([getattr(rec, name) for rec in history], dtype=kind)
-            for name, kind in _COLUMNS.items()
-        }
-        iterations["x"] = iterations["x"].reshape(len(history), rows.shape[1] - 1)
+        iterations = np.array(
+            [tuple(getattr(rec, name) for name in _COLUMNS) for rec in history],
+            dtype=_record_type(rows.shape[1] - 1),
+        )
         first, row_of = distinct_rows(rows)
         return cls(
             n_iterations=len(history),
@@ -324,7 +353,10 @@ class SolveReport:
     @property
     def history(self) -> list[IterationRecord]:
         members = self._member_sets()
-        columns = {name: col.tolist() for name, col in self.iterations.items() if name != "x"}
+        columns = {
+            name: self.iterations[name].tolist()
+            for name in self.iterations.dtype.names if name != "x"
+        }
         records: list[IterationRecord] = []
         start = 0
         for i, x in enumerate(self.iterations["x"]):
@@ -598,6 +630,34 @@ def _aggregate(
     return aggregate_granules(inner, rows, counts)
 
 
+def _filter(
+    rows: np.ndarray, granules: np.ndarray, starts: np.ndarray, keep: np.ndarray, fold: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The aggregates that enter the master, given the violated ones
+    (``keep``, at least one but not all), as rows with their (granules,
+    starts), and how many aggregates enter only through the summed row.
+
+    Without ``fold`` the other aggregates are dropped, and all of them are
+    counted.  With it a single other aggregate enters as itself, in place,
+    and two or more enter as one row after the violated ones: their rows
+    summed in aggregate order, over the union of their theta columns in
+    ascending order.
+    """
+    skip = ~keep
+    n_skipped = int(skip.sum())
+    if fold and n_skipped == 1:
+        return rows, granules, starts, 0
+    widths = np.diff(starts)
+    cover = np.repeat(keep, widths)
+    kept_rows, kept_granules, widths = rows[keep], granules[cover], widths[keep]
+    if fold:
+        kept_rows = np.vstack([kept_rows, rows[skip].sum(axis=0)])
+        folded = np.sort(granules[~cover])
+        kept_granules = np.concatenate([kept_granules, folded])
+        widths = np.append(widths, len(folded))
+    return kept_rows, kept_granules, np.concatenate([[0], np.cumsum(widths)]), n_skipped
+
+
 def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport:
     """Run the decomposition until convergence, iteration cap, or an
     infeasible master."""
@@ -657,10 +717,10 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
             else:
                 # every scenario participates in aggregation each iteration,
                 # so the new aggregates partition the theta columns;
-                # filtering happens only at the aggregate level (a satisfied
-                # aggregate is skipped).  The first aggregates all enter an
-                # uncovered master, and from then on every column is
-                # covered, so one coverage test decides for all of them.
+                # filtering happens only at the aggregate level (``_filter``
+                # drops or folds the satisfied ones).  The first aggregates
+                # all enter an uncovered master, and from then on every
+                # column is covered, so one coverage test decides for all.
                 started = time.perf_counter()
                 rows, granules, starts = _aggregate(problem, results.duals, block, inner, counts)
                 aggregated = time.perf_counter()
@@ -673,10 +733,11 @@ def solve_lshaped(problem: TwoStageProblem, config: EngineConfig) -> SolveReport
                 ], dtype=bool)
                 added = int(keep.sum())
                 skipped = len(keep) - added
-                if skipped:
-                    widths = np.diff(starts)
-                    rows, granules = rows[keep], granules[np.repeat(keep, widths)]
-                    starts = np.concatenate([[0], np.cumsum(widths[keep])])
+                if added and skipped:
+                    rows, granules, starts, skipped = _filter(
+                        rows, granules, starts, keep, fold=inner is not None
+                    )
+                    added = len(rows)
                 if added:
                     master.add_optimality(rows, granules, starts)
                 filter_s = time.perf_counter() - aggregated

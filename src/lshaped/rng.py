@@ -16,6 +16,8 @@ doubles take the top 53 output bits divided by 2**53.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _ZERO_SEED_STATE = 0x9E3779B97F4A7C15
 _MULT = 0x2545F4914F6CDD1D
@@ -42,17 +44,21 @@ class XorShift64Star:
 
     def uniforms(self, count: int) -> list[float]:
         """The next count uniform doubles, as count calls of ``random`` would
-        give them, drawn in one loop."""
+        give them.  The state updates run in one Python loop; the output
+        multiply, which wraps mod 2**64 in uint64 as the mask does, and the
+        scaling run as one array expression.  The top 53 bits convert to
+        double exactly, so every value is the one ``random`` gives."""
         s = self._state
-        out = []
-        append = out.append
+        states = []
+        append = states.append
         for _ in range(count):
             s ^= s >> 12
             s = (s ^ (s << 25)) & _MASK
             s ^= s >> 27
-            append((((s * _MULT) & _MASK) >> 11) * (1.0 / (1 << 53)))
+            append(s)
         self._state = s
-        return out
+        out = np.array(states, dtype=np.uint64) * np.uint64(_MULT)
+        return ((out >> np.uint64(11)) * (1.0 / (1 << 53))).tolist()
 
     def choice_index(self, probabilities) -> int:
         """Index drawn from a discrete distribution by cumulative inversion.

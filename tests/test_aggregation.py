@@ -638,6 +638,22 @@ class TestSchemeGrammar:
         with pytest.raises(ValueError, match=re.escape(f"malformed strategy {text!r}: {message}")):
             parse_scheme(text)
 
+    @pytest.mark.parametrize("text, inner, message", [
+        ("granulated:inner=kmedoids:k=2,T0=3", "kmedoids:k=2,T0=3",
+         "unexpected parameters for 'kmedoids': ['T0']"),
+        ("granulated:T0=2,inner=closest:A=x", "closest:A=x",
+         "malformed strategy 'closest:A=x': invalid literal for int() with base 10: 'x'"),
+        ("granulated:T0=2,inner=surprise", "surprise", "unknown aggregation strategy 'surprise'"),
+    ])
+    def test_malformed_inner_rule_says_inner_comes_last(self, text, inner, message):
+        # an outer parameter after inner= is read as the inner rule's; the
+        # error names the outer strategy and says where inner= belongs
+        with pytest.raises(ValueError, match=re.escape(
+            f"malformed strategy {text!r}: inner rule {inner!r}: {message}; everything "
+            "after 'inner=' belongs to the inner rule, so inner= must be the last parameter"
+        )):
+            parse_scheme(text)
+
     @pytest.mark.parametrize("text, name", [
         ("partial:T=2", "T"), ("closest:A=2", "A"), ("kmedoids:k=2", "k"),
         ("granulated:T0=2,inner=single", "T0"),

@@ -28,7 +28,7 @@ from lshaped import (
 from lshaped.aggregation import granulation
 from helpers import (
     P1_OPTIMUM, ReferenceEvaluator, build_p1, evaluator_instances, groups_of, random_instance,
-    record_calls, reference_aggregate, trend_template,
+    record_calls, reference_aggregate, trend_template, wide_template,
 )
 
 SCHEME_LABELS = (
@@ -507,7 +507,7 @@ class TestFieldNames:
             assert lead == f"iteration {rec.index}" and len(pairs) == len(words) // 2
             for name in scalars:
                 value = getattr(rec, name)
-                assert name in report.iterations, name
+                assert name in report.iterations.dtype.names, name
                 assert obj["k" if name == "index" else name] == (
                     value if math.isfinite(value) else None
                 ), name
@@ -707,13 +707,9 @@ PINNED_COUNTS = {
     "single": (6, 5, [2, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6], [2, 2, 0, 0, 0, 0]),
     "partial:T=5": (5, 37, [2, 1, 6, 17, 1], [1, 13, 25, 37, 38], [2, 2, 0, 0, 0]),
     "granulated:T0=4,inner=kmedoids:k=3": (
-        10, 14, [2, 8, 3, 2, 1, 1, 1, 1, 1, 1], [1, 4, 7, 9, 10, 11, 12, 13, 14, 15],
-        [2, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+        6, 14, [2, 8, 3, 3, 3, 2], [1, 4, 7, 10, 13, 15], [2, 2, 0, 0, 0, 0],
     ),
-    "closest:A=4": (
-        10, 27, [2, 14, 6, 3, 2, 3, 2, 2, 2, 2], [1, 7, 13, 16, 18, 21, 23, 25, 26, 28],
-        [2, 2, 0, 0, 0, 0, 0, 0, 0, 0],
-    ),
+    "closest:A=4": (6, 25, [2, 14, 6, 4, 5, 3], [1, 7, 13, 17, 22, 26], [2, 2, 0, 0, 0, 0]),
 }
 
 
@@ -776,6 +772,88 @@ class TestTermination:
             f"finished: termination no_violated_aggregate final_gap {report.final_gap:.3g} "
             f"iterations {report.n_iterations} cuts {report.n_cuts}"
         )
+
+
+class TestSummedFilterRow:
+    """Under an inner rule the aggregates the iterate satisfies enter as one
+    summed row, so every iteration's new rows add up to its single cut."""
+
+    @pytest.mark.parametrize("template", ["trend", "wide"])
+    @pytest.mark.parametrize("label", [
+        "closest:A=4", "kmedoids:k=3", "granulated:T0=4,inner=kmedoids:k=3",
+    ])
+    def test_new_rows_add_up_to_the_single_cut(self, label, template, monkeypatch):
+        import lshaped.engine
+
+        granule_rows = []
+        original = lshaped.engine.granulate
+
+        def recording(rows, block):
+            granule_rows.append(original(rows, block))
+            return granule_rows[-1]
+
+        monkeypatch.setattr(lshaped.engine, "granulate", recording)
+        if template == "trend":
+            prob = sample_instance(trend_template(3), 60, 3)
+        else:
+            prob = sample_instance(wide_template(5), 60, 1)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        assert report.status == SolveStatus.CONVERGED
+        its = report.iterations
+        aggregated = its["cuts_added"] + its["cuts_skipped"] > 0
+        assert aggregated.sum() == len(granule_rows)
+        cuts = report.cuts
+        checked = 0
+        for rec, rows in zip([r for r in report.history if r.cuts_added], granule_rows):
+            # each theta column once, so each scenario once
+            members = sorted(s for group in rec.partition for s in group)
+            assert members == list(range(prob.n_scenarios)), rec.index
+            added = np.array([np.append(c.grad, c.offset) for c in cuts if c.iteration == rec.index])
+            scale = np.abs(rows).sum(axis=0)
+            assert (np.abs(added.sum(axis=0) - rows.sum(axis=0)) <= 1e-12 * scale).all(), rec.index
+            checked += 1
+        assert checked == its["cuts_added"].astype(bool).sum() >= 2
+
+    def test_all_distinct_dynamic_runs_keep_pace_with_single_cut(self):
+        prob = sample_instance(wide_template(5), 200, 1)
+        outcomes = np.column_stack([prob.T.reshape(200, -1), prob.H])
+        assert len(np.unique(outcomes, axis=0)) == 200
+        single = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("single"), rel_tol=1e-6))
+        for label in ("kmedoids:k=10", "closest:A=8"):
+            report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+            assert report.termination == Termination.GAP, label
+            assert report.objective == pytest.approx(single.objective, rel=2e-6), label
+            assert report.n_iterations <= 1.25 * single.n_iterations, label
+
+    def test_no_violated_aggregate_under_an_inner_rule(self):
+        prob = sample_instance(trend_template(3), 60, 3)
+        report = solve_lshaped(
+            prob, EngineConfig(scheme=parse_scheme("kmedoids:k=3"), rel_tol=1e-300)
+        )
+        assert report.termination == Termination.NO_VIOLATED_AGGREGATE
+        last = report.history[-1]
+        assert (last.cuts_added, last.cuts_skipped, last.partition) == (0, 3, ())
+
+    def test_filter_folds_two_or_more_skipped_aggregates(self):
+        from lshaped.engine import _filter
+
+        rows = np.arange(20, dtype=float).reshape(5, 4) - 7.5
+        granules = np.array([4, 0, 5, 1, 6, 2, 3, 7])
+        starts = np.array([0, 1, 3, 4, 6, 8])
+        keep = np.array([False, True, False, True, False])
+        # without an inner rule the satisfied aggregates are dropped
+        out, cols, edges, skipped = _filter(rows, granules, starts, keep, fold=False)
+        assert out.tolist() == rows[[1, 3]].tolist() and skipped == 3
+        assert cols.tolist() == [0, 5, 6, 2] and edges.tolist() == [0, 2, 4]
+        # with one they enter after the violated ones as one summed row
+        out, cols, edges, skipped = _filter(rows, granules, starts, keep, fold=True)
+        assert out[:2].tolist() == rows[[1, 3]].tolist() and skipped == 3
+        assert out[2].tobytes() == rows[[0, 2, 4]].sum(axis=0).tobytes()
+        assert cols.tolist() == [0, 5, 6, 2, 1, 3, 4, 7] and edges.tolist() == [0, 2, 4, 8]
+        # a single satisfied aggregate enters as itself, in place
+        keep = np.array([True, True, False, True, True])
+        out, cols, edges, skipped = _filter(rows, granules, starts, keep, fold=True)
+        assert out is rows and cols is granules and edges is starts and skipped == 0
 
 
 def first_stage_points(problem, count, seed):
@@ -864,9 +942,9 @@ class TestScenarioEvaluator:
         config = EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6)
         a, b = solve_lshaped(prob, config), solve_lshaped(prob, config)
         assert a.objective == b.objective
-        for name, column in a.iterations.items():
+        for name in a.iterations.dtype.names:
             if not name.endswith("_s"):
-                assert np.array_equal(column, b.iterations[name]), name
+                assert np.array_equal(a.iterations[name], b.iterations[name]), name
         for name in ("cut_grads", "cut_offsets", "cut_granules", "cut_starts"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -993,9 +1071,9 @@ class TestStackedCuts:
             assert np.array_equal(a.cut_row_of, b.cut_row_of)
             assert np.array_equal(a.cut_granules, b.cut_granules)
             assert np.array_equal(a.cut_starts, b.cut_starts)
-            for name, column in a.iterations.items():
+            for name in a.iterations.dtype.names:
                 if not name.endswith("_s"):
-                    assert np.array_equal(column, b.iterations[name]), name
+                    assert np.array_equal(a.iterations[name], b.iterations[name]), name
             assert a.objective.hex() == b.objective.hex()
 
     @pytest.mark.parametrize("label", [
@@ -1028,6 +1106,25 @@ class TestLeanReport:
         for label in ("multi", "single", "granulated:T0=4,inner=kmedoids:k=3"):
             report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
             assert all(rec.x.base is None for rec in report.history), label
+
+    def test_iterations_are_one_record_per_iteration(self):
+        # one structured array; reports of one n share its record type,
+        # which alone would outweigh the records of a short run
+        from lshaped.engine import IterationRecord
+
+        prob = sample_instance(trend_template(3), 60, 3)
+        single, multi = (
+            solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+            for label in ("single", "multi")
+        )
+        for report in (single, multi):
+            its = report.iterations
+            assert its.shape == (report.n_iterations,)
+            assert its["x"].shape == (report.n_iterations, prob.n)
+            assert its.dtype.names == tuple(
+                name for name in IterationRecord.__slots__ if name != "partition"
+            )
+        assert single.iterations.dtype is multi.iterations.dtype
 
     @pytest.mark.parametrize("label, limit_kib", [
         ("single", 8), ("multi", 60), ("partial:T=20", 12),

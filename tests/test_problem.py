@@ -247,6 +247,17 @@ class TestChoiceDraws:
             assert batch.uniforms(count) == [single.random() for _ in range(count)]
         assert batch.next_uint64() == single.next_uint64()
 
+    @pytest.mark.parametrize("count", [0, 1, 7, 1600, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**63, 2**63 + 5, 2**64 - 1, 2**64 + 5])
+    def test_uniforms_equal_per_draw_bits(self, seed, count):
+        # the array expression of the output step gives the per-draw bits
+        # and leaves the generator in the same state
+        batch, single = XorShift64Star(seed), XorShift64Star(seed)
+        drawn = batch.uniforms(count)
+        assert type(drawn) is list and all(type(u) is float for u in drawn)
+        assert [u.hex() for u in drawn] == [single.random().hex() for _ in range(count)]
+        assert batch._state == single._state
+
     @pytest.mark.parametrize("seed", range(12))
     def test_inversion_matches_choice_index(self, seed):
         rng = np.random.default_rng(seed)
