@@ -36,7 +36,6 @@ from .engine import (
     IterationRecord,
     SolveReport,
     SolveStatus,
-    SubproblemResult,
     Termination,
     compute_relative_complexities,
     solve_lshaped,

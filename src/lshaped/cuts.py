@@ -18,12 +18,19 @@ zero.  numpy reduces a non-last axis one row at a time from +0.0, so a
 row-ordered ``sum(axis=0)`` is that sum bit for bit.
 ``OptimalityCut`` is the form in which ``SolveReport.cuts`` hands the
 master's cuts out.
+
+``violated`` tests all of one iteration's aggregates against the master
+iterate in one pass: one matrix-vector product for the grad . x terms and
+one segmented sum of theta over each aggregate's granules.  That rounds
+differently from a dot product per row and a running sum per aggregate,
+in the last bits only, far inside the margin the solver's decisions have
+(see ``engine``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -90,21 +97,14 @@ def make_feasibility_cuts(
     return rows
 
 
-def row_violation(
-    row: np.ndarray, x: np.ndarray, theta: np.ndarray, columns: Sequence[int]
-) -> float:
-    """offset - grad.x - the sum of the master's theta over the given theta
-    columns, for a stacked (grad, offset) row.  Positive means the master
-    iterate fails to support the cut."""
-    total = 0.0
-    for t in columns:
-        total += theta[t]
-    return float(row[-1] - row[:-1] @ np.asarray(x, dtype=float) - total)
-
-
-def row_is_violated(
-    row: np.ndarray, x: np.ndarray, theta: np.ndarray, columns: Sequence[int]
-) -> bool:
-    """The violation test of the solver's filter, on a stacked row: a
-    violation above VIOLATION_SCALE * (1 + |offset|)."""
-    return row_violation(row, x, theta, columns) > VIOLATION_SCALE * (1.0 + abs(row[-1]))
+def violated(
+    rows: np.ndarray, granules: np.ndarray, starts: np.ndarray, x: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """Which aggregates the master iterate (x, theta) violates, as a mask:
+    stacked (grad, offset) rows, aggregate i over the theta columns
+    ``granules[starts[i]:starts[i + 1]]`` (at least one each).  Its
+    violation is offset - grad.x - the sum of those theta, and it is
+    violated above VIOLATION_SCALE * (1 + |offset|)."""
+    offsets = rows[:, -1]
+    violation = offsets - rows[:, :-1] @ x - np.add.reduceat(theta[granules], starts[:-1])
+    return violation > VIOLATION_SCALE * (1.0 + np.abs(offsets))

@@ -325,23 +325,23 @@ def _stacked(template: StochasticTemplate, choices: np.ndarray, pi: np.ndarray) 
     return TwoStageProblem(template.first, template.W, pi, Q, T, H)
 
 
-def enumerate_scenarios(
-    template: StochasticTemplate, max_scenarios: int = DEFAULT_SCENARIO_CAP
-) -> TwoStageProblem:
+def enumerate_scenarios(template: StochasticTemplate) -> TwoStageProblem:
     """Expand all outcome combinations into one scenario each.
 
     Scenario probability is the product of the outcome probabilities, in
     entry order, and the ordering is lexicographic over outcome indices
-    (last entry fastest).
+    (last entry fastest).  More than ``DEFAULT_SCENARIO_CAP`` scenarios
+    raise ValueError.
     """
     issues = validate_template(template)
     if issues:
         raise ValueError("invalid template: " + "; ".join(issues))
     sizes = [len(entry.outcomes) for entry in template.entries]
     count = math.prod(sizes)
-    if count > max_scenarios:
+    if count > DEFAULT_SCENARIO_CAP:
         raise ValueError(
-            f"enumeration would produce {count} scenarios, above the cap of {max_scenarios}"
+            f"enumeration would produce {count} scenarios, "
+            f"above the cap of {DEFAULT_SCENARIO_CAP}"
         )
     choices = np.indices(sizes).reshape(len(sizes), count).T
     pi = np.ones(count)

@@ -850,8 +850,7 @@ def _start_basis(basis, m: int, n: int) -> np.ndarray:
     return basis
 
 
-def solve_lp(lp: LinearProgram | GubProgram, max_pivots: int | None = None,
-             basis: np.ndarray | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram | GubProgram, basis: np.ndarray | None = None) -> LpSolution:
     """Solve an equality-form LP; status-complete and deterministic.
 
     Optimal solutions carry equality-row duals and, when no artificial
@@ -872,7 +871,7 @@ def solve_lp(lp: LinearProgram | GubProgram, max_pivots: int | None = None,
     if isinstance(lp, GubProgram) and not lp.A.one_per_row:
         lp = lp.dense()
     m, n = lp.A.shape
-    cap = max_pivots if max_pivots is not None else max(2000, 100 * (n + m))
+    cap = max(2000, 100 * (n + m))
     spent = 0
     gub = isinstance(lp, GubProgram)
     if basis is not None:

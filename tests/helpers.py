@@ -28,6 +28,7 @@ from lshaped import (
     solve_subproblem,
 )
 from lshaped import simplex
+from lshaped.cuts import VIOLATION_SCALE
 from lshaped.engine import ScenarioResults
 from lshaped.simplex import (
     FEASIBILITY_TOL, OPTIMALITY_TOL, ZERO_PIVOT_TOL, LpSolution, LpStatus, SimplexError,
@@ -298,8 +299,8 @@ class ReferenceEvaluator:
         farkas = {}
         for s in range(N):
             res = solve_subproblem(self.problem, s, x)
-            if res.feasible:
-                values[s] = res.value
+            if res.status is LpStatus.OPTIMAL:
+                values[s] = res.objective
                 duals[s] = res.duals
             else:
                 farkas[s] = res.farkas
@@ -502,6 +503,23 @@ def reference_aggregate(problem, duals, block, inner, counts):
     groups = [sorted({s // block for s in agg.members}) for agg in aggregates]
     flat = np.array([g for group in groups for g in group])
     return rows, flat, np.cumsum([0, *map(len, groups)])
+
+
+def reference_violation(rows, granules, starts, x, theta) -> np.ndarray:
+    """The violation filter one aggregate at a time, with the interface of
+    ``lshaped.cuts.violated``: per row one dot product, and a running sum
+    of theta over its granules from zero, compared with
+    VIOLATION_SCALE * (1 + |offset|)."""
+    x = np.asarray(x, dtype=float)
+    cols, edges = granules.tolist(), starts.tolist()
+    keep = []
+    for row, a, b in zip(rows, edges, edges[1:]):
+        total = 0.0
+        for t in cols[a:b]:
+            total += theta[t]
+        violation = float(row[-1] - row[:-1] @ x - total)
+        keep.append(violation > VIOLATION_SCALE * (1.0 + abs(row[-1])))
+    return np.array(keep, dtype=bool)
 
 
 def groups_of(granules, starts):

@@ -173,7 +173,7 @@ def test_cut_validity(oracle_suite):
         table = np.array(
             [
                 [
-                    prob.pi[s] * solve_subproblem(prob, s, x).value
+                    prob.pi[s] * solve_subproblem(prob, s, x).objective
                     for s in range(prob.n_scenarios)
                 ]
                 for x in points

@@ -16,9 +16,10 @@ from lshaped import (
     solve_subproblem,
 )
 from lshaped.aggregation import granulate
-from lshaped.cuts import VIOLATION_SCALE, row_is_violated, row_violation
+from lshaped.cuts import VIOLATION_SCALE, violated
 from helpers import (
-    cut_distance, cut_row, make_optimality_cut, random_instance, summed_cut, trend_template,
+    cut_distance, cut_row, make_optimality_cut, random_instance, reference_violation,
+    summed_cut, trend_template,
 )
 
 
@@ -151,24 +152,57 @@ class TestAggregate:
         assert np.max(np.abs(nested - flat)) <= 1e-12
 
 
+def decide(stacked, groups, x, theta) -> list:
+    """``violated`` on stacked rows, aggregate i over the theta columns in
+    ``groups[i]``; the per-aggregate reference must agree."""
+    granules = np.array([g for group in groups for g in group])
+    starts = np.cumsum([0, *map(len, groups)])
+    x, theta = np.array(x, dtype=float), np.array(theta, dtype=float)
+    keep = violated(stacked, granules, starts, x, theta)
+    assert keep.dtype == bool and keep.shape == (len(groups),)
+    assert np.array_equal(keep, reference_violation(stacked, granules, starts, x, theta))
+    return keep.tolist()
+
+
 class TestViolation:
     def test_arithmetic(self):
-        row = cut_row(cut([0.5], 1.0, (0,)))
-        assert row_violation(row, [0.0], np.array([-10.0]), (0,)) == pytest.approx(11.0)
+        stacked = rows(cut([0.5], 1.0, (0,)), cut([0.5], 1.0, (1,)))
+        # violations 1 - 0 + 10 = 11 and 1 - 0 - 0 = 1
+        assert decide(stacked, [[0], [1]], [0.0], [-10.0, 0.0]) == [True, True]
+        # violations 1 - 1 + 10 = 10 and 1 - 1 - 0 = 0
+        assert decide(stacked, [[0], [1]], [2.0], [-10.0, 0.0]) == [True, False]
 
     def test_boundary_satisfied(self):
-        row = cut_row(cut([0.5], 1.0, (0,)))
-        assert row_violation(row, [2.0], np.array([0.0]), (0,)) == pytest.approx(0.0)
+        row = rows(cut([0.5], 1.0, (0,)))
+        assert decide(row, [[0]], [2.0], [0.0]) == [False]
+        # a violation exactly at VIOLATION_SCALE * (1 + |0|) is not above it
+        row = rows(cut([0.5], 0.0, (0,)))
+        assert decide(row, [[0]], [0.0], [-VIOLATION_SCALE]) == [False]
+        assert decide(row, [[0]], [0.0], [-np.nextafter(VIOLATION_SCALE, 1.0)]) == [True]
 
     def test_aggregated_p1(self):
-        row = cut_row(cut([1.0], 3.0, (0, 1)))
-        assert row_violation(row, [0.0], np.array([1.5, 1.5]), (0, 1)) == pytest.approx(0.0)
+        row = rows(cut([1.0], 3.0, (0, 1)))
+        assert decide(row, [[0, 1]], [0.0], [1.5, 1.5]) == [False]
+        assert decide(row, [[0, 1]], [0.0], [1.5, 1.0]) == [True]
 
     def test_is_violated_relative_scale(self):
-        row = cut_row(cut([0.0], 100.0, (0,)))
+        row = rows(cut([0.0], 100.0, (0,)))
         # violated above VIOLATION_SCALE * (1 + 100)
-        assert not row_is_violated(row, [0.0], np.array([100.0 - 50 * VIOLATION_SCALE]), (0,))
-        assert row_is_violated(row, [0.0], np.array([100.0 - 150 * VIOLATION_SCALE]), (0,))
+        assert decide(row, [[0]], [0.0], [100.0 - 50 * VIOLATION_SCALE]) == [False]
+        assert decide(row, [[0]], [0.0], [100.0 - 150 * VIOLATION_SCALE]) == [True]
+
+    def test_aggregates_of_mixed_widths(self):
+        # theta sums 3 + 6 = 9, 1 and 2 + 4 + 5 = 11 over interleaved columns
+        stacked = rows(
+            cut([1.0, 0.0], 10.0, (1, 4)), cut([0.0, 1.0], 1.0, (0,)),
+            cut([1.0, 1.0], 12.0, (2, 3, 5)),
+        )
+        theta = [1.0, 3.0, 2.0, 4.0, 6.0, 5.0]
+        groups = [[1, 4], [0], [2, 3, 5]]
+        # violations 10 - 1 - 9 = 0, 1 - 0 - 1 = 0 and 12 - 1 - 11 = 0
+        assert decide(stacked, groups, [1.0, 0.0], theta) == [False, False, False]
+        # violations 2, 1 and 3
+        assert decide(stacked, groups, [-1.0, -1.0], theta) == [True, True, True]
 
 
 class TestDistance:
@@ -232,7 +266,7 @@ class TestCutValidity:
         for _ in range(20):
             x = rng.uniform(0.0, 2.0, prob.n)
             values = [
-                prob.pi[s] * solve_subproblem(prob, s, x).value
+                prob.pi[s] * solve_subproblem(prob, s, x).objective
                 for s in range(prob.n_scenarios)
             ]
             for c in cuts:

@@ -28,7 +28,7 @@ from lshaped import (
 from lshaped.aggregation import granulation
 from helpers import (
     P1_OPTIMUM, ReferenceEvaluator, build_p1, evaluator_instances, groups_of, random_instance,
-    record_calls, reference_aggregate, trend_template, wide_template,
+    record_calls, reference_aggregate, reference_violation, trend_template, wide_template,
 )
 
 SCHEME_LABELS = (
@@ -49,14 +49,14 @@ def infeasible_recourse_problem():
 class TestSubproblem:
     def test_p1_scenario_two_at_one(self, p1):
         res = solve_subproblem(p1, 1, np.array([1.0]))
-        assert res.feasible
-        assert res.value == pytest.approx(3.0)  # max(4 - 1, 0)
+        assert res.status is LpStatus.OPTIMAL
+        assert res.objective == pytest.approx(3.0)  # max(4 - 1, 0)
         assert res.duals[0] == pytest.approx(1.0)
 
     def test_p1_scenario_one_beyond_kink(self, p1):
         res = solve_subproblem(p1, 0, np.array([5.0]))
-        assert res.feasible
-        assert res.value == pytest.approx(0.0)
+        assert res.status is LpStatus.OPTIMAL
+        assert res.objective == pytest.approx(0.0)
         assert res.duals[0] == pytest.approx(0.0)
 
     def test_dual_value_identity(self, p1):
@@ -66,12 +66,12 @@ class TestSubproblem:
             x = rng.uniform(0.0, 5.0, 1)
             for s, scen in enumerate(p1.scenarios):
                 res = solve_subproblem(p1, s, x)
-                assert res.duals @ (scen.h - scen.T @ x) == pytest.approx(res.value, abs=1e-8)
+                assert res.duals @ (scen.h - scen.T @ x) == pytest.approx(res.objective, abs=1e-8)
 
     def test_infeasible_returns_certificate(self):
         prob = infeasible_recourse_problem()
         res = solve_subproblem(prob, 0, np.array([3.0]))
-        assert not res.feasible
+        assert res.status is LpStatus.INFEASIBLE
         assert res.farkas[0] == pytest.approx(-1.0)
 
     def test_unbounded_recourse_raises(self):
@@ -259,7 +259,7 @@ class TestInvariants:
         prob = random_instance(6, 15)
         report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme("kmedoids:k=3"), rel_tol=1e-6))
         recourse = sum(
-            prob.pi[s] * solve_subproblem(prob, s, report.x).value
+            prob.pi[s] * solve_subproblem(prob, s, report.x).objective
             for s in range(prob.n_scenarios)
         )
         fresh = float(prob.first.c @ report.x) + recourse
@@ -856,6 +856,44 @@ class TestSummedFilterRow:
         assert out is rows and cols is granules and edges is starts and skipped == 0
 
 
+class TestViolationFilter:
+    """``cuts.violated`` tests all of an iteration's aggregates in one pass;
+    it must keep and drop the aggregates that the per-aggregate loop does."""
+
+    @pytest.mark.parametrize("template", ["trend", "wide"])
+    @pytest.mark.parametrize("label", [
+        "multi", "partial:T=5", "closest:A=4", "kmedoids:k=3",
+        "granulated:T0=4,inner=kmedoids:k=3", "granulated:T0=4,inner=closest:A=3",
+    ])
+    def test_decisions_match_the_per_aggregate_reference(self, label, template, monkeypatch):
+        import lshaped.engine
+
+        calls = record_calls(monkeypatch, lshaped.engine, "violated")
+        if template == "trend":
+            prob = sample_instance(trend_template(3), 60, 3)
+        else:
+            prob = sample_instance(wide_template(5), 60, 1)
+        report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        assert report.status == SolveStatus.CONVERGED
+        # every iteration that aggregated cuts after the first covering one
+        its = report.iterations
+        assert len(calls) == (its["cuts_added"] + its["cuts_skipped"] > 0).sum() - 1
+        kept = decisions = 0
+        for args, _, keep in calls:
+            assert np.array_equal(keep, reference_violation(*args))
+            kept += int(keep.sum())
+            decisions += len(keep)
+        assert 0 < kept < decisions
+
+
+def recourse_lp(problem, s, x) -> LinearProgram:
+    """The recourse LP of scenario s at first-stage point x."""
+    return LinearProgram(
+        c=problem.Q[s], A=problem.W, b=problem.H[s] - problem.T[s] @ x,
+        lb=np.zeros(problem.m), ub=np.full(problem.m, np.inf),
+    )
+
+
 def first_stage_points(problem, count, seed):
     """Points of the first-stage simplex {x >= 0, sum x = b}: its vertices,
     then random interior points."""
@@ -882,11 +920,7 @@ class TestScenarioEvaluator:
             ref = ReferenceEvaluator(prob).evaluate(x)
             assert sorted(batch.farkas) == sorted(ref.farkas), name
             for s, sigma in batch.farkas.items():
-                lp = LinearProgram(
-                    c=prob.Q[s], A=prob.W, b=prob.H[s] - prob.T[s] @ x,
-                    lb=np.zeros(prob.m), ub=np.full(prob.m, np.inf),
-                )
-                assert verify_farkas(lp, sigma)
+                assert verify_farkas(recourse_lp(prob, s, x), sigma)
             for s in range(prob.n_scenarios):
                 if s in ref.farkas:
                     assert np.isnan(batch.values[s])
@@ -902,6 +936,41 @@ class TestScenarioEvaluator:
                     compared += 1
         assert compared > 0
         assert len(evaluator.bases) >= 1 or name == "infeasible recourse"
+
+    @pytest.mark.parametrize("label", ["multi", "single", "granulated:T0=3,inner=kmedoids:k=3"])
+    @pytest.mark.parametrize(
+        "name, prob", [pytest.param(name, prob, id=name) for name, prob in evaluator_instances()]
+    )
+    def test_every_result_of_a_solve_checks(self, name, prob, label, monkeypatch):
+        """At every iterate of a full solve: each feasible scenario's duals
+        are dual feasible and give its value, each Farkas ray certifies,
+        and each cold solve passes ``verify_kkt`` or ``verify_farkas``."""
+        import lshaped.engine
+
+        evaluations = record_calls(monkeypatch, lshaped.engine.ScenarioEvaluator, "evaluate")
+        cold = record_calls(monkeypatch, lshaped.engine, "solve_subproblem")
+        solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
+        rays = 0
+        for (_, x), _, res in evaluations:
+            for s in range(prob.n_scenarios):
+                if s in res.farkas:
+                    assert np.isnan(res.values[s])
+                    assert verify_farkas(recourse_lp(prob, s, x), res.farkas[s]), (name, s)
+                    rays += 1
+                    continue
+                lam, resid = res.duals[s], prob.H[s] - prob.T[s] @ x
+                assert (prob.Q[s] - lam @ prob.W).min() >= -1e-9, (name, s)
+                assert lam @ resid == pytest.approx(res.values[s], rel=1e-9, abs=1e-9)
+        assert (rays > 0) == (name == "infeasible recourse")
+        assert cold
+        for (_, s, x), _, sol in cold:
+            lp = recourse_lp(prob, s, x)
+            if sol.status is LpStatus.INFEASIBLE:
+                assert verify_farkas(lp, sol.farkas), (name, s)
+                continue
+            rep = verify_kkt(lp, sol)
+            scale = max(1.0, np.abs(lp.b).max())
+            assert max(rep.primal, rep.dual, rep.complementarity) <= 1e-8 * scale, (name, s)
 
     def test_cold_solves_are_the_unfitted_scenarios(self):
         from lshaped.engine import ScenarioEvaluator

@@ -148,13 +148,16 @@ class TestEnumerate:
         assert [s.pi for s in prob.scenarios] == [0.3, 0.7]
         assert [s.h[0] for s in prob.scenarios] == [1.0, 2.0]
 
-    def test_cap_names_product_size(self):
+    def test_cap_names_product_size(self, monkeypatch):
+        import lshaped.problem
+
+        monkeypatch.setattr(lshaped.problem, "DEFAULT_SCENARIO_CAP", 10)
         entries = tuple(
             RandomEntry("h", 0, 0, ((0.0, 0.5), (1.0, 0.5))) for _ in range(4)
         )
         # entries collide on the same coordinate but the cap fires first
-        with pytest.raises(ValueError, match="16"):
-            enumerate_scenarios(simple_template(entries), max_scenarios=10)
+        with pytest.raises(ValueError, match="16 scenarios, above the cap of 10"):
+            enumerate_scenarios(simple_template(entries))
 
     def test_probability_sums_for_random_templates(self):
         for seed in range(10):

@@ -178,7 +178,7 @@ class TestProperties:
 
         lp = random_box_lp(0)
         with pytest.raises(SimplexError, match="iteration limit"):
-            solve_lp(lp, max_pivots=1)
+            simplex_mod._solve_two_phase(lp, 1, simplex_mod._REFACTOR_EVERY)
 
     def test_degenerate_duplicate_rows(self):
         lp = LinearProgram(
