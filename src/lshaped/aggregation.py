@@ -145,7 +145,9 @@ def aggregation_distance(
 
     A zero gradient has no direction, so the angular family falls back to
     the absolute measure, which then reduces to the offset gap; two zero
-    rows sit at distance zero.  Nonnegative, and zero for identical rows.
+    rows sit at distance zero.  Nonnegative, and exactly zero for identical
+    rows of equal counts: bitwise-equal gradients sit at angular distance
+    exactly zero, as in ``_distance_matrix``.
     """
     grad_a, grad_b = a[:-1], b[:-1]
     if measure is not DistanceMeasure.ABSOLUTE:
@@ -161,6 +163,10 @@ def aggregation_distance(
         return float(np.linalg.norm(va - vb)) / denom
 
     angular = 1.0 - abs(float(grad_a @ grad_b)) / (na * nb)
+    # |cos| of equal gradients can round a few ulps off 1; snap them to
+    # exactly 0, as _distance_matrix does, comparing only near 0
+    if angular < 4 * np.finfo(float).eps and np.array_equal(grad_a, grad_b):
+        angular = 0.0
     angular = max(angular, 0.0)
     if measure is DistanceMeasure.ANGULAR:
         return angular

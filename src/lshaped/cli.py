@@ -16,7 +16,6 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,30 +43,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = 1):
         super().__init__(message)
         self.code = code
-
-
-@dataclass
-class BenchRow:
-    scheme: str
-    param: str
-    value: str
-    status: str
-    n_iterations: int
-    n_cuts: int
-    time_seconds: float
-    rel_cut: float | None
-    rel_iter: float | None
-    rel_time: float | None
-
-    def as_csv(self) -> list[str]:
-        def fmt(v):
-            return "" if v is None else repr(v) if isinstance(v, float) else str(v)
-
-        return [
-            self.scheme, self.param, self.value, self.status,
-            str(self.n_iterations), str(self.n_cuts), repr(self.time_seconds),
-            fmt(self.rel_cut), fmt(self.rel_iter), fmt(self.rel_time),
-        ]
 
 
 def _read_file(path: str) -> str:
@@ -150,6 +125,10 @@ def _report_json(report: SolveReport) -> dict:
     }
 
 
+def _csv_field(value) -> str:
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         try:
@@ -161,6 +140,14 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _emit_csv(header: list[str], rows, output: str | None) -> None:
+    writer = io.StringIO()
+    w = csv.writer(writer, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([_csv_field(v) for v in row] for row in rows)
+    _emit(writer.getvalue(), output)
 
 
 def _solve_once(problem: TwoStageProblem, args, scheme) -> SolveReport:
@@ -181,15 +168,12 @@ def _cmd_solve(args) -> int:
     if args.format == "json":
         _emit(json.dumps(_report_json(report), indent=2), args.output)
     else:
-        writer = io.StringIO()
-        w = csv.writer(writer, lineterminator="\n")
-        w.writerow(["status", "objective", "n_iterations", "n_cuts", "wall_seconds"])
-        w.writerow([
-            report.status,
-            "" if report.objective is None else repr(report.objective),
-            report.n_iterations, report.n_cuts, repr(report.wall_seconds),
-        ])
-        _emit(writer.getvalue(), args.output)
+        _emit_csv(
+            ["status", "objective", "n_iterations", "n_cuts", "wall_seconds"],
+            [[report.status, report.objective, report.n_iterations, report.n_cuts,
+              report.wall_seconds]],
+            args.output,
+        )
     if report.status == SolveStatus.CONVERGED:
         return 0
     if report.status == SolveStatus.ITERATION_LIMIT:
@@ -266,82 +250,59 @@ def _cmd_bench(args) -> int:
     if multi.status != SolveStatus.CONVERGED or single.status != SolveStatus.CONVERGED:
         raise CliError("a baseline run did not converge", code=2)
 
-    rows: list[BenchRow] = []
+    rows: list[dict] = []
     for param, value, scheme in points:
         try:
             report = _median_run(problem, args, scheme)
         except (ValueError, RuntimeError) as exc:
             raise CliError(str(exc))
         if report.status == SolveStatus.CONVERGED:
-            rel_cut, rel_iter, rel_time = compute_relative_complexities(report, multi, single)
+            rel = compute_relative_complexities(report, multi, single)
         else:
-            rel_cut = rel_iter = rel_time = None
-        rows.append(
-            BenchRow(
-                scheme=scheme_label(scheme), param=param, value=value,
-                status=report.status, n_iterations=report.n_iterations,
-                n_cuts=report.n_cuts, time_seconds=report.wall_seconds,
-                rel_cut=rel_cut, rel_iter=rel_iter, rel_time=rel_time,
-            )
-        )
+            rel = (None, None, None)
+        rows.append(dict(zip(BENCH_HEADER, (
+            scheme_label(scheme), param, value, report.status, report.n_iterations,
+            report.n_cuts, report.wall_seconds, *rel,
+        ))))
 
     if args.format == "json":
-        _emit(json.dumps([row.__dict__ for row in rows], indent=2), args.output)
+        _emit(json.dumps(rows, indent=2), args.output)
     else:
-        writer = io.StringIO()
-        w = csv.writer(writer, lineterminator="\n")
-        w.writerow(BENCH_HEADER)
-        for row in rows:
-            w.writerow(row.as_csv())
-        _emit(writer.getvalue(), args.output)
+        _emit_csv(BENCH_HEADER, [row.values() for row in rows], args.output)
     return 0
 
 
+#: each ``bounds`` flag, in the order of ``--help``, and its bound on the
+#: parsed arguments
+_BOUNDS = {
+    "single": lambda a: bounds_mod.bound_single_cut(a.N, a.b, a.m),
+    "multi": lambda a: bounds_mod.bound_multi_cut(a.N, a.b, a.m),
+    "aggregated": lambda a: bounds_mod.bound_aggregated(_sizes(a), a.b, a.m),
+    "upper": lambda a: bounds_mod.bound_aggregated_upper(a.A, a.AL, a.b, a.m),
+    "dynamic": lambda a: bounds_mod.bound_dynamic(a.N, a.b, a.m, a.A0),
+    "restricted": lambda a: bounds_mod.bound_dynamic_restricted(a.N, a.b, a.m, a.A0, a.lo, a.hi),
+}
+
+
 def _cmd_bounds(args) -> int:
-    chosen = [
-        name for name in ("single", "multi", "aggregated", "upper", "dynamic", "restricted")
-        if getattr(args, name)
-    ]
     if args.compare:
-        chosen = []
-    elif len(chosen) != 1:
-        raise CliError("choose exactly one bound (or --compare)")
+        chosen = ["single", "multi"] + (["aggregated"] if args.sizes else []) + ["dynamic"]
+    else:
+        chosen = [name for name in _BOUNDS if getattr(args, name)]
+        if len(chosen) != 1:
+            raise CliError("choose exactly one bound (or --compare)")
+    lines = []
     try:
-        if args.compare:
-            lines = [
-                f"single      {bounds_mod.bound_single_cut(args.N, args.b, args.m)}",
-                f"multi       {bounds_mod.bound_multi_cut(args.N, args.b, args.m)}",
-            ]
-            if args.sizes:
-                sizes = _sizes(args)
-                if sum(sizes) != args.N:
-                    raise CliError(
-                        f"--sizes {args.sizes} sum to {sum(sizes)}, not to --N {args.N}"
-                    )
-                lines.append(f"aggregated  {bounds_mod.bound_aggregated(sizes, args.b, args.m)}")
-            lines.append(
-                f"dynamic     {bounds_mod.bound_dynamic(args.N, args.b, args.m, args.A0)}"
-            )
-            print("\n".join(lines))
-            return 0
-        kind = chosen[0]
-        if kind == "single":
-            value = bounds_mod.bound_single_cut(args.N, args.b, args.m)
-        elif kind == "multi":
-            value = bounds_mod.bound_multi_cut(args.N, args.b, args.m)
-        elif kind == "aggregated":
-            value = bounds_mod.bound_aggregated(_sizes(args), args.b, args.m)
-        elif kind == "upper":
-            value = bounds_mod.bound_aggregated_upper(args.A, args.AL, args.b, args.m)
-        elif kind == "dynamic":
-            value = bounds_mod.bound_dynamic(args.N, args.b, args.m, args.A0)
-        else:
-            value = bounds_mod.bound_dynamic_restricted(
-                args.N, args.b, args.m, args.A0, args.lo, args.hi
-            )
+        for name in chosen:
+            if args.compare and name == "aggregated" and sum(_sizes(args)) != args.N:
+                raise CliError(
+                    f"--sizes {args.sizes} sum to {sum(_sizes(args))}, not to --N {args.N}"
+                )
+            value = _BOUNDS[name](args)
+            lines.append(f"{name:<12}{value}" if args.compare else str(value))
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc))
-    print(value)
+    print("\n".join(lines))
     return 0
 
 
@@ -409,12 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="timing repeats per point (median reported)")
 
     p_bounds = sub.add_parser("bounds", help="evaluate exact worst-case iteration bounds")
-    p_bounds.add_argument("--single", action="store_true")
-    p_bounds.add_argument("--multi", action="store_true")
-    p_bounds.add_argument("--aggregated", action="store_true")
-    p_bounds.add_argument("--upper", action="store_true")
-    p_bounds.add_argument("--dynamic", action="store_true")
-    p_bounds.add_argument("--restricted", action="store_true")
+    for name in _BOUNDS:
+        p_bounds.add_argument(f"--{name}", action="store_true")
     p_bounds.add_argument("--compare", action="store_true",
                           help="print single, multi, aggregated and dynamic side by side")
     p_bounds.add_argument("--N", type=int, default=1, help="scenario count")

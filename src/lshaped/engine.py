@@ -261,7 +261,7 @@ class SolveReport:
     The iteration history and the optimality cuts left in the master are
     kept as arrays, so a report that callers retain stays small; ``history``
     and ``cuts`` build them as objects on each read.  ``pack`` copies the
-    cut rows out of the master's row arrays, not its grown buffers.
+    cut rows, so a report shares no array with the master.
     ``iterations`` is one structured array with a record per iteration,
     record i for iteration i + 1, and a field per ``IterationRecord`` field
     but ``partition``: ``iterations[name]`` is that field's column, and
@@ -489,11 +489,12 @@ class _Master:
     Columns: x (n), theta (one per granule of the strategy's static block,
     so one per scenario for T0 = 1), then one surplus per cut row in
     insertion order (``simplex.GubMatrix``).  Theta columns enter the
-    objective only once covered by at least one row.  The rows are kept as
-    appended arrays: the first-stage rows, then every cut's gradient and
-    offset; cut row i covers the theta columns
-    ``granules[starts[i]:starts[i + 1]]``.  A feasibility row covers none,
-    and the optimality cuts are the rows that cover some.
+    objective only once covered by at least one row.  The rows are held in
+    the exact-size arrays ``grads`` and ``offsets``, which each append
+    regrows (the loop appends at most once per iteration): the first-stage
+    rows, then every cut's gradient and offset; cut row i covers the theta
+    columns ``granules[starts[i]:starts[i + 1]]``.  A feasibility row covers
+    none, and the optimality cuts are the rows that cover some.
 
     Every master is ``program()``.  Each solve after the first starts from
     the last optimal basis with the surplus columns of the new rows basic;
@@ -509,9 +510,8 @@ class _Master:
         self.problem = problem
         self.n_theta = n_theta
         self.p = first.p
-        self.n_rows = first.p
-        self._grads = np.array(first.A, dtype=float).reshape(first.p, first.n)
-        self._offsets = np.array(first.b, dtype=float)
+        self.grads = np.array(first.A, dtype=float).reshape(first.p, first.n)
+        self.offsets = np.array(first.b, dtype=float)
         self.granules = np.zeros(0, dtype=np.intp)
         self.starts = np.zeros(1, dtype=np.intp)
         self.covered = np.zeros(n_theta, dtype=bool)
@@ -523,27 +523,10 @@ class _Master:
     def _append(self, rows: np.ndarray, granules: np.ndarray, starts: np.ndarray) -> None:
         """Append stacked (grad, offset) rows, row i covering the theta
         columns ``granules[starts[i]:starts[i + 1]]``."""
-        i, k = self.n_rows, len(rows)
-        if i + k > len(self._offsets):
-            size = max(16, 2 * i, i + k)
-            for name in ("_grads", "_offsets"):
-                old = getattr(self, name)
-                grown = np.empty((size,) + old.shape[1:], dtype=old.dtype)
-                grown[:i] = old[:i]
-                setattr(self, name, grown)
-        self._grads[i : i + k] = rows[:, :-1]
-        self._offsets[i : i + k] = rows[:, -1]
+        self.grads = np.vstack([self.grads, rows[:, :-1]])
+        self.offsets = np.concatenate([self.offsets, rows[:, -1]])
         self.granules = np.concatenate([self.granules, granules])
         self.starts = np.concatenate([self.starts, self.starts[-1] + starts[1:]])
-        self.n_rows += k
-
-    @property
-    def grads(self) -> np.ndarray:
-        return self._grads[: self.n_rows]
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return self._offsets[: self.n_rows]
 
     def add_optimality(self, rows: np.ndarray, granules: np.ndarray, starts: np.ndarray) -> None:
         """Append optimality cuts: stacked (grad, offset) rows, row i
@@ -556,7 +539,7 @@ class _Master:
         """The (grad, offset) rows of the optimality cuts, copied out of the
         row arrays in insertion order, and their (granules, starts)."""
         cuts = np.flatnonzero(np.diff(self.starts))
-        rows = np.column_stack([self._grads[self.p + cuts], self._offsets[self.p + cuts]])
+        rows = np.column_stack([self.grads[self.p + cuts], self.offsets[self.p + cuts]])
         return rows, self.granules, np.append(self.starts[cuts], self.starts[-1])
 
     def add_feasibility(self, rows: np.ndarray) -> None:

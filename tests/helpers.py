@@ -155,8 +155,9 @@ def with_recourse(problem, W, q_of):
 
 def evaluator_instances():
     """(name, problem) pairs: plain complete recourse, duplicate columns of
-    W, scenario-dependent dual feasibility, W scaled by 1e6 and 1e-6, and a
-    recourse that is infeasible for part of the first-stage region."""
+    W, scenario-dependent dual feasibility, W scaled by 1e6 and 1e-6, a
+    recourse that is infeasible for part of the first-stage region, and a W
+    with linearly dependent rows."""
     out = [(f"random {seed}", random_instance(seed, 30)) for seed in range(4)]
     base = random_instance(15, 30)  # mixed-sign residuals at most points
     W = base.W
@@ -183,6 +184,14 @@ def evaluator_instances():
     )))
     # keeping only I forces y = h - T x >= 0
     out.append(("infeasible recourse", with_recourse(base, W[:, :half], lambda q: q[:half])))
+    # a third row of W, T and h that is the sum of the first two
+    out.append(("dependent rows", TwoStageProblem.from_scenarios(
+        first=base.first, W=np.vstack([W, W[0] + W[1]]),
+        scenarios=tuple(
+            Scenario(s.pi, s.q, np.vstack([s.T, s.T[0] + s.T[1]]), np.append(s.h, s.h[0] + s.h[1]))
+            for s in base.scenarios
+        ),
+    )))
     return out
 
 

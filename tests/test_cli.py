@@ -391,10 +391,24 @@ class TestBounds:
         assert out.strip() == str((1 + 6 * 2) ** 2)
 
     def test_compare(self, capsys):
-        code, out, _ = run(capsys, "bounds", "--compare", "--N", "4", "--b", "2",
-                           "--m", "2", "--A0", "2", "--sizes", "2,2")
-        assert code == 0
-        assert "single" in out and "dynamic" in out
+        code, out, err = run(capsys, "bounds", "--compare", "--N", "4", "--b", "2",
+                             "--m", "2", "--A0", "2", "--sizes", "2,2")
+        assert code == 0 and err == ""
+        # single (1 + 4)^2; multi 1 + 4 (2^2 - 1); aggregated 1 + 2 * 3^2 - 2;
+        # dynamic 2 + (4*2^2 + 6*3^2 + 4*4^2 + 5^2) - Bell(4) - 2 = 2 + 159 - 15 - 2
+        assert out == "single      25\nmulti       13\naggregated  17\ndynamic     144\n"
+
+    @pytest.mark.parametrize("argv, want", [
+        # (1 + 3 (2 - 1))^2
+        (["--single", "--N", "3", "--b", "2", "--m", "2"], "16"),
+        # 1 + 3 ((1 + 2 (2 - 1))^2 - 1)
+        (["--upper", "--A", "3", "--AL", "2", "--b", "2", "--m", "2"], "25"),
+        # 2 + (3*2^2 + 3*3^2 + 1*4^2) - (S(3,1) + S(3,2) + S(3,3)) - 1 = 2 + 55 - 5 - 1
+        (["--dynamic", "--N", "3", "--b", "2", "--m", "2", "--A0", "1"], "51"),
+    ])
+    def test_hand_computed_values(self, capsys, argv, want):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert (code, out, err) == (0, want + "\n", "")
 
     def test_compare_sizes_must_sum_to_n(self, capsys):
         code, out, err = run(capsys, "bounds", "--compare", "--N", "3", "--b", "2",

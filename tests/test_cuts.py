@@ -15,7 +15,7 @@ from lshaped import (
     sample_instance,
     solve_subproblem,
 )
-from lshaped.aggregation import granulate
+from lshaped.aggregation import _distance_matrix, granulate
 from lshaped.cuts import VIOLATION_SCALE, violated
 from helpers import (
     cut_distance, cut_row, make_optimality_cut, random_instance, reference_violation,
@@ -249,6 +249,17 @@ class TestDistance:
             assert aggregation_distance(a, 1, a, 1, measure) == 0.0
         zero = np.zeros(2)
         assert aggregation_distance(zero, 1, zero, 3, DistanceMeasure.ANGULAR) == 0.0
+
+    def test_row_against_its_copy_is_exactly_zero(self):
+        # |cos| of a gradient with itself often rounds an ulp off 1
+        rng = np.random.default_rng(0)
+        for row in rng.normal(size=(300, 6)) * rng.lognormal(size=(300, 1)):
+            for measure in DistanceMeasure:
+                for count in (1, 2, 3):
+                    copy = row.copy()
+                    dist = aggregation_distance(row, count, copy, count, measure)
+                    matrix = _distance_matrix(np.stack([row, copy]), [count, count], measure)
+                    assert dist == 0.0 == matrix[0, 1], (row, measure, count)
 
 
 class TestCutValidity:

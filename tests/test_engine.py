@@ -421,7 +421,7 @@ def mixed_feasibility_problem():
 
 def per_row_master_matrix(master):
     """The master's [X | Theta | -S] matrix written out row by row."""
-    n, p, m = master.problem.first.n, master.p, master.n_rows
+    n, p, m = master.problem.first.n, master.p, len(master.offsets)
     want = np.zeros((m, n + master.n_theta + m - p))
     want[:, :n] = master.grads
     for i, cols in enumerate(groups_of(master.granules, master.starts)):
@@ -935,7 +935,9 @@ class TestScenarioEvaluator:
                     assert np.array_equal(lam, ref.duals[s]), (name, s)
                     compared += 1
         assert compared > 0
-        assert len(evaluator.bases) >= 1 or name == "infeasible recourse"
+        # a redundant row leaves an artificial column basic at the end of every
+        # cold solve, so the solve returns no basis and none is ever cached
+        assert len(evaluator.bases) >= 1 or name in ("infeasible recourse", "dependent rows")
 
     @pytest.mark.parametrize("label", ["multi", "single", "granulated:T0=3,inner=kmedoids:k=3"])
     @pytest.mark.parametrize(

@@ -38,6 +38,7 @@ TEMPLATES = {
 ALL_DISTINCT = ("wide-5",)
 EVALUATOR_INSTANCES = (
     "duplicate columns", "scenario-dependent dual feasibility", "scaled columns", "scaled rows",
+    "dependent rows",
 )
 
 
