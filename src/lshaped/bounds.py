@@ -9,6 +9,7 @@ integers; the values explode combinatorially fast, which is the point.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from typing import Sequence
 
 
@@ -118,6 +119,4 @@ def _magnitude(value: int) -> str:
     """An exact integer in full up to 30 digits, else as about d.dd e+k."""
     if abs(value) < 10**30:
         return str(value)
-    exponent = math.log10(abs(value))
-    sign = "-" if value < 0 else ""
-    return f"about {sign}{10 ** (exponent % 1):.2f}e+{math.floor(exponent)}"
+    return "about " + format(Decimal(value), ".2e")

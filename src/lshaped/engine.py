@@ -61,38 +61,37 @@ threshold was 3.8e-7 * (1 + |offset|).
 The master has one form and one solve rule.  Feasibility and optimality
 cuts alike are stacked (grad, offset) rows, a feasibility row covering no
 theta column, and ``_Master.program()`` lays every master out as
-[X | Theta | -S] in a ``simplex.GubMatrix``.  Each solve after the first
-starts from the last optimal basis with the surplus columns of the new
-rows basic.  Rows appended that way leave the basis dual feasible, and the
-dual simplex restores optimality (Van Slyke & Wets 1969; Birge &
-Louveaux, ch. 5).  Any failure of a warm start falls back to a dense cold
-solve of ``program().dense()``, so statuses and Farkas rays are those of
-the cold solver.
+[X | Theta | -S] in a ``simplex.GubMatrix``.  Each solve after the first,
+whatever the widths of its rows, starts from the last optimal basis with
+the surplus columns of the new rows basic.  Rows appended that way leave
+the basis dual feasible, and the dual simplex restores optimality (Van
+Slyke & Wets 1969; Birge & Louveaux, ch. 5).  A theta column covered for
+the first time starts basic instead, in place of the surplus of its row
+(``_Master._crash``): the first rows over any theta column come in one
+batch that partitions the granules, so a fresh column has exactly one
+row.  A row over several fresh columns is keyed by its highest one, which
+absorbs the row; the others rest at 0 with reduced cost 1 - 1 = 0.  The
+keys are distinct unit columns, so the start is nonsingular, and primal
+feasible, so the first fully covering master takes a few primal pivots.
+Any failure of a warm start falls back to a dense cold solve of
+``program().dense()``, so statuses and Farkas rays are those of the cold
+solver.
 
 While each row covers at most one theta column (every strategy without an
 inner rule, and any master with only feasibility rows), the solve runs on
 a GUB basis (Dantzig & Van Slyke 1967; Birge & Louveaux, section 5.1).
 The rows of one theta column form a generalized upper bound set; each
 covered theta column stays basic, keyed to one tight row of its set, and
-the working matrix is at most n x n (``simplex._GubSimplex``).  A theta
-column covered for the first time starts basic instead, in its one row:
-the loop adds one partition per master solve, so a fresh column has
-exactly one row.  That start is primal feasible, so the first fully
-covering master takes a pivot or two.
-
-A master with rows over several theta columns (closest, k-medoids) is
-warm-started on the dense simplex.  One aggregate row cannot key all the
-fresh columns it covers, so a master that covers some theta column for the
-first time is solved cold; in practice that is only the first covering
-master.  Such rows leave the split of theta between columns open, so a
-warm solve can end at another optimal vertex than a cold one, and the
-violation filter then finds other aggregates violated, which changes the
-rows that enter on their own and the summed row: the counts move, the
+the working matrix is at most n x n (``simplex._GubSimplex``).  A master
+with rows over several theta columns (closest, k-medoids) runs on the
+dense simplex.  Such rows leave the split of theta between columns open,
+so a warm solve can end at another optimal vertex than a cold one, and
+the violation filter then finds other aggregates violated, which changes
+the rows that enter on their own and the summed row: the counts move, the
 optimum does not.  On the perfbench granulated_kmedoids instances of run
-seeds 1-4 (16 solves), measured while the filter still dropped every
-satisfied aggregate, warm starts took master pivots from 8118 to 966 and
-master time from 0.57 to 0.16 s; iterations went from 163 to 176, cuts
-from 737 to 730, and objectives agreed within 3e-15 relative.
+seeds 1-60 (240 solves), crashing the first covering master instead of
+solving it cold kept every iteration count, took master pivots from 52.7
+to 32.9 per solve and moved cuts from 38.24 to 38.33 per solve.
 
 The run terminates Converged when the relative gap
 (upper_best - lower) / max(1, |upper_best|) reaches the tolerance
@@ -496,13 +495,10 @@ class _Master:
     columns ``granules[starts[i]:starts[i + 1]]``.  A feasibility row covers
     none, and the optimality cuts are the rows that cover some.
 
-    Every master is ``program()``.  Each solve after the first starts from
-    the last optimal basis with the surplus columns of the new rows basic;
-    while each row covers at most one theta column that start is a key-row
-    basis, each fresh theta column crashed in (``_crash``).  A master whose
-    rows cover several theta columns and that covers some for the first
-    time is solved cold: one aggregate row cannot key all its fresh
-    columns, so that start would not be dual feasible.
+    Every master is ``program()``, and every solve after the first starts
+    from the last optimal basis with the surplus columns of the new rows
+    basic and each fresh theta column crashed in (``_crash``), whatever the
+    rows' widths.
     """
 
     def __init__(self, problem: TwoStageProblem, n_theta: int):
@@ -567,25 +563,26 @@ class _Master:
         return GubProgram(c=c, A=A, b=self.offsets, lb=lb, ub=np.full(n_cols, np.inf))
 
     def _crash(self, start: np.ndarray, A: GubMatrix) -> None:
-        """Make each fresh theta column basic in place of the surplus of its
-        one row.  The rows that cover a fresh column are all new since the
-        last solve, and the loop adds one partition per solve, so there is
-        exactly one."""
+        """Key each new row over fresh theta columns by its highest fresh
+        column, basic in place of the row's surplus.  The rows that cover a
+        fresh column are all new since the last solve, and the loop adds one
+        partition per solve, so each fresh column is in exactly one of them:
+        the keys are distinct unit columns, each absorbs its row, and the
+        row's other fresh columns rest at 0 with reduced cost 1 - 1 = 0."""
         new = self.fresh[A.theta_of_rows]
-        start[A.theta_rows[new]] = self.problem.first.n + A.theta_of_rows[new]
+        rows, cols = A.theta_rows[new], A.theta_of_rows[new]
+        last = np.diff(rows, append=-1) != 0  # rows ascend: each row's last pair
+        start[rows[last]] = self.problem.first.n + cols[last]
 
     def solve(self) -> LpSolution:
         """Solve the master from the last optimal basis, the new rows'
-        surplus columns basic; cold when there is none, or when the master
-        has rows over several theta columns and covers some theta column for
-        the first time."""
+        surplus columns basic and fresh theta columns crashed in; cold when
+        there is no basis, or when the warm start fails."""
         lp = self.program()
         start = None
-        fresh = self.fresh.any()
-        if self.basis is not None and (lp.A.one_per_row or not fresh):
+        if self.basis is not None:
             start = np.concatenate([self.basis, np.arange(self.solved_shape[1], lp.A.shape[1])])
-            if fresh:
-                self._crash(start, lp.A)
+            self._crash(start, lp.A)
         sol = solve_lp(lp, basis=start)
         self.basis = sol.basis
         self.solved_shape = lp.A.shape

@@ -12,6 +12,7 @@ from lshaped import (
     bound_single_cut,
     stirling2,
 )
+from lshaped.bounds import _magnitude
 
 
 def enumerate_partitions(items):
@@ -174,6 +175,15 @@ class TestDynamicBounds:
     def test_huge_sums_are_named_by_magnitude(self):
         with pytest.raises(ValueError, match=r"partition sum about 2\.04e\+2390$"):
             bound_dynamic(1200, 2, 1, 1)
+
+    @pytest.mark.parametrize("value, text", [
+        (-(10**40 - 10**35), "about -1.00e+40"),
+        (9996 * 10**28, "about 1.00e+32"),
+        (10**31 - 1, "about 1.00e+31"),
+    ])
+    def test_magnitude_rounds_into_the_next_power(self, value, text):
+        # a mantissa that rounds up to 10 carries into the exponent
+        assert _magnitude(value) == text
 
     def test_exactness_on_large_inputs(self):
         # values beyond float precision must stay exact integers

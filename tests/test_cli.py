@@ -185,6 +185,27 @@ class TestSolve:
         assert "unrecognized arguments: --workers 1" in err
 
 
+def test_debug_log_writes_iteration_lines_to_stderr(p1_json):
+    import os
+    import subprocess
+    import sys
+
+    import lshaped
+
+    env = dict(os.environ, LSHAPED_LOG="DEBUG",
+               PYTHONPATH=os.path.dirname(os.path.dirname(lshaped.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "lshaped.cli", "solve", "--input", p1_json, "--tol", "1e-6"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    lines = [line for line in done.stderr.splitlines() if "iteration " in line]
+    report = json.loads(done.stdout)
+    assert len(lines) == len(report["iterations"]) >= 2
+    for line, it in zip(lines, report["iterations"]):
+        assert f"lshaped.engine:iteration {it['k']}: lower " in line
+    assert "iteration " not in done.stdout
+
+
 class TestBench:
     def test_sweep_csv(self, capsys, p1_json):
         code, out, _ = run(
@@ -333,6 +354,44 @@ class TestBench:
         assert code == 1 and out == ""
         assert "partial block size 0 not in 1..2" in err
         assert solves == []
+
+    def test_json_rows_follow_the_header(self, capsys, p1_json):
+        code, out, _ = run(capsys, "bench", "--input", p1_json, "--scheme", "partial",
+                           "--sweep", "T=1,2", "--repeats", "1", "--tol", "1e-6",
+                           "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [(r["param"], r["value"]) for r in rows] == [("T", "1"), ("T", "2")]
+        for row in rows:
+            assert list(row) == BENCH_HEADER
+            assert row["status"] == "converged"
+            assert type(row["n_iterations"]) is int and type(row["n_cuts"]) is int
+            for name in ("time_seconds", "rel_cut", "rel_iter", "rel_time"):
+                assert type(row[name]) is float, name
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unconverged_point_has_no_relative_fields(self, capsys, p1_json, monkeypatch, fmt):
+        # the baselines converge, the swept point stops at the iteration cap
+        import dataclasses
+
+        import lshaped.cli as cli_mod
+        from lshaped.aggregation import MultiCut, SingleCut
+
+        original = cli_mod.solve_lshaped
+
+        def capped(problem, config):
+            if not isinstance(config.scheme, (MultiCut, SingleCut)):
+                config = dataclasses.replace(config, max_iterations=1)
+            return original(problem, config)
+
+        monkeypatch.setattr(cli_mod, "solve_lshaped", capped)
+        code, out, _ = run(capsys, "bench", "--input", p1_json, "--scheme", "partial:T=1",
+                           "--repeats", "1", "--tol", "1e-6", "--format", fmt)
+        assert code == 0
+        (row,) = bench_rows(out) if fmt == "csv" else json.loads(out)
+        assert row["status"] == "iteration_limit"
+        empty = "" if fmt == "csv" else None
+        assert [row[name] for name in ("rel_cut", "rel_iter", "rel_time")] == [empty] * 3
 
     def test_baseline_non_convergence_aborts(self, capsys, p1_json):
         code, _, err = run(capsys, "bench", "--input", p1_json, "--scheme", "single",

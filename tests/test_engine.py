@@ -350,8 +350,8 @@ class TestWarmMaster:
     @pytest.mark.parametrize("label", ["kmedoids:k=1", "closest:A=1"])
     def test_masters_over_every_granule_are_warm_after_the_first(self, label, monkeypatch):
         # one aggregate over all scenarios each iteration: every row covers
-        # every theta column, so only the master that covers them first is
-        # solved cold; each later one starts from the last optimal basis
+        # every theta column, and every master after the first, the one
+        # that covers them first included, starts from the last optimal basis
         import lshaped.engine as engine_mod
         import lshaped.simplex as simplex_mod
         from lshaped.simplex import GubProgram
@@ -372,9 +372,9 @@ class TestWarmMaster:
         report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
         assert (report.n_iterations, report.n_cuts) == (5, 4)
         assert len(masters) == 5
-        # the first master has no rows, the second covers theta first
-        assert all(basis is None for basis, _ in masters[:2])
-        assert all(basis is not None and cold == 0 for basis, cold in masters[2:])
+        # the first master has no rows
+        assert masters[0][0] is None
+        assert all(basis is not None and cold == 0 for basis, cold in masters[1:])
 
     @pytest.mark.parametrize("label", ["single", "partial:T=5"])
     @pytest.mark.parametrize("kind", ["trend", "random"])
@@ -519,8 +519,9 @@ class TestFieldNames:
 class TestGubMaster:
     """Every master after the first starts from the last optimal basis,
     on the key-row (GUB) basis while each row covers at most one theta
-    column; every master, warm or cold, must agree with a dense cold solve
-    of ``_Master.program().dense()`` and pass ``verify_kkt``."""
+    column and on the dense simplex otherwise; every master, warm or cold,
+    must agree with a dense cold solve of ``_Master.program().dense()`` and
+    pass ``verify_kkt``."""
 
     @staticmethod
     def install_check(monkeypatch):
@@ -582,11 +583,8 @@ class TestGubMaster:
         records = self.install_check(monkeypatch)
         report = solve_lshaped(prob, EngineConfig(scheme=parse_scheme(label), rel_tol=1e-6))
         assert report.status == SolveStatus.CONVERGED
-        # a static strategy has one theta column per granule and row, and
-        # every master but the first is warm; an inner rule's rows cover
-        # several, and the master that covers them first is cold too
-        static = granulation(parse_scheme(label), prob.n_scenarios)[1] is None
-        assert len(records) == report.n_iterations - (1 if static else 2)
+        # every master but the first is warm, whatever the rows' widths
+        assert len(records) == report.n_iterations - 1
         assert sum(r["fallbacks"] for r in records) == 0
 
     def test_master_with_feasibility_rows(self, monkeypatch):
@@ -627,7 +625,9 @@ class TestGubMaster:
         assert all(basis is not None and cold == 0 for basis, cold in feasibility_only)
         assert all(cold == 0 for _, basis, cold in masters if basis is not None)
 
-    @pytest.mark.parametrize("label", ["multi", "partial:T=5", "granulated:T0=3,inner=multi"])
+    @pytest.mark.parametrize("label", ["multi", "partial:T=5", "granulated:T0=3,inner=multi",
+                                       "kmedoids:k=3", "closest:A=4",
+                                       "granulated:T0=3,inner=kmedoids:k=3"])
     @pytest.mark.parametrize("kind, seed", [("trend", 3), ("trend", 5), ("random", 1)])
     def test_fresh_theta_has_one_row(self, label, kind, seed, monkeypatch):
         # the loop adds one partition per master solve, so each theta column
@@ -665,6 +665,27 @@ class TestGubMaster:
         assert calls[-1][1]["basis"].tolist() == [0, n + 0, n + 1]
         assert sol.status is LpStatus.OPTIMAL
         assert sol.pivots == 0  # the crashed start is already optimal here
+
+    def test_multi_granule_rows_key_their_highest_fresh_column(self, monkeypatch):
+        import lshaped.engine as engine_mod
+        import lshaped.simplex as simplex_mod
+        from lshaped.engine import _Master
+
+        calls = record_calls(monkeypatch, engine_mod, "solve_lp")
+        cold_solves = record_calls(monkeypatch, simplex_mod, "_solve_two_phase")
+        master = _Master(mixed_feasibility_problem(), 3)
+        master.solve()  # first-stage row only: x = (5, 0)
+        # one row over granules {0, 1}, one over {2}
+        master.add_optimality(np.array([[0.0, 1.0, 3.0], [0.2, 0.0, 2.0]]),
+                              np.array([0, 1, 2]), np.array([0, 2, 3]))
+        cold_solves.clear()
+        sol = master.solve()
+        n = 2
+        assert calls[-1][1]["basis"].tolist() == [0, n + 1, n + 2]
+        assert not cold_solves
+        dense = solve_lp(master.program().dense())
+        assert sol.status is dense.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(dense.objective, rel=1e-12, abs=1e-12)
 
     def test_multi_cut_infeasible_master_has_farkas_ray(self, monkeypatch):
         import lshaped.engine as engine_mod
@@ -707,9 +728,9 @@ PINNED_COUNTS = {
     "single": (6, 5, [2, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6], [2, 2, 0, 0, 0, 0]),
     "partial:T=5": (5, 37, [2, 1, 6, 17, 1], [1, 13, 25, 37, 38], [2, 2, 0, 0, 0]),
     "granulated:T0=4,inner=kmedoids:k=3": (
-        6, 14, [2, 8, 3, 3, 3, 2], [1, 4, 7, 10, 13, 15], [2, 2, 0, 0, 0, 0],
+        6, 14, [2, 1, 3, 3, 3, 2], [1, 4, 7, 10, 13, 15], [2, 2, 0, 0, 0, 0],
     ),
-    "closest:A=4": (6, 25, [2, 14, 6, 4, 5, 3], [1, 7, 13, 17, 22, 26], [2, 2, 0, 0, 0, 0]),
+    "closest:A=4": (6, 23, [2, 1, 6, 4, 4, 3], [1, 7, 13, 17, 21, 24], [2, 2, 0, 0, 0, 0]),
 }
 
 

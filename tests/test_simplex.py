@@ -90,6 +90,26 @@ class TestExamples:
         lp = LinearProgram(c=[-1.0], A=np.zeros((0, 1)), b=[], lb=[0.0], ub=[np.inf])
         assert solve_lp(lp).status is LpStatus.UNBOUNDED
 
+    def test_failed_cold_solve_is_retried_refactorizing_every_4_pivots(self, monkeypatch):
+        lp = random_box_lp(3)
+        want = solve_lp(lp)
+        original = simplex_mod._solve_two_phase
+        cadences = []
+
+        def failing_once(lp, cap, refactor_every):
+            cadences.append(refactor_every)
+            if len(cadences) == 1:
+                raise simplex_mod.SimplexError("lost numerical footing")
+            return original(lp, cap, refactor_every)
+
+        monkeypatch.setattr(simplex_mod, "_solve_two_phase", failing_once)
+        sol = solve_lp(lp)
+        assert cadences == [simplex_mod._REFACTOR_EVERY, 4]
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
+        rep = verify_kkt(lp, sol)
+        assert max(rep.primal, rep.dual, rep.complementarity) <= 1e-8
+
 
 class TestKkt:
     def test_solver_output_has_small_residuals(self):
