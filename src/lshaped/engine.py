@@ -564,15 +564,18 @@ class _Master:
 
     def _crash(self, start: np.ndarray, A: GubMatrix) -> None:
         """Key each new row over fresh theta columns by its highest fresh
-        column, basic in place of the row's surplus.  The rows that cover a
-        fresh column are all new since the last solve, and the loop adds one
-        partition per solve, so each fresh column is in exactly one of them:
-        the keys are distinct unit columns, each absorbs its row, and the
-        row's other fresh columns rest at 0 with reduced cost 1 - 1 = 0."""
+        column, basic in place of the row's surplus; a row whose column an
+        earlier row took keeps its surplus.  The rows that cover a fresh
+        column are all new since the last solve, so ordered by their highest
+        fresh column the new rows' block of the start basis is triangular.
+        The loop adds one partition per solve, so there each fresh column is
+        in exactly one new row: each key absorbs its row, and the row's
+        other fresh columns rest at 0 with reduced cost 1 - 1 = 0."""
         new = self.fresh[A.theta_of_rows]
         rows, cols = A.theta_rows[new], A.theta_of_rows[new]
         last = np.diff(rows, append=-1) != 0  # rows ascend: each row's last pair
-        start[rows[last]] = self.problem.first.n + cols[last]
+        cols, first = np.unique(cols[last], return_index=True)
+        start[rows[last][first]] = self.problem.first.n + cols
 
     def solve(self) -> LpSolution:
         """Solve the master from the last optimal basis, the new rows'

@@ -8,7 +8,7 @@ SCENARIOS sections are rejected with explicit diagnostics.
 
 Inequality rows become equalities through slack columns owned by the row's
 stage; ranged rows expand into a <= and a >= row.  Supported bounds are
-UP (extra row x <= u), FX (extra row x = v) and LO 0.
+UP (extra row x <= u), FX (extra row x = v), LO 0 and PL.
 
 Parsers never raise arbitrary exceptions on malformed input: every problem
 is reported as a ParseError carrying file/line diagnostics.
@@ -94,7 +94,7 @@ class _Core:
     row_order: list[str] = field(default_factory=list)
     row_sense: dict[str, str] = field(default_factory=dict)
     col_order: list[str] = field(default_factory=list)
-    col_entries: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+    col_entries: dict[str, list[tuple[str, float, int]]] = field(default_factory=dict)
     rhs: dict[str, float] = field(default_factory=dict)
     rhs_names: set[str] = field(default_factory=set)
     ranges: dict[str, float] = field(default_factory=dict)
@@ -142,7 +142,7 @@ def _parse_core(text: str) -> _Core:
                 core.col_order.append(col)
             for i in range(1, len(fields), 2):
                 value = _number(fields[i + 1], "core", line_no, "coefficient")
-                core.col_entries[col].append((fields[i], value))
+                core.col_entries[col].append((fields[i], value, line_no))
         elif section == "RHS":
             if len(fields) not in (3, 5):
                 raise _fail("core", line_no, "RHS lines need 1 or 2 (row, value) pairs")
@@ -174,8 +174,9 @@ def _parse_core(text: str) -> _Core:
     return core
 
 
-def _parse_time(text: str) -> tuple[str, str]:
-    """(first stage-2 column, first stage-2 row) from the PERIODS section."""
+def _parse_time(text: str) -> tuple[str, str, int]:
+    """(first stage-2 column, first stage-2 row, its line) from the PERIODS
+    section."""
     in_periods = False
     markers: list[tuple[int, list[str]]] = []
     for line_no, raw in _lines(text):
@@ -196,8 +197,8 @@ def _parse_time(text: str) -> tuple[str, str]:
     if len(markers) != 2:
         line = markers[-1][0] if markers else 1
         raise _fail("time", line, f"expected exactly two periods, found {len(markers)}")
-    _, second = markers[1]
-    return second[0], second[1]
+    line, second = markers[1]
+    return second[0], second[1], line
 
 
 @dataclass
@@ -243,210 +244,146 @@ def _parse_stoch(text: str) -> list[_StochEntry]:
     return list(entries.values())
 
 
+def _stage_blocks(
+    rows: list[tuple[np.ndarray, str, float]], n_x: int, n_cols: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One stage's (coefficient row, sense, rhs) triples over all n_cols
+    core columns, split at the first stage-2 column n_x, with the stage's
+    rhs and slack block: one column per inequality in row order, +1 for <=
+    and -1 for >=."""
+    coef = np.array([row for row, _, _ in rows], dtype=float).reshape(len(rows), n_cols)
+    inequalities = [i for i, (_, sense, _) in enumerate(rows) if sense != "E"]
+    slack = np.zeros((len(rows), len(inequalities)))
+    slack[inequalities, range(len(inequalities))] = [
+        1.0 if rows[i][1] == "L" else -1.0 for i in inequalities
+    ]
+    rhs = np.array([beta for _, _, beta in rows], dtype=float)
+    return coef[:, :n_x], coef[:, n_x:], rhs, slack
+
+
+def _random_entry(
+    item: _StochEntry, core: _Core, col_index: dict[str, int], n_x: int,
+    position: dict[str, int | None],
+) -> RandomEntry | str:
+    """The template entry a STOCH item sets, or the reason it sets none.
+    ``position`` maps each stage-2 row to its template row, None if ranged."""
+    total = sum(p for _, p in item.outcomes)
+    if abs(total - 1.0) > PROBABILITY_TOL:
+        return f"outcome probabilities sum to {total:g}"
+    outcomes = tuple((v, p / total) for v, p in item.outcomes)
+    col = col_index.get(item.col)
+    if item.row == core.obj_row:
+        if col is None:
+            return f"unknown column {item.col!r}"
+        if col < n_x:
+            return "first-stage costs cannot be random"
+        return RandomEntry("q", 0, col - n_x, outcomes)
+    if item.row not in core.row_sense:
+        return f"unknown row {item.row!r}"
+    if item.row not in position:
+        return "stage-1 data cannot be random"
+    row = position[item.row]
+    if row is None:
+        return f"row {item.row!r} is ranged; random data is ambiguous"
+    if item.col.upper() == "RHS" or item.col in core.rhs_names:
+        return RandomEntry("h", row, 0, outcomes)
+    if col is None:
+        return f"unknown column {item.col!r}"
+    if col >= n_x:
+        return "recourse-matrix entries cannot be random"
+    return RandomEntry("T", row, col, outcomes)
+
+
 def parse_smps(triple: SmpsTriple) -> StochasticTemplate:
     """Assemble a stochastic template from CORE/TIME/STOCH file contents."""
-    diagnostics: list[ParseDiagnostic] = []
     core = _parse_core(triple.core_text)
-    col2, row2 = _parse_time(triple.time_text)
+    col2, row2, time_line = _parse_time(triple.time_text)
     stoch = _parse_stoch(triple.stoch_text)
 
     if col2 not in core.col_entries:
-        raise _fail("time", 1, f"stage-2 start column {col2!r} not found in core")
+        raise _fail("time", time_line, f"stage-2 start column {col2!r} not found in core")
     if row2 not in core.row_sense:
-        raise _fail("time", 1, f"stage-2 start row {row2!r} not found in core")
-
-    col_split = core.col_order.index(col2)
-    x_names = core.col_order[:col_split]
-    y_names = core.col_order[col_split:]
-    if not x_names:
+        raise _fail("time", time_line, f"stage-2 start row {row2!r} not found in core")
+    # core columns run first stage first, so the start column splits them
+    col_index = {name: j for j, name in enumerate(core.col_order)}
+    n_x = col_index[col2]
+    if n_x == 0:
         raise _fail("time", 1, "no first-stage columns")
-    row_split = core.row_order.index(row2)
-    r1_names = core.row_order[:row_split]
-    r2_names = core.row_order[row_split:]
-    if not r2_names:
-        raise _fail("time", 1, "no second-stage rows")
-
+    row_index = {name: i for i, name in enumerate(core.row_order)}
+    stage2_row = row_index[row2]
     if core.obj_row in core.rhs:
         raise _fail("core", 1, "a constant on the objective row is not supported")
 
-    # per original row: list of (sense, rhs) after range expansion
-    def expanded(name: str) -> list[tuple[str, float]]:
-        sense = core.row_sense[name]
-        beta = core.rhs.get(name, 0.0)
-        if name not in core.ranges:
-            return [(sense, beta)]
-        r = core.ranges[name]
-        if sense == "L":
-            lowers, uppers = beta - abs(r), beta
-        elif sense == "G":
-            lowers, uppers = beta, beta + abs(r)
-        else:
-            lowers, uppers = (beta, beta + r) if r >= 0 else (beta + r, beta)
-        return [("L", uppers), ("G", lowers)]
-
-    x_index = {name: i for i, name in enumerate(x_names)}
-    y_index = {name: i for i, name in enumerate(y_names)}
-    r1_set, r2_set = set(r1_names), set(r2_names)
-
-    c = np.zeros(len(x_names))
-    q_costs = np.zeros(len(y_names))
-    coeff: dict[tuple[str, str], float] = {}
+    cost = np.zeros(len(col_index))
+    coef = np.zeros((len(row_index), len(col_index)))
     for col, pairs in core.col_entries.items():
-        stage2_col = col in y_index
-        for row, value in pairs:
+        j = col_index[col]
+        for row, value, line_no in pairs:
             if row == core.obj_row:
-                if stage2_col:
-                    q_costs[y_index[col]] = value
-                else:
-                    c[x_index[col]] = value
-            elif row in r1_set:
-                if stage2_col:
-                    raise _fail(
-                        "core", 1, f"stage-2 column {col!r} appears in stage-1 row {row!r}"
-                    )
-                coeff[(row, col)] = value
-            elif row in r2_set:
-                coeff[(row, col)] = value
+                cost[j] = value
+            elif row not in row_index:
+                raise _fail("core", line_no, f"column {col!r} references unknown row {row!r}")
+            elif row_index[row] < stage2_row and j >= n_x:
+                raise _fail(
+                    "core", line_no, f"stage-2 column {col!r} appears in stage-1 row {row!r}"
+                )
             else:
-                raise _fail("core", 1, f"column {col!r} references unknown row {row!r}")
+                coef[row_index[row], j] = value
 
-    # bound conversions produce extra rows in the owning stage
-    extra1: list[tuple[str, str, float]] = []  # (col, sense, rhs)
-    extra2: list[tuple[str, str, float]] = []
+    # each stage's (coefficient row, sense, rhs) triples: a ranged row as
+    # its <= row then its >= row, and the bound rows after the core rows
+    stages: tuple[list, list] = ([], [])
+    position: dict[str, int | None] = {}  # stage-2 row -> template row
+    for i, name in enumerate(core.row_order):
+        sense, beta = core.row_sense[name], core.rhs.get(name, 0.0)
+        rows = [(coef[i], sense, beta)]
+        if name in core.ranges:
+            r = core.ranges[name]
+            if sense == "L":
+                upper, lower = beta, beta - abs(r)
+            elif sense == "G":
+                upper, lower = beta + abs(r), beta
+            else:
+                upper, lower = (beta + r, beta) if r >= 0 else (beta, beta + r)
+            rows = [(coef[i], "L", upper), (coef[i], "G", lower)]
+        if i >= stage2_row:
+            position[name] = len(stages[1]) if len(rows) == 1 else None
+        stages[i >= stage2_row].extend(rows)
     for btype, col, value, line_no in core.bounds:
-        if col not in x_index and col not in y_index:
+        if col not in col_index:
             raise _fail("core", line_no, f"bound references unknown column {col!r}")
-        target = extra1 if col in x_index else extra2
-        if btype == "LO":
-            if value != 0.0:
-                raise _fail("core", line_no, "only LO 0 bounds are supported")
-        elif btype == "UP":
-            if value is None or value < 0:
-                raise _fail("core", line_no, "UP bounds must be nonnegative")
-            target.append((col, "L", value))
-        elif btype == "FX":
-            target.append((col, "E", float(value)))
-        elif btype == "PL":
-            continue
-        else:
+        if btype == "LO" and value != 0.0:
+            raise _fail("core", line_no, "only LO 0 bounds are supported")
+        if btype == "UP" and value < 0:
+            raise _fail("core", line_no, "UP bounds must be nonnegative")
+        if btype not in ("LO", "UP", "FX", "PL"):
             raise _fail("core", line_no, f"unsupported bound type {btype!r}")
+        if btype in ("UP", "FX"):
+            unit = np.zeros(len(col_index))
+            unit[col_index[col]] = 1.0
+            stages[col_index[col] >= n_x].append((unit, "L" if btype == "UP" else "E", value))
 
-    row_entries: dict[str, list[tuple[str, float]]] = {}
-    for (row, col), value in coeff.items():
-        row_entries.setdefault(row, []).append((col, value))
-
-    def build_stage_rows(names, extras):
-        # each item: (entries over column names, sense, rhs); primary_index
-        # maps an unexpanded row name to its final position
-        rows: list[tuple[list[tuple[str, float]], str, float]] = []
-        primary_index: dict[str, int | None] = {}
-        for name in names:
-            parts = expanded(name)
-            primary_index[name] = len(rows) if len(parts) == 1 else None
-            for sense, beta in parts:
-                rows.append((row_entries.get(name, []), sense, beta))
-        for col, sense, beta in extras:
-            rows.append(([(col, 1.0)], sense, beta))
-        return rows, primary_index
-
-    rows1, _ = build_stage_rows(r1_names, extra1)
-    rows2, r2_primary = build_stage_rows(r2_names, extra2)
-
-    n_slack1 = sum(1 for _, sense, _ in rows1 if sense != "E")
-    n_slack2 = sum(1 for _, sense, _ in rows2 if sense != "E")
-    n_total = len(x_names) + n_slack1
-    m_total = len(y_names) + n_slack2
-
-    A = np.zeros((len(rows1), n_total))
-    b = np.zeros(len(rows1))
-    T = np.zeros((len(rows2), n_total))
-    W = np.zeros((len(rows2), m_total))
-    h = np.zeros(len(rows2))
-
-    def fill(rows, x_block, y_block, rhs_vec, slack_matrix, slack_offset):
-        slack = slack_offset
-        for i, (entries_i, sense, beta) in enumerate(rows):
-            for col, value in entries_i:
-                if col in x_index:
-                    x_block[i, x_index[col]] = value
-                else:
-                    y_block[i, y_index[col]] = value
-            rhs_vec[i] = beta
-            if sense != "E":
-                slack_matrix[i, slack] = 1.0 if sense == "L" else -1.0
-                slack += 1
-
-    # stage-1 rows live entirely in the x block (their slacks too)
-    fill(rows1, A, A, b, A, len(x_names))
-    fill(rows2, T, W, h, W, len(y_names))
-
-    c_full = np.concatenate([c, np.zeros(n_slack1)])
-    q_full = np.concatenate([q_costs, np.zeros(n_slack2)])
+    A_x, _, b, slack1 = _stage_blocks(stages[0], n_x, len(col_index))
+    T_x, W_y, h, slack2 = _stage_blocks(stages[1], n_x, len(col_index))
+    A = np.hstack([A_x, slack1])
+    T = np.hstack([T_x, np.zeros((len(T_x), slack1.shape[1]))])
+    W = np.hstack([W_y, slack2])
 
     entries: list[RandomEntry] = []
+    diagnostics: list[ParseDiagnostic] = []
     for item in stoch:
-        total = sum(p for _, p in item.outcomes)
-        if abs(total - 1.0) > PROBABILITY_TOL:
-            diagnostics.append(
-                ParseDiagnostic(
-                    "stoch", item.line, f"outcome probabilities sum to {total:g}"
-                )
-            )
-            continue
-        outcomes = tuple((v, p / total) for v, p in item.outcomes)
-        is_rhs = item.col.upper() == "RHS" or item.col in core.rhs_names
-        if item.row == core.obj_row:
-            if item.col in y_index:
-                entries.append(RandomEntry("q", 0, y_index[item.col], outcomes))
-            elif item.col in x_index:
-                diagnostics.append(
-                    ParseDiagnostic("stoch", item.line, "first-stage costs cannot be random")
-                )
-            else:
-                diagnostics.append(
-                    ParseDiagnostic("stoch", item.line, f"unknown column {item.col!r}")
-                )
-            continue
-        if item.row in r1_set:
-            diagnostics.append(
-                ParseDiagnostic("stoch", item.line, "stage-1 data cannot be random")
-            )
-            continue
-        if item.row not in r2_set:
-            diagnostics.append(
-                ParseDiagnostic("stoch", item.line, f"unknown row {item.row!r}")
-            )
-            continue
-        row_pos = r2_primary[item.row]
-        if row_pos is None:
-            diagnostics.append(
-                ParseDiagnostic(
-                    "stoch", item.line, f"row {item.row!r} is ranged; random data is ambiguous"
-                )
-            )
-            continue
-        if is_rhs:
-            entries.append(RandomEntry("h", row_pos, 0, outcomes))
-        elif item.col in x_index:
-            entries.append(RandomEntry("T", row_pos, x_index[item.col], outcomes))
-        elif item.col in y_index:
-            diagnostics.append(
-                ParseDiagnostic(
-                    "stoch", item.line, "recourse-matrix entries cannot be random"
-                )
-            )
+        entry = _random_entry(item, core, col_index, n_x, position)
+        if isinstance(entry, str):
+            diagnostics.append(ParseDiagnostic("stoch", item.line, entry))
         else:
-            diagnostics.append(
-                ParseDiagnostic("stoch", item.line, f"unknown column {item.col!r}")
-            )
-
+            entries.append(entry)
     if diagnostics:
         raise ParseError(diagnostics)
 
     template = StochasticTemplate(
-        first=FirstStage(c=c_full, A=A, b=b),
+        first=FirstStage(c=np.concatenate([cost[:n_x], np.zeros(slack1.shape[1])]), A=A, b=b),
         W=W,
-        q=q_full,
+        q=np.concatenate([cost[n_x:], np.zeros(slack2.shape[1])]),
         T=T,
         h=h,
         entries=tuple(entries),
@@ -456,7 +393,7 @@ def parse_smps(triple: SmpsTriple) -> StochasticTemplate:
         raise ParseError([ParseDiagnostic("core", 1, msg) for msg in issues])
     logger.info(
         "parsed SMPS template: %d first-stage and %d second-stage columns, "
-        "%d random entries", n_total, m_total, len(entries),
+        "%d random entries", A.shape[1], W.shape[1], len(entries),
     )
     return template
 

@@ -761,3 +761,75 @@ INDEP         DISCRETE
     RHS1      R2        4.0       0.5
 ENDATA
 """
+
+# RICH: three first-stage columns (X1-X3) and rows (C1-C3), five
+# second-stage columns (Y1-Y5) and four rows (D1-D4).  Ranges sit on an
+# L row (C1, negative), a G row (D3, negative) and two E rows (C2
+# negative, D4 positive); UP, FX, LO 0 and PL bounds sit in both stages;
+# h (D1, probabilities that sum to 1 - 2^-53), T (X2 in D2) and q (Y2) are
+# random.  Every x that satisfies the first stage leaves every scenario
+# feasible, so samples of it solve.
+RICH_CORE = """NAME          RICH
+ROWS
+ N  COST
+ L  C1
+ E  C2
+ G  C3
+ G  D1
+ L  D2
+ G  D3
+ E  D4
+COLUMNS
+    X1        COST      1.0        C1        1.0
+    X1        C3        1.0        D1        1.0
+    X2        COST      -0.5       C1        1.0
+    X2        C2        1.0        C3        -1.0
+    X2        D2        -1.0
+    X3        COST      0.3        C1        1.0
+    X3        C2        1.0
+    Y1        COST      2.0        D1        1.0
+    Y2        COST      2.0        D1        -1.0
+    Y2        D3        1.0
+    Y3        COST      1.0        D2        1.0
+    Y3        D4        1.0
+    Y4        COST      0.5        D2        -1.0
+    Y4        D3        1.0
+    Y5        COST      0.25       D4        1.0
+RHS
+    RHS       C1        10.0       C2        4.0
+    RHS       C3        -5.0       D1        3.0
+    RHS       D2        1.0        D3        1.0
+    RHS       D4        2.0
+RANGES
+    RNG       C1        -4.0       C2        -2.0
+    RNG       D3        -2.0       D4        1.5
+BOUNDS
+ UP BND       X1        6.0
+ FX BND       X3        2.0
+ LO BND       X2        0.0
+ PL BND       X2
+ UP BND       Y1        6.0
+ FX BND       Y5        1.0
+ LO BND       Y3        0.0
+ PL BND       Y4
+ENDATA
+"""
+
+RICH_TIME = """TIME          RICH
+PERIODS
+    X1        COST      T1
+    Y1        D1        T2
+ENDATA
+"""
+
+RICH_STOCH = """STOCH         RICH
+INDEP         DISCRETE
+    RHS       D1        2.0       0.2
+    RHS       D1        3.0       0.7
+    RHS       D1        4.5       0.1
+    X2        D2        -1.0      0.25
+    X2        D2        -0.5      0.75
+    Y2        COST      1.0       0.5
+    Y2        COST      3.0       0.5
+ENDATA
+"""

@@ -698,3 +698,21 @@ class TestSchemeGrammar:
         assert validate_scheme(
             Granulated(block_size=3, inner=Partial(size=5)), 10
         ) != []
+
+    @pytest.mark.parametrize("text, message", [
+        ("closest:A=0", "closest rule needs at least one slot"),
+        ("kmedoids:k=0", "k-medoids needs at least one cluster"),
+        ("granulated:T0=0,inner=single", "granule size 0 not in 1..10"),
+        ("granulated:T0=11,inner=single", "granule size 11 not in 1..10"),
+    ])
+    def test_validate_scheme_names_the_violation(self, text, message):
+        assert validate_scheme(parse_scheme(text), 10) == [message]
+
+    @pytest.mark.parametrize("text, message", [
+        ("closest:measure=bogus", "unknown distance measure 'bogus'"),
+        ("granulated:T0=2,inner=granulated:T0=2,inner=single",
+         "granulated strategies cannot be nested"),
+    ])
+    def test_parse_scheme_rejects(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_scheme(text)

@@ -215,6 +215,11 @@ class TestSolve:
         with pytest.raises(ValueError, match=field):
             EngineConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["max_iterations", "workers"])
+    def test_counts_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
+            EngineConfig(**{field: 0})
+
     def test_iteration_limit_status(self, p1):
         report = solve_lshaped(p1, EngineConfig(rel_tol=1e-9, max_iterations=1))
         assert report.status == SolveStatus.ITERATION_LIMIT
@@ -683,6 +688,25 @@ class TestGubMaster:
         n = 2
         assert calls[-1][1]["basis"].tolist() == [0, n + 1, n + 2]
         assert not cold_solves
+        dense = solve_lp(master.program().dense())
+        assert sol.status is dense.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(dense.objective, rel=1e-12, abs=1e-12)
+
+    def test_rows_sharing_a_fresh_column_key_it_once(self, monkeypatch):
+        import lshaped.engine as engine_mod
+        from lshaped.engine import _Master
+
+        calls = record_calls(monkeypatch, engine_mod, "solve_lp")
+        master = _Master(mixed_feasibility_problem(), 1)
+        master.solve()  # first-stage row only: x = (5, 0)
+        # two new rows over granule 0: only the first is keyed with its
+        # theta column, and the second keeps its surplus basic
+        master.add_optimality(np.array([[0.0, 1.0, 3.0], [0.2, 0.0, 2.0]]),
+                              np.array([0, 0]), np.array([0, 1, 2]))
+        sol = master.solve()
+        n = 2
+        # columns x (2), theta (1), then one surplus per cut row
+        assert calls[-1][1]["basis"].tolist() == [0, n, n + 2]
         dense = solve_lp(master.program().dense())
         assert sol.status is dense.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(dense.objective, rel=1e-12, abs=1e-12)

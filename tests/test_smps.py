@@ -15,11 +15,84 @@ from lshaped import (
     validate_problem,
     write_native,
 )
-from helpers import P1_CORE, P1_STOCH, P1_TIME, build_p1, random_instance, random_template
+from helpers import (
+    P1_CORE, P1_STOCH, P1_TIME, RICH_CORE, RICH_STOCH, RICH_TIME, build_p1, random_instance,
+    random_template,
+)
 
 
 def p1_triple(core=P1_CORE, time=P1_TIME, stoch=P1_STOCH):
     return SmpsTriple(core_text=core, time_text=time, stoch_text=stoch)
+
+
+def edited_rich_triple(file, old, new):
+    """The rich triple with ``old`` replaced by ``new`` in one file."""
+    parts = {"core": RICH_CORE, "time": RICH_TIME, "stoch": RICH_STOCH}
+    assert old in parts[file]
+    parts[file] = parts[file].replace(old, new)
+    return SmpsTriple(parts["core"], parts["time"], parts["stoch"])
+
+
+def diagnostics_of(triple):
+    with pytest.raises(ParseError) as err:
+        parse_smps(triple)
+    return [(d.file, d.line, d.message) for d in err.value.diagnostics]
+
+
+# rich-triple lines: core 8 ROWS L D2, 18 COLUMNS X3 C2, 31 RHS D4,
+# 34 RANGES D3 D4, 38 LO X2, 40 UP Y1, 43 PL Y4; time 4 the second period;
+# stoch 3-5 RHS D1, 8-9 Y2 COST
+RANGED = "row 'D3' is ranged; random data is ambiguous"
+# (file, old, new, diagnostics): an edit of one file of the rich triple and
+# the (file, line, message) diagnostics it gives
+REJECTED = [
+    ("core", " L  D2", " L  D1", [("core", 8, "duplicate row 'D1'")]),
+    ("core", " G  C3", " N  C3", [("core", 6, "multiple objective (N) rows")]),
+    ("core", " G  C3", " X  C3", [("core", 6, "unknown row sense 'X'")]),
+    ("core", "    X3        C2        1.0", "    MARK      'MARKER'  'INTORG'",
+     [("core", 18, "integer markers are not supported")]),
+    ("core", "D3        -2.0       D4        1.5", "D3",
+     [("core", 34, "RANGES lines need 1 or 2 (row, value) pairs")]),
+    ("core", " PL BND       Y4", " PL BND",
+     [("core", 43, "BOUNDS lines need a type, set name and column")]),
+    ("core", "Y1        6.0", "Y1", [("core", 40, "UP bound needs a value")]),
+    ("core", "D4        2.0", "D4        inf", [("core", 31, "rhs value 'inf' is not finite")]),
+    ("core", RICH_CORE, "NAME\nROWS\n N  COST\n G  D1\nCOLUMNS\nENDATA\n",
+     [("core", 1, "no columns")]),
+    ("time", "Y1        D1        T2", "Y1",
+     [("time", 4, "period lines need a column and a row name")]),
+    ("time", "Y1        D1", "X1        D1", [("time", 1, "no first-stage columns")]),
+    ("stoch", "DISCRETE", "NORMAL", [("stoch", 2, "only INDEP DISCRETE sections are supported")]),
+    ("stoch", "COST      3.0       0.5", "COST      3.0",
+     [("stoch", 9, "INDEP DISCRETE lines need col, row, value[, period], prob")]),
+    ("core", "D4        2.0", "D4        2.0        COST      1.0",
+     [("core", 1, "a constant on the objective row is not supported")]),
+    ("core", " PL BND       Y4", " PL BND       Y9",
+     [("core", 43, "bound references unknown column 'Y9'")]),
+    ("core", "X2        0.0", "X2        1.0", [("core", 38, "only LO 0 bounds are supported")]),
+    ("core", "Y1        6.0", "Y1        -6.0", [("core", 40, "UP bounds must be nonnegative")]),
+    ("stoch", "Y2        COST", "X2        COST",
+     [("stoch", 8, "first-stage costs cannot be random")]),
+    ("stoch", "RHS       D1", "RHS       C3", [("stoch", 3, "stage-1 data cannot be random")]),
+    ("stoch", "RHS       D1", "RHS       D3", [("stoch", 3, RANGED)]),
+    # every STOCH reason is reported, in line order
+    ("stoch", RICH_STOCH,
+     RICH_STOCH.replace("RHS       D1", "RHS       D3").replace("Y2        COST", "X2        COST"),
+     [("stoch", 3, RANGED), ("stoch", 8, "first-stage costs cannot be random")]),
+]
+
+# the same for the lookups made while assembling: each names the line of
+# its COLUMNS pair or second period
+LOOKUPS = [
+    ("core", "X3        C2", "X3        C9",
+     ("core", 18, "column 'X3' references unknown row 'C9'")),
+    ("core", "Y2        D3", "Y2        C3",
+     ("core", 21, "stage-2 column 'Y2' appears in stage-1 row 'C3'")),
+    ("time", "Y1        D1", "Y9        D1",
+     ("time", 4, "stage-2 start column 'Y9' not found in core")),
+    ("time", "Y1        D1", "Y1        D9",
+     ("time", 4, "stage-2 start row 'D9' not found in core")),
+]
 
 
 class TestParseSmps:
@@ -136,6 +209,63 @@ class TestParseSmps:
                            stoch_text="STOCH P1\nINDEP DISCRETE\nENDATA\n")
             )
         assert any("bound" in d.message for d in err.value.diagnostics)
+
+    def test_rich_triple_assembles_bit_for_bit(self):
+        template = parse_smps(SmpsTriple(RICH_CORE, RICH_TIME, RICH_STOCH))
+        # columns X1-X3, then one slack per first-stage inequality in row
+        # order, +1 for <= and -1 for >=: C1 (L, range -4) becomes <= 10 and
+        # >= 6, C2 (E, range -2) <= 4 and >= 2, then C3 (G) and the bound
+        # rows UP X1 <= 6 and FX X3 = 2
+        c = [1.0, -0.5, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        A = [
+            [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 1.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+            [1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+        b = [10.0, 6.0, 4.0, 2.0, -5.0, 6.0, 2.0]
+        # columns Y1-Y5 and the second-stage slacks: D1 (G), D2 (L), D3 (G,
+        # range -2) as <= 3 and >= 1, D4 (E, range 1.5) as <= 3.5 and >= 2,
+        # then UP Y1 <= 6 and FX Y5 = 1; T spans the first stage's slacks too
+        W = [
+            [1.0, -1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+        q = [2.0, 2.0, 1.0, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        T = np.zeros((8, 9))
+        T[0, 0], T[1, 1] = 1.0, -1.0
+        h = [3.0, 1.0, 3.0, 1.0, 3.5, 2.0, 6.0, 1.0]
+        for got, want in ((template.first.c, c), (template.first.A, A), (template.first.b, b),
+                          (template.W, W), (template.q, q), (template.T, T), (template.h, h)):
+            want = np.array(want, dtype=float)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        # h's probabilities sum to 1 - 2^-53 and are divided by that sum
+        assert [(e.target, e.row, e.col, e.outcomes) for e in template.entries] == [
+            ("h", 0, 0, ((2.0, 0.20000000000000004), (3.0, 0.7000000000000001),
+                         (4.5, 0.10000000000000002))),
+            ("T", 1, 1, ((-1.0, 0.25), (-0.5, 0.75))),
+            ("q", 0, 1, ((1.0, 0.5), (3.0, 0.5))),
+        ]
+
+    @pytest.mark.parametrize("file, old, new, diagnostics", REJECTED,
+                             ids=[diagnostics[0][2] for *_, diagnostics in REJECTED])
+    def test_rejected_input_names_file_line_and_reason(self, file, old, new, diagnostics):
+        assert diagnostics_of(edited_rich_triple(file, old, new)) == diagnostics
+
+    @pytest.mark.parametrize("file, old, new, diagnostic", LOOKUPS,
+                             ids=[diagnostic[2] for *_, diagnostic in LOOKUPS])
+    def test_assembly_and_time_lookups_name_their_line(self, file, old, new, diagnostic):
+        assert diagnostics_of(edited_rich_triple(file, old, new)) == [diagnostic]
 
 
 class TestParseNative:
