@@ -536,6 +536,26 @@ def aggregate_granules(
 # --- textual strategy grammar (shared by the CLI) ------------------------------
 
 _MEASURES = {m.value: m for m in DistanceMeasure}
+_MEASURE = ("measure", "measure", DistanceMeasure, "angular")
+
+#: each strategy's grammar name and its parameters in label order, as
+#: (grammar key, field, type, text default); an inner rule comes last
+_GRAMMAR = {
+    MultiCut: ("multi", ()),
+    SingleCut: ("single", ()),
+    Partial: ("partial", (("T", "size", int, "1"),)),
+    SelectClosest: ("closest", (("A", "slots", int, "8"), ("tau", "tolerance", float, "0.3"),
+                                _MEASURE)),
+    Kmedoids: ("kmedoids", (("k", "clusters", int, "20"), _MEASURE)),
+    Granulated: ("granulated", (("T0", "block_size", int, "5"),
+                                ("inner", "inner", AggregationScheme, "closest"))),
+}
+# uniform slots fill in arrival order, and the engine passes complete cuts
+# in index order, so they are partial blocks here
+_STRATEGIES = {name: cls for cls, (name, _) in _GRAMMAR.items()} | {"uniform": Partial}
+#: each type's text in a label; repr is the shortest text of a float that parses back
+_TEXT = {int: str, float: lambda v: repr(float(v)), DistanceMeasure: lambda m: m.value,
+         AggregationScheme: lambda s: scheme_label(s)}
 
 
 def _parse_params(text: str) -> dict[str, str]:
@@ -556,11 +576,27 @@ def _parse_params(text: str) -> dict[str, str]:
     return params
 
 
-def _measure_param(params: dict[str, str]) -> DistanceMeasure:
-    name = params.pop("measure", "angular")
-    if name not in _MEASURES:
-        raise ValueError(f"unknown distance measure {name!r}")
-    return _MEASURES[name]
+def _read(kind, value: str, text: str):
+    """A parameter of the given type from its text in strategy ``text``."""
+    if kind is DistanceMeasure:
+        if value not in _MEASURES:
+            raise ValueError(f"unknown distance measure {value!r}")
+        return _MEASURES[value]
+    if kind is AggregationScheme:
+        try:
+            inner = parse_scheme(value)
+        except ValueError as exc:
+            raise ValueError(
+                f"malformed strategy {text!r}: inner rule {value!r}: {exc}; everything "
+                "after 'inner=' belongs to the inner rule, so inner= must be the last parameter"
+            ) from exc
+        if isinstance(inner, Granulated):
+            raise ValueError("granulated strategies cannot be nested")
+        return inner
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ValueError(f"malformed strategy {text!r}: {exc}") from exc
 
 
 def parse_scheme(text: str) -> AggregationScheme:
@@ -572,93 +608,41 @@ def parse_scheme(text: str) -> AggregationScheme:
         params = _parse_params(param_text) if param_text else {}
     except ValueError as exc:
         raise ValueError(f"malformed strategy {text!r}: {exc}") from exc
-
-    def number(key, kind, default):
-        if key not in params:
-            return default
-        try:
-            return kind(params.pop(key))
-        except ValueError as exc:
-            raise ValueError(f"malformed strategy {text!r}: {exc}") from exc
-
-    def done(result):
-        if params:
-            raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
-        return result
-
-    if name == "multi":
-        return done(MultiCut())
-    if name == "single":
-        return done(SingleCut())
-    if name in ("partial", "uniform"):
-        # uniform slots fill in arrival order, and the engine passes
-        # complete cuts in index order, so they are partial blocks here
-        return done(Partial(size=number("T", int, 1)))
-    if name == "closest":
-        measure = _measure_param(params)
-        return done(SelectClosest(
-            slots=number("A", int, 8), tolerance=number("tau", float, 0.3), measure=measure
-        ))
-    if name == "kmedoids":
-        measure = _measure_param(params)
-        return done(Kmedoids(clusters=number("k", int, 20), measure=measure))
-    if name == "granulated":
-        inner_text = params.pop("inner", "closest")
-        try:
-            inner = parse_scheme(inner_text)
-        except ValueError as exc:
-            raise ValueError(
-                f"malformed strategy {text!r}: inner rule {inner_text!r}: {exc}; everything "
-                "after 'inner=' belongs to the inner rule, so inner= must be the last parameter"
-            ) from exc
-        if isinstance(inner, Granulated):
-            raise ValueError("granulated strategies cannot be nested")
-        return done(Granulated(block_size=number("T0", int, 5), inner=inner))
-    raise ValueError(f"unknown aggregation strategy {name!r}")
+    if name not in _STRATEGIES:
+        raise ValueError(f"unknown aggregation strategy {name!r}")
+    cls = _STRATEGIES[name]
+    # the measure and the inner rule first, then the numbers in label order
+    grammar = sorted(_GRAMMAR[cls][1], key=lambda param: param[2] in (int, float))
+    values = {field: _read(kind, params.pop(key, default), text)
+              for key, field, kind, default in grammar}
+    if params:
+        raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
+    return cls(**values)
 
 
 def scheme_label(scheme: AggregationScheme) -> str:
     """Canonical textual form accepted back by parse_scheme."""
-    if isinstance(scheme, MultiCut):
-        return "multi"
-    if isinstance(scheme, SingleCut):
-        return "single"
-    if isinstance(scheme, Partial):
-        return f"partial:T={scheme.size}"
-    if isinstance(scheme, SelectClosest):
-        tau = float(scheme.tolerance)  # repr: the shortest text that parses back
-        return f"closest:A={scheme.slots},tau={tau!r},measure={scheme.measure.value}"
-    if isinstance(scheme, Kmedoids):
-        return f"kmedoids:k={scheme.clusters},measure={scheme.measure.value}"
-    if isinstance(scheme, Granulated):
-        return f"granulated:T0={scheme.block_size},inner={scheme_label(scheme.inner)}"
-    raise ValueError(f"unknown aggregation strategy {scheme!r}")
+    if type(scheme) not in _GRAMMAR:
+        raise ValueError(f"unknown aggregation strategy {scheme!r}")
+    name, grammar = _GRAMMAR[type(scheme)]
+    params = ",".join(f"{key}={_TEXT[kind](getattr(scheme, field))}"
+                      for key, field, kind, _ in grammar)
+    return f"{name}:{params}" if params else name
 
 
 def with_parameter(scheme: AggregationScheme, name: str, value: float) -> AggregationScheme:
     """Return a copy of the strategy with one named parameter replaced.
 
-    Used by the benchmark sweep; the parameter names match the textual
-    grammar (T, A, tau, k, T0).  Every parameter but tau is an
+    Used by the benchmark sweep; the parameter names are the grammar's
+    numeric keys (T, A, tau, k, T0).  Every parameter but tau is an
     integer, and a value that is not one is rejected.  A granulated
     strategy owns T0 and passes every other name to its inner strategy.
     """
-    def integer() -> int:
-        if not float(value).is_integer():
-            raise ValueError(f"parameter {name!r} must be an integer, not {value!r}")
-        return int(value)
-
-    if isinstance(scheme, Partial) and name == "T":
-        return Partial(size=integer())
-    if isinstance(scheme, SelectClosest):
-        if name == "tau":
-            return replace(scheme, tolerance=float(value))
-        if name == "A":
-            return replace(scheme, slots=integer())
-    if isinstance(scheme, Kmedoids) and name == "k":
-        return replace(scheme, clusters=integer())
-    if isinstance(scheme, Granulated):
-        if name == "T0":
-            return replace(scheme, block_size=integer())
-        return replace(scheme, inner=with_parameter(scheme.inner, name, value))
+    for key, field, kind, _ in _GRAMMAR.get(type(scheme), ("", ()))[1]:
+        if key == name and kind in (int, float):
+            if kind is int and not float(value).is_integer():
+                raise ValueError(f"parameter {name!r} must be an integer, not {value!r}")
+            return replace(scheme, **{field: kind(value)})
+        if kind is AggregationScheme:
+            return replace(scheme, **{field: with_parameter(getattr(scheme, field), name, value)})
     raise ValueError(f"strategy {scheme_label(scheme)!r} has no parameter {name!r}")

@@ -196,11 +196,14 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
             raise CliError(f"sweep range {rest!r} must be finite")
         if step <= 0:
             raise CliError("sweep step must be positive")
-        values = []
-        v = start
-        while v <= stop + 1e-12:
-            values.append(v)
-            v += step
+        # point i is start + i * step; a count within 1e-9 of a whole number
+        # is that number, and then the last point is stop itself
+        count = (stop - start) / step
+        whole = abs(count - round(count)) <= 1e-9
+        last = round(count) if whole else math.floor(count)
+        values = [start + i * step for i in range(last + 1)]
+        if whole and values:
+            values[-1] = stop
     else:
         try:
             values = [float(p) for p in rest.split(",")]

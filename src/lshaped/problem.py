@@ -225,22 +225,27 @@ class LinearProgram:
                 raise ValueError(f"{name} contains NaN")
 
 
+def _first_stage_issues(first: FirstStage, W: np.ndarray) -> list[str]:
+    """Violations of the first stage's shapes, and non-finite c, A, b or W."""
+    out: list[str] = []
+    if first.A.shape[1] != first.n and first.A.size > 0:
+        out.append(f"A has {first.A.shape[1]} columns, expected {first.n}")
+    if first.A.shape[0] != len(first.b):
+        out.append(f"A has {first.A.shape[0]} rows but b has {len(first.b)} entries")
+    for name, arr in (("c", first.c), ("A", first.A), ("b", first.b), ("W", W)):
+        if arr.size and not np.isfinite(arr).all():
+            out.append(f"{name} contains non-finite entries")
+    return out
+
+
 def validate_problem(problem: TwoStageProblem) -> list[str]:
     """Return every invariant violation as a human-readable string.
 
     An empty list means the problem is well formed.  Violations are data,
     not exceptions, so callers can report all of them at once.
     """
-    out: list[str] = []
-    first = problem.first
-    n = first.n
-    if first.A.shape[1] != n and first.A.size > 0:
-        out.append(f"A has {first.A.shape[1]} columns, expected {n}")
-    if first.A.shape[0] != len(first.b):
-        out.append(f"A has {first.A.shape[0]} rows but b has {len(first.b)} entries")
-    for name, arr in (("c", first.c), ("A", first.A), ("b", first.b), ("W", problem.W)):
-        if arr.size and not np.isfinite(arr).all():
-            out.append(f"{name} contains non-finite entries")
+    out = _first_stage_issues(problem.first, problem.W)
+    n = problem.n
     q_rows, m = problem.W.shape
     N = problem.n_scenarios
     if N < 1:
@@ -276,9 +281,8 @@ def validate_template(template: StochasticTemplate) -> list[str]:
         out.append(f"nominal T is {template.T.shape}, expected ({q_rows}, {n})")
     if len(template.h) != q_rows:
         out.append(f"nominal h has {len(template.h)} entries, expected {q_rows}")
-    first = template.first
-    for name, arr in (("c", first.c), ("A", first.A), ("b", first.b), ("W", template.W),
-                      ("nominal q", template.q), ("nominal T", template.T),
+    out += _first_stage_issues(template.first, template.W)
+    for name, arr in (("nominal q", template.q), ("nominal T", template.T),
                       ("nominal h", template.h)):
         if arr.size and not np.isfinite(arr).all():
             out.append(f"{name} contains non-finite entries")

@@ -147,13 +147,19 @@ def _parse_core(text: str) -> _Core:
             if len(fields) not in (3, 5):
                 raise _fail("core", line_no, "RHS lines need 1 or 2 (row, value) pairs")
             core.rhs_names.add(fields[0])
-            for i in range(1, len(fields), 2):
-                core.rhs[fields[i]] = _number(fields[i + 1], "core", line_no, "rhs value")
+            for row, value in zip(fields[1::2], fields[2::2]):
+                if row == core.obj_row:
+                    raise _fail("core", line_no, "a constant on the objective row is not supported")
+                if row not in core.row_sense:
+                    raise _fail("core", line_no, f"rhs references unknown row {row!r}")
+                core.rhs[row] = _number(value, "core", line_no, "rhs value")
         elif section == "RANGES":
             if len(fields) not in (3, 5):
                 raise _fail("core", line_no, "RANGES lines need 1 or 2 (row, value) pairs")
-            for i in range(1, len(fields), 2):
-                core.ranges[fields[i]] = _number(fields[i + 1], "core", line_no, "range value")
+            for row, value in zip(fields[1::2], fields[2::2]):
+                if row not in core.row_sense and row != core.obj_row:
+                    raise _fail("core", line_no, f"range references unknown row {row!r}")
+                core.ranges[row] = _number(value, "core", line_no, "range value")
         elif section == "BOUNDS":
             if len(fields) < 3:
                 raise _fail("core", line_no, "BOUNDS lines need a type, set name and column")
@@ -308,11 +314,9 @@ def parse_smps(triple: SmpsTriple) -> StochasticTemplate:
     col_index = {name: j for j, name in enumerate(core.col_order)}
     n_x = col_index[col2]
     if n_x == 0:
-        raise _fail("time", 1, "no first-stage columns")
+        raise _fail("time", time_line, "no first-stage columns")
     row_index = {name: i for i, name in enumerate(core.row_order)}
     stage2_row = row_index[row2]
-    if core.obj_row in core.rhs:
-        raise _fail("core", 1, "a constant on the objective row is not supported")
 
     cost = np.zeros(len(col_index))
     coef = np.zeros((len(row_index), len(col_index)))

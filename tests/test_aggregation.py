@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -578,22 +579,56 @@ class TestDistanceMatrix:
         assert np.all(np.diag(dist, k=len(base)) == 0.0)
 
 
+#: a few values of each key of each strategy but granulated
+GRAMMAR_VALUES = {
+    "multi": {}, "single": {}, "partial": {"T": ["1", "7"]}, "uniform": {"T": ["16"]},
+    "closest": {"A": ["1", "8"], "tau": ["0", "0.1234567", "1e-17"],
+                "measure": [m.value for m in DistanceMeasure]},
+    "kmedoids": {"k": ["1", "20"], "measure": [m.value for m in DistanceMeasure]},
+}
+SWEEP_KEYS = {"T": "9", "A": "9", "tau": "0.75", "k": "9", "T0": "9"}
+
+
+def grammar_texts() -> list[str]:
+    """Every strategy with every subset and order of its keys, three value
+    sets each, alone and as the inner rule of granulated with and without T0."""
+    texts = []
+    for name, pools in GRAMMAR_VALUES.items():
+        for size in range(len(pools) + 1):
+            for keys in itertools.permutations(pools, size):
+                for j in range(3):
+                    params = ",".join(f"{k}={pools[k][j % len(pools[k])]}" for k in keys)
+                    texts.append(f"{name}:{params}" if params else name)
+    return [f"granulated:{t0}inner={text}" for text in texts for t0 in ("", "T0=3,")] + [
+        *texts, "granulated", "granulated:T0=3",
+    ]
+
+
 class TestSchemeGrammar:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "multi", "single", "partial:T=16", "uniform:T=16",
-            "closest:A=8,tau=0.3,measure=angular",
-            "closest:A=4,tau=0.1234567,measure=absolute",
-            "closest:A=4,tau=1e-17,measure=spatioangular",
-            "kmedoids:k=20,measure=angular",
-            "granulated:T0=5,inner=kmedoids:k=20",
-            "granulated:T0=5,inner=kmedoids:k=20,measure=spatioangular",
-        ],
-    )
+    @pytest.mark.parametrize("text", list(dict.fromkeys([
+        "multi", "single", "partial:T=16", "uniform:T=16",
+        "closest:A=8,tau=0.3,measure=angular",
+        "closest:A=4,tau=0.1234567,measure=absolute",
+        "closest:A=4,tau=1e-17,measure=spatioangular",
+        "kmedoids:k=20,measure=angular",
+        "granulated:T0=5,inner=kmedoids:k=20",
+        "granulated:T0=5,inner=kmedoids:k=20,measure=spatioangular",
+        *grammar_texts(),
+    ])))
     def test_label_round_trip(self, text):
         scheme = parse_scheme(text)
-        assert parse_scheme(scheme_label(scheme)) == scheme
+        label = scheme_label(scheme)
+        assert parse_scheme(label) == scheme
+        assert scheme_label(parse_scheme(label)) == label
+        # a sweep changes exactly its key in the label; keys are unique in one
+        for key, value in SWEEP_KEYS.items():
+            pattern = rf"(?<=[:,]){key}=[^,:]*"
+            if re.search(pattern, label):
+                swept = scheme_label(aggregation.with_parameter(scheme, key, float(value)))
+                assert swept == re.sub(pattern, f"{key}={value}", label) != label
+            else:
+                with pytest.raises(ValueError, match=f"has no parameter '{key}'"):
+                    aggregation.with_parameter(scheme, key, float(value))
 
     def test_parse_examples(self):
         assert parse_scheme("partial:T=16") == Partial(size=16)

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from lshaped import write_native
-from lshaped.cli import BENCH_HEADER, main
+from lshaped import FirstStage, RandomEntry, StochasticTemplate, write_native
+from lshaped.cli import BENCH_HEADER, _parse_sweep, main
 from helpers import (
     P1_CORE, P1_OPTIMUM, P1_STOCH, P1_TIME, build_p1, random_template, record_calls,
 )
@@ -281,6 +281,26 @@ class TestBench:
                            "--repeats", "1", "--tol", "1e-6")
         assert out.splitlines()[0] == ",".join(BENCH_HEADER)
 
+    @pytest.mark.parametrize("sweep, values", [
+        # a running sum ended these at 1.0000000000000002 and 1.0000000000000007
+        ("tau=0.8:1:0.05", [0.8, 0.8 + 0.05, 0.8 + 2 * 0.05, 0.8 + 3 * 0.05, 1.0]),
+        ("tau=0:1:0.01", [i * 0.01 for i in range(100)] + [1.0]),
+        ("T=1:32:1", [float(T) for T in range(1, 33)]),
+        ("tau=0.1:0.5:0.1", [0.1, 0.2, 0.30000000000000004, 0.4, 0.5]),
+        ("tau=0:1:0.3", [0.0, 0.3, 0.6, 0.8999999999999999]),
+        ("T=3:3:1", [3.0]),
+    ])
+    def test_sweep_range_point_i_is_start_plus_i_steps(self, sweep, values):
+        assert _parse_sweep(sweep) == (sweep.partition("=")[0], values)
+
+    def test_angular_sweep_up_to_one_runs_every_point(self, capsys, p1_json):
+        code, out, err = run(capsys, "bench", "--input", p1_json, "--scheme", "closest:A=2",
+                             "--sweep", "tau=0.8:1:0.05", "--repeats", "1", "--tol", "1e-6")
+        assert (code, err) == (0, "")
+        rows = bench_rows(out)
+        assert [r["value"] for r in rows] == ["0.8", "0.85", "0.9", "0.95", "1"]
+        assert rows[-1]["scheme"] == "closest:A=2,tau=1.0,measure=angular"
+
     def test_malformed_sweep(self, capsys, p1_json):
         code, _, err = run(capsys, "bench", "--input", p1_json, "--scheme", "partial",
                            "--sweep", "T=")
@@ -507,6 +527,24 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "--input", str(path))
         assert code == 1
         assert "$.random[0].outcomes[0]" in err and "Traceback" not in out + err
+
+    def test_template_first_stage_is_checked_as_a_problem_is(self, capsys, tmp_path):
+        # A is 1 x 2 against 3 costs and 2 right-hand sides; solve rejects
+        # the sampled problem for both, so validate must too
+        template = StochasticTemplate(
+            first=FirstStage(c=[1.0, 1.0, 1.0], A=[[1.0, 1.0]], b=[1.0, 2.0]),
+            W=[[1.0, -1.0]], q=[1.0, 0.0], T=[[1.0, 0.0, 0.0]], h=[2.0],
+            entries=(RandomEntry("h", 0, 0, ((2.0, 0.5), (4.0, 0.5))),),
+        )
+        path = tmp_path / "template.json"
+        path.write_text(write_native(template))
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "parse error:",
+            "native:1: $: A has 2 columns, expected 3",
+            "native:1: $: A has 1 rows but b has 2 entries",
+        ]
 
     def test_smps_triple(self, capsys, p1_smps):
         code, out, _ = run(capsys, "validate", "--core", p1_smps["core"],

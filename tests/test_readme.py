@@ -4,7 +4,7 @@ import argparse
 import re
 from pathlib import Path
 
-from lshaped.aggregation import parse_scheme, scheme_label
+from lshaped.aggregation import _parse_params, parse_scheme, scheme_label
 from lshaped.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -48,8 +48,16 @@ def test_command_line_section_names_only_existing_flags():
 def test_strategy_grammar_table_parses_and_round_trips():
     text = README.read_text()
     table = text[text.index("### Strategy grammar\n"):].split("\n\n")[1]
-    strategies = re.findall(r"^\| `([^`]+)`", table, re.M)
-    assert len(strategies) == 7
-    for text in strategies:
+    rows = re.findall(r"^\| `([^`]+)` +\|([^|]*)\|", table, re.M)
+    assert len(rows) == 7
+    for text, defaults in rows:
         scheme = parse_scheme(text)
         assert parse_scheme(scheme_label(scheme)) == scheme, text
+        # every parameter's documented default, and only those, give the
+        # label of the bare name
+        name = text.partition(":")[0]
+        label = scheme_label(parse_scheme(name))
+        documented = re.findall(r"`([^`=]+)=([^`]+)`", defaults)
+        assert [key for key, _ in documented] == list(_parse_params(label.partition(":")[2]))
+        for key, value in documented:
+            assert scheme_label(parse_scheme(f"{name}:{key}={value}")) == label, (name, key)

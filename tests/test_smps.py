@@ -61,12 +61,15 @@ REJECTED = [
      [("core", 1, "no columns")]),
     ("time", "Y1        D1        T2", "Y1",
      [("time", 4, "period lines need a column and a row name")]),
-    ("time", "Y1        D1", "X1        D1", [("time", 1, "no first-stage columns")]),
+    # the second period names the first core column as the stage-2 start
+    ("time", "Y1        D1", "X1        D1", [("time", 4, "no first-stage columns")]),
     ("stoch", "DISCRETE", "NORMAL", [("stoch", 2, "only INDEP DISCRETE sections are supported")]),
     ("stoch", "COST      3.0       0.5", "COST      3.0",
      [("stoch", 9, "INDEP DISCRETE lines need col, row, value[, period], prob")]),
     ("core", "D4        2.0", "D4        2.0        COST      1.0",
-     [("core", 1, "a constant on the objective row is not supported")]),
+     [("core", 31, "a constant on the objective row is not supported")]),
+    ("core", "RHS       D4", "RHS       Q4", [("core", 31, "rhs references unknown row 'Q4'")]),
+    ("core", "RNG       D3", "RNG       Q3", [("core", 34, "range references unknown row 'Q3'")]),
     ("core", " PL BND       Y4", " PL BND       Y9",
      [("core", 43, "bound references unknown column 'Y9'")]),
     ("core", "X2        0.0", "X2        1.0", [("core", 38, "only LO 0 bounds are supported")]),
